@@ -6,36 +6,29 @@ the two backends call for call.
 """
 
 from libc.stdint cimport int64_t, uint64_t
+from libc.string cimport memcpy
 
 BACKEND = "compiled"
 
 GOAL_TILES = bytes(range(16))
 
 cdef int _MD_FLAT[256]
-cdef int _DELTA[4]
-
-_DELTA[0] = -4
-_DELTA[1] = -1
-_DELTA[2] = 1
-_DELTA[3] = 4
+# _DEST[blank * 4 + op]: the blank's cell after op, or -1 when op would
+# move it off the board (ops: 0=Up, 1=Left, 2=Right, 3=Down)
+cdef int _DEST[64]
 
 cdef int _t, _p
 for _t in range(16):
     for _p in range(16):
         _MD_FLAT[_t * 16 + _p] = (abs(_p // 4 - _t // 4)
                                   + abs(_p % 4 - _t % 4))
+for _p in range(16):
+    _DEST[_p * 4 + 0] = _p - 4 if _p >= 4 else -1
+    _DEST[_p * 4 + 1] = _p - 1 if _p % 4 != 0 else -1
+    _DEST[_p * 4 + 2] = _p + 1 if _p % 4 != 3 else -1
+    _DEST[_p * 4 + 3] = _p + 4 if _p < 12 else -1
 
 cdef uint64_t _GAMMA = 0x9E3779B97F4A7C15U
-
-
-cdef inline bint _legal(int blank, int op):
-    if op == 0:
-        return blank >= 4
-    if op == 1:
-        return blank % 4 != 0
-    if op == 2:
-        return blank % 4 != 3
-    return blank < 12
 
 
 def manhattan(bytes tiles):
@@ -51,25 +44,28 @@ def manhattan(bytes tiles):
 
 
 def puzzle_expand(bytes tiles, int blank, int h, int prev_op, bytes order):
-    """Expand a puzzle state; see the pure-Python twin for the contract."""
+    """Expand a puzzle state; see the pure-Python twin for the contract:
+    a list of ((tiles, blank), op, 1, h) children."""
     cdef int skip = 3 - prev_op if prev_op >= 0 else -1
-    cdef int i, op, dest, t
+    cdef Py_ssize_t i
+    cdef int op, dest, t
     cdef const unsigned char* po = order
-    cdef unsigned char buf[16]
     cdef const unsigned char* pt = tiles
+    cdef unsigned char buf[16]
     out = []
     for i in range(len(order)):
         op = po[i]
-        if op == skip or not _legal(blank, op):
+        if op == skip:
             continue
-        dest = blank + _DELTA[op]
+        dest = _DEST[blank * 4 + op]
+        if dest < 0:
+            continue
         t = pt[dest]
-        for i2 in range(16):
-            buf[i2] = pt[i2]
+        memcpy(buf, pt, 16)
         buf[blank] = <unsigned char>t
         buf[dest] = 0
-        out.append((bytes(buf[:16]), dest, op,
-                    h - _MD_FLAT[t * 16 + dest] + _MD_FLAT[t * 16 + blank]))
+        out.append(((bytes(buf[:16]), dest), op, 1,
+                    h + _MD_FLAT[t * 16 + blank] - _MD_FLAT[t * 16 + dest]))
     return out
 
 

@@ -33,6 +33,41 @@ def _legal(blank, op):
     return blank < 12
 
 
+def _swap_table(t):
+    table = bytearray(range(256))
+    table[0], table[t] = t, 0
+    return bytes(table)
+
+
+# bytes.translate table exchanging tile t and the blank: applied to the
+# parent's tiles it moves tile t into the blank's cell
+_SWAP = tuple(_swap_table(t) for t in range(16))
+
+# operator order -> move table, see _move_table; a table depends on the
+# order alone, so every caller can share it
+_MOVE_TABLES = {}
+
+
+def _move_table(order):
+    """Moves in operator order, indexed [blank][prev_op + 1].
+
+    Each entry is a tuple of (op, dest, dh) where dest is the blank's new
+    cell and dh[t] the change in Manhattan distance when tile t slides
+    from dest into the old blank cell.  The move undoing prev_op is left
+    out.
+    """
+    table = []
+    for blank in range(16):
+        moves = [(op, blank + _DELTA[op],
+                  tuple(_MD[t][blank] - _MD[t][blank + _DELTA[op]]
+                        for t in range(16)))
+                 for op in order if _legal(blank, op)]
+        table.append(tuple(
+            tuple(m for m in moves if prev_op < 0 or m[0] != 3 - prev_op)
+            for prev_op in range(-1, 4)))
+    return tuple(table)
+
+
 def manhattan(tiles):
     """Sum of tile distances from home; the blank does not count."""
     total = 0
@@ -50,19 +85,19 @@ def puzzle_expand(tiles, blank, h, prev_op, order):
     tiles; prev_op: operator that produced this state (-1 at the root);
     order: bytes giving the operator expansion order.  The operator
     reversing prev_op is skipped.  Returns a list of
-    (tiles, blank, op, h) tuples with h maintained incrementally.
+    ((tiles, blank), op, 1, h) tuples, the child state, its operator, its
+    cost and its Manhattan distance (maintained incrementally): exactly
+    the (state, op, cost, h) children a search problem's expand returns.
     """
+    table = _MOVE_TABLES.get(order)
+    if table is None:
+        table = _MOVE_TABLES[order] = _move_table(order)
+    # a plain loop: for two or three children a comprehension's own
+    # call costs more than the appends it saves
     out = []
-    skip = 3 - prev_op if prev_op >= 0 else -1
-    for op in order:
-        if op == skip or not _legal(blank, op):
-            continue
-        dest = blank + _DELTA[op]
+    for op, dest, dh in table[blank][prev_op + 1]:
         t = tiles[dest]
-        child = bytearray(tiles)
-        child[blank] = t
-        child[dest] = 0
-        out.append((bytes(child), dest, op, h - _MD[t][dest] + _MD[t][blank]))
+        out.append(((tiles.translate(_SWAP[t]), dest), op, 1, h + dh[t]))
     return out
 
 

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 engine stall.
 import argparse
 import csv
 import dataclasses
-import datetime
 import os
 import statistics
 import sys
@@ -86,8 +85,8 @@ def _load_instances(paths):
                 raise DataError(f"cannot read {path}: {exc}") from None
             if not states:
                 raise DataError(f"no instances in {path}")
-            for i, (tiles, _blank) in enumerate(states, start=1):
-                instances.append((f"{stem}#{i}", PuzzleProblem(tiles)))
+            for i, state in enumerate(states, start=1):
+                instances.append((f"{stem}#{i}", PuzzleProblem(state)))
     return instances
 
 
@@ -108,6 +107,9 @@ def _architecture(args):
 
 def _timestamp(args):
     if args.mode == "threads":
+        # imported here: datetime adds about half a megabyte of resident
+        # memory, and only threads-mode records carry a wall-clock stamp
+        import datetime
         return datetime.datetime.now().isoformat(timespec="seconds")
     return "-"
 
@@ -208,6 +210,43 @@ def cmd_gen(args):
 
 # -------------------------------------------------------------- sweep
 
+def _sweep_instance(args, iid, problem, grid, base, mode, rows):
+    """Run every grid value on one instance, appending one record row per
+    run to rows.  Returns (features, mean makespan per grid value);
+    features is None when profiling solved the instance."""
+    trace = shallow_search(problem, budget=args.budget)
+    serial = serial_idastar(problem)
+    features = None
+    if trace.goal_found is None:
+        features = extract_features(trace)
+    timings = {}
+    for value in grid:
+        approach = value if args.axis == "all" else f"{args.axis}={value}"
+        per_value = []
+        for rep in range(args.reps):
+            row = _record_row(args, iid, approach, "", rep)
+            try:
+                config = config_for_axis_value(args.axis, value, base=base)
+                config = _attach_toida(config, trace)
+                row["config"] = config.token()
+                validate_config(config, args.workers)
+                report = run_parallel(problem, config, args.workers,
+                                      mode=mode, seed=args.seed,
+                                      serial_outcome=serial)
+            except EngineStall:
+                raise
+            except IdastraError as exc:
+                row["status"] = type(exc).__name__
+                _warn(f"{iid} {approach} rep {rep}: {exc}")
+            else:
+                _fill_report(row, report)
+                per_value.append(report.makespan)
+            rows.append(row)
+        if per_value:
+            timings[value] = statistics.fmean(per_value)
+    return features, timings
+
+
 def cmd_sweep(args):
     instances = _load_instances(args.instances)
     if args.axis not in AXES:
@@ -225,48 +264,24 @@ def cmd_sweep(args):
 
     rows = []
     cases = []
-    failures = 0
-    for iid, problem in instances:
-        trace = shallow_search(problem, budget=args.budget)
-        serial = serial_idastar(problem)
-        features = None
-        if trace.goal_found is None:
-            features = extract_features(trace)
-        timings = {}
-        for value in grid:
-            approach = value if args.axis == "all" else f"{args.axis}={value}"
-            per_value = []
-            for rep in range(args.reps):
-                row = _record_row(args, iid, approach, "", rep)
-                try:
-                    config = config_for_axis_value(args.axis, value,
-                                                   base=base)
-                    config = _attach_toida(config, trace)
-                    row["config"] = config.token()
-                    validate_config(config, args.workers)
-                    report = run_parallel(problem, config, args.workers,
-                                          mode=mode, seed=args.seed,
-                                          serial_outcome=serial)
-                except EngineStall:
-                    raise
-                except IdastraError as exc:
-                    row["status"] = type(exc).__name__
-                    failures += 1
-                    _warn(f"{iid} {approach} rep {rep}: {exc}")
-                else:
-                    _fill_report(row, report)
-                    per_value.append(report.makespan)
-                rows.append(row)
-            if per_value:
-                timings[value] = statistics.fmean(per_value)
-        if features is None:
-            _warn(f"{iid}: solved during profiling, no training case")
-        elif len(timings) >= 2:
-            cases.append(label_cases(timings, features, args.axis, arch))
-        else:
-            _warn(f"{iid}: fewer than 2 strategies succeeded, "
-                  "no training case")
+    stall = None
+    try:
+        for iid, problem in instances:
+            features, timings = _sweep_instance(args, iid, problem, grid,
+                                                base, mode, rows)
+            if features is None:
+                _warn(f"{iid}: solved during profiling, no training case")
+            elif len(timings) >= 2:
+                cases.append(label_cases(timings, features, args.axis,
+                                         arch))
+            else:
+                _warn(f"{iid}: fewer than 2 strategies succeeded, "
+                      "no training case")
+    except EngineStall as exc:
+        # write what completed before the stall, then report it
+        stall = exc
 
+    failures = sum(row["status"] != "ok" for row in rows)
     _append_records(args.out, rows)
     print(f"appended {len(rows)} run record(s) to {args.out}"
           + (f" ({failures} failed)" if failures else ""))
@@ -276,6 +291,8 @@ def cmd_sweep(args):
             _warn(f"store already held {dupes} identical case line(s); "
                   "appended anyway")
         print(f"appended {written} training case(s) to {args.store}")
+    if stall is not None:
+        raise stall
     return 0
 
 

@@ -13,6 +13,7 @@ problem's natural operator order and may be reordered by an ordering
 policy before being pushed.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 from idastra.errors import SpaceExhausted
@@ -42,7 +43,7 @@ class PassStats:
     A leaf is a node the pass actually disposed of: a pruned child, a
     dead-end expansion, or the goal.  Nodes left on the stack when a
     budget truncates the pass are not leaves.  Subtrees are keyed by the
-    first operator on a node's path.
+    first operator on a node's path; `sub` is None for the root itself.
     """
 
     subtree_expanded: dict = field(default_factory=dict)
@@ -53,12 +54,11 @@ class PassStats:
     fertile_expanded: int = 0
     root_children: int = 0
 
-    def record_leaf(self, path, g, h):
+    def record_leaf(self, sub, g, h):
         f = g + h
         if self.min_leaf_f is None or f < self.min_leaf_f:
             self.min_leaf_f = f
-        if path:
-            sub = path[0]
+        if sub is not None:
             if f < self.subtree_min_leaf_f.get(sub, f + 1):
                 self.subtree_min_leaf_f[sub] = f
             if h < self.subtree_min_leaf_h.get(sub, h + 1):
@@ -66,9 +66,8 @@ class PassStats:
         if len(self.leaf_samples) < LEAF_SAMPLE_CAP:
             self.leaf_samples.append((g, h))
 
-    def record_expansion(self, path, n_children):
-        if path:
-            sub = path[0]
+    def record_expansion(self, sub, n_children):
+        if sub is not None:
             self.subtree_expanded[sub] = self.subtree_expanded.get(sub, 0) + 1
         if n_children:
             self.fertile_expanded += 1
@@ -87,13 +86,19 @@ class PassResult:
 
 def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                      collect_stats=False):
-    """One depth-first pass expanding only nodes with f <= threshold.
+    """One depth-first pass from make_root's node expanding only nodes
+    with f <= threshold.
 
     Children over the threshold are recorded (their minimum f feeds the
     next threshold) but never pushed.  The goal test runs when a node is
     popped, so finding the goal counts as expanding it.  With a budget,
     the pass stops once nodes_expanded reaches it and reports truncated
     when work remained on the stack.
+
+    The stack holds (state, g, h, op, depth) tuples, and one shared list
+    is the path: path[0] is the root's prev_op and path[1:depth + 1] the
+    operators leading to the node popped last.  Popping a node at depth
+    d cuts the list back to d entries and appends the node's operator.
     """
     stats = PassStats() if collect_stats else None
     expanded = 0
@@ -105,49 +110,58 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     if root.f > threshold:
         min_exceed = root.f
         if stats is not None:
-            stats.record_leaf(root.path, root.g, root.h)
+            stats.record_leaf(None, root.g, root.h)
         return PassResult(threshold, None, min_exceed, 0, 0, False, stats)
 
-    stack = [root]
+    limit = sys.maxsize if budget is None else budget
+    is_goal = problem.is_goal
+    expand = problem.expand
+    arrange = None if order is None else order.arrange
+    path = []
+    stack = [(root.state, root.g, root.h, root.prev_op, 0)]
+    pop = stack.pop
+    push = stack.append
     while stack:
-        if budget is not None and expanded >= budget:
+        if expanded >= limit:
             truncated = True
             break
-        node = stack.pop()
+        state, g, h, op, depth = pop()
+        del path[depth:]
+        path.append(op)
         expanded += 1
-        if problem.is_goal(node.state):
-            solution = (node.path, node.g)
+        if is_goal(state):
+            solution = (tuple(path[1:]), g)
             if stats is not None:
-                stats.record_expansion(node.path, 0)
-                stats.record_leaf(node.path, node.g, node.h)
+                sub = path[1] if depth else None
+                stats.record_expansion(sub, 0)
+                stats.record_leaf(sub, g, h)
             break
-        raw = problem.expand(node.state, node.prev_op, node.h)
-        if order is not None:
-            raw = order.arrange(raw, node)
+        raw = expand(state, op, h)
+        if arrange is not None:
+            raw = arrange(raw, not depth)
         generated += len(raw)
-        if stats is not None:
-            stats.record_expansion(node.path, len(raw))
-            if not node.path:
-                stats.root_children = len(raw)
-        kept = []
-        g = node.g
-        path = node.path
-        for child_state, op, cost, h in raw:
+        child_depth = depth + 1
+        # push in reverse so the first child is popped first
+        for child, cop, cost, ch in reversed(raw):
             cg = g + cost
-            cf = cg + h
+            cf = cg + ch
             if cf > threshold:
                 if min_exceed is None or cf < min_exceed:
                     min_exceed = cf
-                if stats is not None:
-                    stats.record_leaf(path + (op,), cg, h)
             else:
-                kept.append(SearchNode(child_state, cg, h, cf, op,
-                                       path + (op,)))
-        if kept:
-            # push reversed so the first child is popped first
-            stack.extend(reversed(kept))
-        elif not raw and stats is not None:
-            stats.record_leaf(path, node.g, node.h)
+                push((child, cg, ch, cop, child_depth))
+        if stats is not None:
+            sub = path[1] if depth else None
+            stats.record_expansion(sub, len(raw))
+            if not depth:
+                stats.root_children = len(raw)
+            if not raw:
+                stats.record_leaf(sub, g, h)
+            # leaves are sampled in generation order
+            for child, cop, cost, ch in raw:
+                cg = g + cost
+                if cg + ch > threshold:
+                    stats.record_leaf(cop if sub is None else sub, cg, ch)
 
     return PassResult(threshold, solution, min_exceed, expanded, generated,
                       truncated, stats)

@@ -154,6 +154,5 @@ class PuzzleProblem:
 
     def expand(self, state, prev_op, h):
         tiles, blank = state
-        return [((ct, cb), op, 1, ch) for ct, cb, op, ch in
-                kernels.puzzle_expand(tiles, blank, h, prev_op,
-                                      self.operator_order)]
+        return kernels.puzzle_expand(tiles, blank, h, prev_op,
+                                     self.operator_order)

@@ -337,7 +337,7 @@ class _SimEngine:
             return None
         raw = self.problem.expand(node.state, node.prev_op, node.h)
         if self.order is not None:
-            raw = self.order.arrange(raw, node)
+            raw = self.order.arrange(raw, not node.path)
         w.stats.nodes_generated += len(raw)
         kept = []
         for child_state, op, cost, h in raw:

@@ -184,7 +184,7 @@ class _ThreadEngine:
             return None
         raw = self.problem.expand(node.state, node.prev_op, node.h)
         if self.order is not None:
-            raw = self.order.arrange(raw, node)
+            raw = self.order.arrange(raw, not node.path)
         w.stats.nodes_generated += len(raw)
         kept = []
         pruned = []

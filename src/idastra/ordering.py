@@ -45,8 +45,9 @@ class OrderPolicy:
         p = self.permutation
         return p is None or p == tuple(range(len(p)))
 
-    def arrange(self, children, node):
-        """Return children (state, op, cost, h) in policy order."""
+    def arrange(self, children, at_root):
+        """Return children (state, op, cost, h) in policy order; at_root
+        says whether they are the root's children."""
         if self.kind == "Fixed":
             if self.permutation is None:
                 return children
@@ -59,7 +60,7 @@ class OrderPolicy:
         # Toida: learned scores steer only the top of the tree
         if self.scores is None:
             raise MissingScores("Toida ordering needs a score table")
-        if not node.path:
+        if at_root:
             return sorted(children,
                           key=lambda c: (self.scores.get(c[1], _INF), c[1]))
         return sorted(children, key=lambda c: (c[3], c[1]))

@@ -27,6 +27,21 @@ def manhattan_reference(tiles):
     return total
 
 
+def apply_op_reference(tiles, op):
+    """The (tiles, blank) after moving the blank by op (0=Up, 1=Left,
+    2=Right, 3=Down), or None when the move leaves the board."""
+    blank = tiles.index(0)
+    row, col = divmod(blank, 4)
+    row += (-1, 0, 0, 1)[op]
+    col += (0, -1, 1, 0)[op]
+    if not (0 <= row < 4 and 0 <= col < 4):
+        return None
+    dest = row * 4 + col
+    cells = list(tiles)
+    cells[blank], cells[dest] = cells[dest], 0
+    return bytes(cells), dest
+
+
 def astar_cost(problem, limit=2_000_000):
     """Optimal solution cost by best-first search; None if the space is
     exhausted, raises if the node limit trips (test sizing guard)."""
@@ -54,12 +69,13 @@ def astar_cost(problem, limit=2_000_000):
     return None
 
 
-def bounded_dfs_reference(problem, threshold):
+def bounded_dfs_reference(problem, threshold, order=None):
     """Recursive twin of the engine's cost-bounded pass.
 
     Counting conventions: visiting a node counts it as expanded (the
     goal node included); children over the bound are pruned where they
-    are generated and feed the minimum-exceeding-f value.
+    are generated and feed the minimum-exceeding-f value.  An ordering
+    policy, when given, arranges each sibling list before it is walked.
     Returns (expanded, generated, min_exceed, solution).
     """
     h0 = problem.initial_h()
@@ -72,6 +88,8 @@ def bounded_dfs_reference(problem, threshold):
         if problem.is_goal(state):
             return (path, g)
         children = problem.expand(state, prev_op, h)
+        if order is not None:
+            children = order.arrange(children, not path)
         # a whole sibling list comes into existence when its parent is
         # expanded, even if the pass stops at a goal among them
         tally["generated"] += len(children)
@@ -93,7 +111,7 @@ def bounded_dfs_reference(problem, threshold):
             solution)
 
 
-def ida_reference(problem):
+def ida_reference(problem, order=None):
     """Serial iterative deepening built on the recursive pass.
 
     Returns (cost, path, thresholds, per-pass expansions, total).
@@ -104,7 +122,7 @@ def ida_reference(problem):
     total = 0
     while True:
         expanded, _gen, min_exceed, solution = bounded_dfs_reference(
-            problem, threshold)
+            problem, threshold, order)
         thresholds.append(threshold)
         per_pass.append(expanded)
         total += expanded

@@ -8,12 +8,28 @@ import pytest
 
 from idastra.cli import RECORD_FIELDS
 from idastra.core import serial_idastar
+from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
+
+EASY_PUZZLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                            "data", "easy_puzzles.txt")
 
 
 def _read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def _one_puzzle_file(tmp_path):
+    """A puzzle file holding the first easy instance; returns (path,
+    serial IDA* cost)."""
+    with open(EASY_PUZZLES) as fh:
+        first = next(line for line in fh
+                     if line.strip() and not line.startswith("#"))
+    path = tmp_path / "one.txt"
+    path.write_text(first)
+    cost = serial_idastar(PuzzleProblem(parse_korf_set(first)[0])).cost
+    return str(path), cost
 
 
 def _gen(run_cli, out_dir, count=3, **flags):
@@ -245,6 +261,24 @@ def test_solve_appends_optimal_record(run_cli, tmp_path):
     assert rows[0]["status"] == "ok"
 
 
+def test_advise_and_solve_read_a_puzzle_file(run_cli, tmp_path):
+    path, want = _one_puzzle_file(tmp_path)
+    # the default budget solves this instance while profiling
+    code, out, _err = run_cli(["advise", "--instances", path])
+    assert code == 0
+    assert "solved-during-profiling" in out
+    assert f"cost: {want}" in out.splitlines()
+    # a small budget leaves the search to the parallel run
+    records = str(tmp_path / "puzzle.csv")
+    code, out, _err = run_cli(["solve", "--instances", path, "--budget", 50,
+                               "--workers", 4, "--out", records])
+    assert code == 0
+    assert f"cost: {want}" in out.splitlines()
+    rows = _read_csv(records)
+    assert rows[0]["instance"] == "one#1"
+    assert int(rows[0]["cost"]) == want
+
+
 def test_solve_profiled_solution_recorded(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "easy"), count=1, d="3",
                  density="0.0", herror="0")
@@ -373,3 +407,36 @@ def test_engine_stall_exit_code(run_cli, tmp_path, monkeypatch):
     code, _out, _err = run_cli(["solve", "--instances", files[0],
                                 "--budget", 50])
     assert code == 3
+
+
+def test_sweep_keeps_completed_rows_on_stall(run_cli, tmp_path,
+                                             monkeypatch):
+    from idastra.errors import EngineStall
+    import idastra.cli as cli_mod
+
+    real = cli_mod.run_parallel
+    seen = []
+
+    def stall_on_second_instance(problem, *args, **kwargs):
+        if problem not in seen:
+            seen.append(problem)
+        if len(seen) == 2:
+            raise EngineStall("stuck")
+        return real(problem, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "run_parallel", stall_on_second_instance)
+    files = _gen(run_cli, str(tmp_path / "inst"), count=3)
+    records = str(tmp_path / "records.csv")
+    store = str(tmp_path / "cases.jsonl")
+    code, _out, err = run_cli(["sweep", "--instances", *files,
+                               "--axis", "clusters", "--grid", "1,2",
+                               "--workers", 2, "--budget", 50,
+                               "--out", records, "--store", store])
+    assert code == 3
+    assert "engine stall" in err
+    rows = _read_csv(records)
+    assert [(r["instance"], r["approach"]) for r in rows] \
+        == [("inst_0000", "clusters=1"), ("inst_0000", "clusters=2")]
+    assert all(r["status"] == "ok" for r in rows)
+    with open(store) as fh:
+        assert len([line for line in fh if line.strip()]) == 1

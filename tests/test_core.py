@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from idastra.core import (cost_bounded_dfs, make_root, next_threshold,
                           serial_idastar)
+from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.errors import SpaceExhausted
+from idastra.ordering import OrderPolicy
 from oracles import astar_cost, bounded_dfs_reference, ida_reference
 
 
@@ -118,6 +120,56 @@ def test_serial_matches_reference_and_astar():
         assert [t for t, _ in out.iterations] == thresholds
         assert [n for _, n in out.iterations] == per_pass
         assert out.total_expanded == total
+
+
+def _assert_matches_references(problem, order):
+    """serial_idastar against the recursive reference, and every pass
+    against the recursive pass at the same threshold."""
+    out = serial_idastar(problem, order=order)
+    cost, path, thresholds, per_pass, total = ida_reference(problem, order)
+    assert (out.path, out.cost) == (path, cost)
+    assert [t for t, _ in out.iterations] == thresholds
+    assert [n for _, n in out.iterations] == per_pass
+    assert out.total_expanded == total
+    generated = 0
+    for threshold in thresholds:
+        res = cost_bounded_dfs(problem, make_root(problem), threshold,
+                               order=order)
+        exp, gen, min_exceed, solution = bounded_dfs_reference(
+            problem, threshold, order)
+        assert res.nodes_expanded == exp
+        assert res.nodes_generated == gen
+        assert res.min_exceeding_f == min_exceed
+        assert res.solution == solution
+        generated += gen
+    assert out.total_generated == generated
+    return out
+
+
+_SCRAMBLES = [(20, 1), (26, 2), (30, 3), (34, 4), (40, 5), (16, 6),
+              (24, 7), (28, 8)]
+
+
+@pytest.mark.parametrize("token", ["Fixed", "Fixed:3102", "Local"])
+def test_puzzle_search_matches_reference_per_pass(token):
+    order = OrderPolicy.from_token(token)
+    for depth, seed in _SCRAMBLES:
+        state = scramble(depth, seed)
+        out = _assert_matches_references(PuzzleProblem(state), order)
+        if token == "Fixed:3102":
+            # the kernel's own operator order gives the same search
+            again = serial_idastar(PuzzleProblem(
+                state, operator_order=bytes((3, 1, 0, 2))))
+            assert (again.path, again.iterations, again.total_generated) \
+                == (out.path, out.iterations, out.total_generated)
+
+
+@pytest.mark.parametrize("token", ["Fixed:210", "Local"])
+def test_ordered_artificial_search_matches_reference_per_pass(token):
+    for seed in range(3):
+        problem = ArtificialProblem(_spec(d=5, b=3, herror=3, seed=seed,
+                                          imbalance=0.4, density=1e-9))
+        _assert_matches_references(problem, OrderPolicy.from_token(token))
 
 
 def test_serial_finds_leftmost_optimal_path():

@@ -1,14 +1,17 @@
 """Shallow lookahead and the five measured problem features."""
 
+import hashlib
 import math
 
 import pytest
 
+from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.errors import DataError, DegenerateTrace, InsufficientData
 from idastra.features import (ProblemFeatures, ShallowTrace,
                               extract_features, shallow_search,
                               stability_report)
+from idastra.ordering import OrderPolicy
 from oracles import SpaceModel, uniform_tree_size
 
 
@@ -213,3 +216,114 @@ def test_trace_counts_match_space_size():
     # is the whole space
     assert max(sizes) <= len(model.all_nodes())
     assert trace.root_children == 2
+
+
+# Traces and features recorded before the cost-bounded pass moved to a
+# shared path list; every budget truncates a pass midway.  leaf_samples
+# is pinned by its length and a digest of the (g, h) list in order; the
+# artificial instances prune siblings of unequal h, so a pass that
+# recorded them out of generation order would change the digest (a
+# puzzle's pruned siblings always share h).
+_PINNED = [
+    (("puzzle", (40, 3)), None, 3000, {
+        "iterations": [(30, 13, True), (32, 449, True), (34, 2538, False)],
+        "root_children": 4,
+        "subtree_expanded": {0: 155, 1: 1, 2: 148, 3: 144},
+        "subtree_min_leaf_f": {0: 34, 1: 34, 2: 34, 3: 34},
+        "subtree_min_leaf_h": {0: 9, 1: 32, 2: 13, 3: 9},
+        "min_leaf_f": 34,
+        "leaf_samples": (459, "1a4c201833ffe84c"),
+        "totals": (3000, 6125, 3000),
+        "features": (2.0416666666666665, 4.0, 0.330979947036276, 0.125,
+                     34.53846153846155)}),
+    (("puzzle", (50, 7)), "Local", 5000, {
+        "iterations": [(28, 67, True), (30, 289, True), (32, 1475, True),
+                       (34, 3169, False)],
+        "root_children": 4,
+        "subtree_expanded": {0: 858, 2: 523, 1: 20, 3: 73},
+        "subtree_min_leaf_f": {0: 34, 2: 34, 1: 34, 3: 34},
+        "subtree_min_leaf_h": {0: 10, 2: 10, 1: 26, 3: 13},
+        "min_leaf_f": 34,
+        "leaf_samples": (1024, "4a8e71f9f3844e32"),
+        "totals": (5000, 10304, 5000),
+        "features": (2.0608, 6.0, 0.5383432196065782, 0.125,
+                     4.692006540184522)}),
+    (("puzzle", (60, 11)), "Fixed:3102", 4000, {
+        "iterations": [(24, 6, True), (26, 60, True), (28, 370, True),
+                       (30, 2105, True), (32, 1459, False)],
+        "root_children": 3,
+        "subtree_expanded": {3: 136, 1: 1886, 0: 82},
+        "subtree_min_leaf_f": {3: 32, 1: 32, 0: 32},
+        "subtree_min_leaf_h": {3: 18, 1: 5, 0: 15},
+        "min_leaf_f": 32,
+        "leaf_samples": (1024, "b03a775e2e5d69d1"),
+        "totals": (4000, 8294, 4000),
+        "features": (2.0735, 8.0, 0.9381941874331418, 0.5,
+                     7.0528873931953555)}),
+    (("artificial", dict(d=9, g=0.5, b=3, imbalance=0.0, density=1e-9,
+                         herror=5, seed=3)), None, 2500, {
+        "iterations": [(6, 18, True), (7, 314, True), (8, 2168, False)],
+        "root_children": 3,
+        "subtree_expanded": {0: 184, 1: 58, 2: 71},
+        "subtree_min_leaf_f": {0: 8, 1: 8, 2: 8},
+        "subtree_min_leaf_h": {0: 0, 1: 0, 2: 0},
+        "min_leaf_f": 8,
+        "leaf_samples": (629, "a590d2177fe4f989"),
+        "totals": (2500, 7500, 2500),
+        "features": (3.0, 2.0, 0.38347975438647836, 0.16666666666666666,
+                     17.444444444444443)}),
+    (("artificial", dict(d=8, g=0.5, b=4, imbalance=0.5, density=1e-9,
+                         herror=8, seed=3)), "Local", 3000, {
+        "iterations": [(5, 185, True), (6, 1017, True), (7, 1798, False)],
+        "root_children": 4,
+        "subtree_expanded": {1: 334, 0: 279, 3: 403},
+        "subtree_min_leaf_f": {2: 7, 1: 7, 0: 7, 3: 7},
+        "subtree_min_leaf_h": {2: 6, 1: 0, 0: 0, 3: 0},
+        "min_leaf_f": 7,
+        "leaf_samples": (1024, "6430442d6eb15c60"),
+        "totals": (3000, 6076, 3000),
+        "features": (2.025333333333333, 2.0, 0.3479707729594317, 0.125,
+                     5.497297297297297)}),
+    (("artificial", dict(d=12, g=0.5, b=2, imbalance=0.3, density=1e-9,
+                         herror=9, seed=5)), "Fixed:10", 700, {
+        "iterations": [(8, 33, True), (9, 154, True), (10, 320, True),
+                       (11, 193, False)],
+        "root_children": 2,
+        "subtree_expanded": {1: 200, 0: 119},
+        "subtree_min_leaf_f": {1: 11, 0: 11},
+        "subtree_min_leaf_h": {1: 0, 0: 0},
+        "min_leaf_f": 11,
+        "leaf_samples": (162, "43a598e51e686d88"),
+        "totals": (700, 1064, 700),
+        "features": (1.52, 3.0, 0.25391849529780564, 0.25,
+                     3.1139957766460924)}),
+]
+
+
+@pytest.mark.parametrize("instance,token,budget,expected", _PINNED)
+def test_truncated_traces_and_features_are_pinned(instance, token, budget,
+                                                  expected):
+    kind, arg = instance
+    if kind == "puzzle":
+        problem = PuzzleProblem(scramble(*arg))
+    else:
+        problem = ArtificialProblem(ArtificialSpec(**arg))
+    order = None if token is None else OrderPolicy.from_token(token)
+    trace = shallow_search(problem, budget=budget, order=order)
+    assert trace.truncated and trace.goal_found is None
+    features = extract_features(trace)
+    digest = hashlib.sha256(repr(trace.leaf_samples).encode()).hexdigest()
+    assert {
+        "iterations": [(it["threshold"], it["nodes_expanded"],
+                        it["complete"]) for it in trace.iterations],
+        "root_children": trace.root_children,
+        "subtree_expanded": trace.subtree_expanded,
+        "subtree_min_leaf_f": trace.subtree_min_leaf_f,
+        "subtree_min_leaf_h": trace.subtree_min_leaf_h,
+        "min_leaf_f": trace.min_leaf_f,
+        "leaf_samples": (len(trace.leaf_samples), digest[:16]),
+        "totals": (trace.total_expanded, trace.total_generated,
+                   trace.fertile_expanded),
+        "features": (features.b, features.herror, features.imb,
+                     features.loc, features.hbf),
+    } == expected

@@ -6,7 +6,7 @@ import pytest
 
 from idastra import _kernels_py
 from idastra.domains.puzzle import IDENTITY_ORDER, scramble
-from oracles import manhattan_reference
+from oracles import apply_op_reference, manhattan_reference
 
 try:
     from idastra import _kernels
@@ -36,7 +36,7 @@ def test_expand_skips_reverse_operator():
         children = _kernels_py.puzzle_expand(tiles, blank,
                                              _kernels_py.manhattan(tiles),
                                              prev, IDENTITY_ORDER)
-        assert all(op != 3 - prev for _t, _b, op, _h in children)
+        assert all(op != 3 - prev for _state, op, _cost, _h in children)
 
 
 def test_expand_maintains_incremental_h():
@@ -44,10 +44,28 @@ def test_expand_maintains_incremental_h():
     for _ in range(100):
         tiles, blank = scramble(rng.randrange(0, 50), rng.randrange(10**9))
         h = _kernels_py.manhattan(tiles)
-        for ct, _cb, _op, ch in _kernels_py.puzzle_expand(
+        for (ct, cb), _op, cost, ch in _kernels_py.puzzle_expand(
                 tiles, blank, h, -1, IDENTITY_ORDER):
             assert ch == manhattan_reference(ct)
             assert abs(ch - h) == 1    # one tile moved one step
+            assert cb == ct.index(0)
+            assert cost == 1
+
+
+def test_expand_children_match_apply_op():
+    # the move tables and swap tables against a direct tile move
+    rng = random.Random(5)
+    for _ in range(100):
+        tiles, blank = scramble(rng.randrange(0, 60), rng.randrange(10**9))
+        h = _kernels_py.manhattan(tiles)
+        prev = rng.choice([-1, 0, 1, 2, 3])
+        order = bytes(rng.sample(range(4), 4))
+        children = _kernels_py.puzzle_expand(tiles, blank, h, prev, order)
+        expected = [op for op in order
+                    if op != 3 - prev and apply_op_reference(tiles, op)]
+        assert [op for _s, op, _c, _h in children] == expected
+        for (ct, cb), op, _cost, _h in children:
+            assert (ct, cb) == apply_op_reference(tiles, op)
 
 
 def test_expand_respects_operator_order():
@@ -55,7 +73,7 @@ def test_expand_respects_operator_order():
     h = _kernels_py.manhattan(tiles)
     fwd = _kernels_py.puzzle_expand(tiles, blank, h, -1, bytes((0, 1, 2, 3)))
     rev = _kernels_py.puzzle_expand(tiles, blank, h, -1, bytes((3, 2, 1, 0)))
-    assert [c[2] for c in rev] == [c[2] for c in fwd][::-1]
+    assert [c[1] for c in rev] == [c[1] for c in fwd][::-1]
 
 
 def test_path_hash_streams_differ():

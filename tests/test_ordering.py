@@ -5,16 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from idastra.core import SearchNode
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
 from idastra.features import ShallowTrace
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
 # children are (state, op, cost, h) quads
 _KIDS = [("s0", 0, 1, 5), ("s1", 1, 1, 3), ("s2", 2, 1, 3), ("s3", 3, 1, 7)]
-
-_ROOT = SearchNode("r", 0, 4, 4, -1, ())
-_DEEP = SearchNode("x", 2, 2, 4, 1, (1, 0))
 
 
 def _ops(arranged):
@@ -24,16 +20,16 @@ def _ops(arranged):
 def test_fixed_identity_preserves_input_order():
     policy = OrderPolicy.fixed()
     assert policy.is_identity()
-    assert _ops(policy.arrange(_KIDS, _ROOT)) == [0, 1, 2, 3]
+    assert _ops(policy.arrange(_KIDS, True)) == [0, 1, 2, 3]
 
 
 def test_fixed_permutation_ranks_operators():
     policy = OrderPolicy.fixed((3, 1, 0, 2))
     assert not policy.is_identity()
-    assert _ops(policy.arrange(_KIDS, _ROOT)) == [3, 1, 0, 2]
+    assert _ops(policy.arrange(_KIDS, True)) == [3, 1, 0, 2]
     # unknown operators sort after ranked ones, by index
     extra = _KIDS + [("s9", 9, 1, 0)]
-    assert _ops(policy.arrange(extra, _ROOT)) == [3, 1, 0, 2, 9]
+    assert _ops(policy.arrange(extra, True)) == [3, 1, 0, 2, 9]
 
 
 def test_fixed_explicit_identity_detected():
@@ -50,27 +46,27 @@ def test_fixed_rejects_non_permutation():
 
 def test_local_sorts_by_h_then_op():
     policy = OrderPolicy.local()
-    assert _ops(policy.arrange(_KIDS, _ROOT)) == [1, 2, 0, 3]
-    assert _ops(policy.arrange(_KIDS, _DEEP)) == [1, 2, 0, 3]
+    assert _ops(policy.arrange(_KIDS, True)) == [1, 2, 0, 3]
+    assert _ops(policy.arrange(_KIDS, False)) == [1, 2, 0, 3]
 
 
 def test_toida_scores_apply_at_root_only():
     policy = OrderPolicy.toida({0: 9.0, 1: 2.0, 2: 11.0, 3: 1.0})
-    assert _ops(policy.arrange(_KIDS, _ROOT)) == [3, 1, 0, 2]
+    assert _ops(policy.arrange(_KIDS, True)) == [3, 1, 0, 2]
     # below the root it behaves like Local
-    assert _ops(policy.arrange(_KIDS, _DEEP)) == [1, 2, 0, 3]
+    assert _ops(policy.arrange(_KIDS, False)) == [1, 2, 0, 3]
 
 
 def test_toida_unscored_children_go_last():
     policy = OrderPolicy.toida({1: 5.0})
-    assert _ops(policy.arrange(_KIDS, _ROOT)) == [1, 0, 2, 3]
+    assert _ops(policy.arrange(_KIDS, True)) == [1, 0, 2, 3]
 
 
 def test_toida_requires_scores():
     with pytest.raises(MissingScores):
         OrderPolicy.toida(None)
     with pytest.raises(MissingScores):
-        OrderPolicy.from_token("Toida").arrange(_KIDS, _ROOT)
+        OrderPolicy.from_token("Toida").arrange(_KIDS, True)
 
 
 def test_token_round_trips():
@@ -115,4 +111,4 @@ def test_trace_scores_steer_search_toward_best_subtree():
     scores = toida_scores_from_trace(_trace({0: 12, 1: 6, 2: 9}))
     policy = OrderPolicy.toida(scores)
     kids = [("a", 0, 1, 1), ("b", 1, 1, 1), ("c", 2, 1, 1)]
-    assert _ops(policy.arrange(kids, _ROOT)) == [1, 2, 0]
+    assert _ops(policy.arrange(kids, True)) == [1, 2, 0]
