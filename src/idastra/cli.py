@@ -556,7 +556,7 @@ def _add_run_flags(parser, default_budget=DEFAULT_BUDGET):
     parser.add_argument("--mode", choices=("sim", "threads"), default="sim",
                         help="deterministic simulation or real threads")
     parser.add_argument("--latency", type=int, default=1,
-                        help="simulated message latency in ticks")
+                        help="simulated message latency in ticks (sim mode)")
     parser.add_argument("--budget", type=int, default=default_budget,
                         help="profiling expansion budget "
                              f"(default {default_budget})")

@@ -14,6 +14,7 @@ policy before being pushed.
 """
 
 import sys
+import time
 from dataclasses import dataclass, field
 
 from idastra.errors import SpaceExhausted
@@ -187,11 +188,16 @@ class SearchOutcome:
     iterations: list          # (threshold, nodes_expanded) per pass
     total_expanded: int
     total_generated: int
+    wall_s: float = field(default=0.0, compare=False, repr=False)
 
 
 def serial_idastar(problem, order=None):
     """Iterative deepening: repeat cost-bounded passes, raising the
-    threshold to the minimum exceeding f, until the goal is found."""
+    threshold to the minimum exceeding f, until the goal is found.
+
+    The outcome carries the search's own wall time (wall_s), the baseline
+    of threads-mode speedups."""
+    start = time.perf_counter()
     root = make_root(problem)
     threshold = root.f
     iterations = []
@@ -204,5 +210,6 @@ def serial_idastar(problem, order=None):
         total_gen += res.nodes_generated
         if res.solution is not None:
             path, cost = res.solution
-            return SearchOutcome(path, cost, iterations, total, total_gen)
+            return SearchOutcome(path, cost, iterations, total, total_gen,
+                                 time.perf_counter() - start)
         threshold = next_threshold(res)

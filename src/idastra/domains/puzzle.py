@@ -43,31 +43,6 @@ def apply_op(state, op):
     return (bytes(child), dest)
 
 
-def puzzle_successors(state, operator_order=IDENTITY_ORDER, prev_op=None):
-    """Legal moves in operator order as (state, op, cost) triples.
-
-    When prev_op is given, the move that would undo it is skipped.
-    """
-    tiles, blank = state
-    skip = 3 - prev_op if prev_op is not None and prev_op >= 0 else -1
-    out = []
-    for op in operator_order:
-        if op == skip:
-            continue
-        dest = blank + _DELTA[op]
-        if dest < 0 or dest > 15:
-            continue
-        if op == 1 and blank % 4 == 0:
-            continue
-        if op == 2 and blank % 4 == 3:
-            continue
-        child = bytearray(tiles)
-        child[blank] = tiles[dest]
-        child[dest] = 0
-        out.append(((bytes(child), dest), op, 1))
-    return out
-
-
 def is_solvable(tiles):
     """Parity test against the blank-first goal.
 
@@ -148,9 +123,6 @@ class PuzzleProblem:
 
     def heuristic(self, state):
         return kernels.manhattan(state[0])
-
-    def successors(self, state):
-        return puzzle_successors(state, self.operator_order)
 
     def expand(self, state, prev_op, h):
         tiles, blank = state

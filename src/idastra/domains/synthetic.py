@@ -11,7 +11,6 @@ distance-to-designated-goal heuristic.  Everything is a pure function of
 Node identity is the path itself: a bytes string of child indices.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -186,9 +185,6 @@ class ArtificialProblem:
         return tuple(i for i in range(self.spec.b)
                      if k < limits[i] or i == goal_next)
 
-    def successors(self, path):
-        return [(path + bytes([i]), i, 1) for i in self.child_indices(path)]
-
     def expand(self, path, prev_op, h):
         out = []
         for i in self.child_indices(path):
@@ -208,20 +204,3 @@ class ArtificialProblem:
                     nxt.append(path + bytes([i]))
             frontier = nxt
         return total
-
-
-@functools.lru_cache(maxsize=64)
-def _problem_for(spec):
-    return ArtificialProblem(spec)
-
-
-def artificial_successors(spec, path):
-    return _problem_for(spec).successors(path)
-
-
-def artificial_heuristic(spec, path):
-    return _problem_for(spec).heuristic(path)
-
-
-def artificial_goal_test(spec, path):
-    return _problem_for(spec).is_goal(path)

@@ -1,9 +1,7 @@
 from idastra.engine.config import (AXES, DEFAULT_CONFIG, ExecutionMode,
                                    StrategyConfig, config_for_axis_value,
-                                   default_config, plan_clusters,
-                                   validate_config)
-from idastra.engine.parts import (anticipatory_check, detect_termination,
-                                  donate, poll_target)
+                                   plan_clusters, validate_config)
+from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
 from idastra.engine.sim import run_sim
 from idastra.engine.run import run_parallel
@@ -14,11 +12,9 @@ __all__ = [
     "ExecutionMode",
     "StrategyConfig",
     "config_for_axis_value",
-    "default_config",
     "plan_clusters",
     "validate_config",
     "anticipatory_check",
-    "detect_termination",
     "donate",
     "poll_target",
     "EngineReport",

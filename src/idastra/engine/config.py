@@ -122,10 +122,6 @@ def config_for_axis_value(axis, value, base=None):
 DEFAULT_CONFIG = StrategyConfig()
 
 
-def default_config():
-    return DEFAULT_CONFIG
-
-
 def validate_config(config, workers):
     """Check structural constraints; raises InvalidConfig."""
     if workers < 1:

@@ -1,8 +1,7 @@
-"""Pure load-balancing and termination primitives.
+"""Pure load-balancing primitives.
 
 These are the unit-testable pieces the engine composes: donation
-slicing, poll-target selection, the anticipatory trigger, and the
-termination predicate.
+slicing, poll-target selection and the anticipatory trigger.
 """
 
 import math
@@ -58,9 +57,3 @@ def anticipatory_check(open_size, trigger, outstanding):
     """Fire a pre-emptive work request when the list is at or below the
     trigger and no request is already out."""
     return open_size <= trigger and not outstanding
-
-
-def detect_termination(accepted, all_idle, in_flight):
-    """The run is over: a solution was accepted, every worker is idle,
-    and no message (work token) remains in flight."""
-    return accepted is not None and all_idle and in_flight == 0

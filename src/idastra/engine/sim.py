@@ -6,7 +6,8 @@ messages (requests, donations, refusals) arrive message_latency_ticks
 after sending; coordination (threshold grants, pass reports, solution
 gating) is centralised in the coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
-seed), so reports are bit-identical across repetitions.
+seed), so reports are bit-identical across repetitions.  The threads
+driver (engine/threads.py) steps this same engine on real threads.
 """
 
 import random
@@ -426,10 +427,13 @@ class _SimEngine:
                 raise EngineStall(
                     f"no acceptance after {self.tick} ticks "
                     f"(last progress at tick {self.last_progress})")
-        return self._finish()
-
-    def _finish(self):
         makespan = self.tick + 1
+        return self._finish(float(makespan),
+                            self.serial.total_expanded / makespan, "sim")
+
+    def _finish(self, makespan, speedup, mode):
+        """Build the report once a solution is accepted; the driver
+        supplies its clock's makespan and the speedup it implies."""
         cost, path = self.coord.accepted
         # undelivered donations count as returned work
         for w in self.workers:
@@ -447,10 +451,10 @@ class _SimEngine:
             solution_path=path,
             solution_cost=cost,
             per_worker=[w.stats for w in self.workers],
-            makespan=float(makespan),
+            makespan=makespan,
             serial_equivalent_nodes=self.serial.total_expanded,
-            speedup=self.serial.total_expanded / makespan,
-            mode="sim",
+            speedup=speedup,
+            mode=mode,
             workers=self.P,
             clusters=self.config.clusters,
             thresholds_granted=list(self.coord.granted_order),

@@ -177,14 +177,14 @@ def test_serial_finds_leftmost_optimal_path():
     out = serial_idastar(problem)
     goals = []
 
-    def walk(path):
+    def walk(path, prev_op, h):
         if problem.is_goal(path):
             goals.append(tuple(path))
             return
-        for child, _op, _c in problem.successors(path):
-            walk(child)
+        for child, op, _c, ch in problem.expand(path, prev_op, h):
+            walk(child, op, ch)
 
-    walk(b"")
+    walk(b"", -1, problem.initial_h())
     assert tuple(out.path) == min(goals)
     assert out.cost == 4
 

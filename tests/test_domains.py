@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 
 from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, apply_op,
                                     is_solvable, manhattan, parse_korf_set,
-                                    puzzle_successors, scramble)
+                                    scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
-                                       artificial_goal_test,
-                                       artificial_heuristic,
-                                       artificial_successors,
                                        goal_path_digits)
 from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
 from oracles import (SpaceModel, astar_cost, goal_digits_reference,
@@ -124,15 +121,6 @@ def test_heuristic_depth_cap_only_with_density():
     assert h_dense == 4                    # capped at d - depth
 
 
-def test_module_level_helpers_agree():
-    spec = _spec(d=3, b=2, herror=2, seed=5)
-    problem = ArtificialProblem(spec)
-    assert artificial_successors(spec, b"") == problem.successors(b"")
-    assert artificial_heuristic(spec, b"\x01") == problem.heuristic(b"\x01")
-    assert artificial_goal_test(spec, b"\x01\x00\x00") \
-        == problem.is_goal(b"\x01\x00\x00")
-
-
 def test_spec_round_trip_and_validation():
     spec = _spec(d=7, g=0.3, b=4, imbalance=0.25, density=0.001, herror=3,
                  seed=42)
@@ -179,11 +167,15 @@ def test_scramble_is_always_solvable_and_deterministic():
         assert is_solvable(a[0])
 
 
+def _children(problem, state, prev_op=-1):
+    return problem.expand(state, prev_op, problem.heuristic(state))
+
+
 def test_apply_op_round_trip():
     state = scramble(15, 3)
     for op in range(4):
-        children = dict((o, s) for s, o, _c in
-                        puzzle_successors(state))
+        children = dict((o, s) for s, o, _c, _h in
+                        _children(PuzzleProblem(state), state))
         if op not in children:
             continue
         back = apply_op(children[op], 3 - op)
@@ -192,7 +184,7 @@ def test_apply_op_round_trip():
 
 def test_successors_skip_reverse():
     state = scramble(20, 5)
-    for _s, op, _c in puzzle_successors(state, prev_op=1):
+    for _s, op, _c, _h in _children(PuzzleProblem(state), state, prev_op=1):
         assert op != 2
 
 
@@ -242,7 +234,7 @@ def test_puzzle_operator_order_changes_child_order_only():
     state = scramble(18, 7)
     default = PuzzleProblem(state)
     reordered = PuzzleProblem(state, operator_order=bytes((3, 2, 1, 0)))
-    a = {op for _s, op, _c in default.successors(state)}
-    b = {op for _s, op, _c in reordered.successors(state)}
-    assert a == b
+    a = [op for _s, op, _c, _h in _children(default, state)]
+    b = [op for _s, op, _c, _h in _children(reordered, state)]
+    assert b == a[::-1]
     assert astar_cost(default) == astar_cost(reordered)

@@ -1,22 +1,25 @@
 """Parallel engine: load-balancing primitives, configuration, and the
-deterministic simulator against serial and A* oracles."""
+deterministic simulator and threads driver against serial and A*
+oracles."""
 
+import hashlib
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idastra.core import serial_idastar
+from idastra.core import SearchOutcome, serial_idastar
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import (DEFAULT_CONFIG, ExecutionMode, StrategyConfig,
                             config_for_axis_value, plan_clusters,
-                            run_parallel, validate_config)
-from idastra.engine.parts import (anticipatory_check, detect_termination,
-                                  donate, poll_target)
-from idastra.errors import InvalidConfig
+                            run_parallel, run_sim, validate_config)
+from idastra.engine.parts import anticipatory_check, donate, poll_target
+from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
 from oracles import astar_cost
+from test_core import NoGoalProblem
 
 
 def _spec(**kw):
@@ -110,13 +113,6 @@ def test_anticipatory_trigger():
     assert anticipatory_check(2, 2, False)
     assert not anticipatory_check(3, 2, False)
     assert not anticipatory_check(0, 2, True)      # request already out
-
-
-def test_termination_predicate():
-    assert detect_termination((4, (0,)), True, 0)
-    assert not detect_termination(None, True, 0)
-    assert not detect_termination((4, (0,)), False, 0)
-    assert not detect_termination((4, (0,)), True, 2)
 
 
 # ------------------------------------------------ configuration planning
@@ -270,6 +266,50 @@ def test_simulation_is_deterministic():
     assert repr(reports[0]) == repr(reports[1])
 
 
+# Sim reports recorded before the threads driver began stepping the sim
+# engine: (workers, config token) -> (makespan, first 16 hex digits of
+# the sha256 of repr(report)), all at latency 1 and seed 3.
+_PINNED_SPEC = _spec(d=7, g=0.7, b=3, imbalance=0.3, density=1e-9,
+                     herror=5, seed=4)
+_PINNED_REPORTS = {
+    (4, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
+        (405.0, "d8445b8dced2f8ce"),
+    (4, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (345.0, "f3391893e4783b4d"),
+    (4, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
+        (264.0, "f6c922705d0378c8"),
+    (4, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (537.0, "17241fb7b73fe670"),
+    (4, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
+        (946.0, "7a6b83602963a2a2"),
+    (4, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (946.0, "7a6b83602963a2a2"),
+    (16, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
+        (131.0, "2ec8e80228beb4cf"),
+    (16, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (192.0, "72ef8f74faad9e9a"),
+    (16, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
+        (111.0, "e761ea9f64524309"),
+    (16, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (87.0, "f035e04b8f840108"),
+    (16, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
+        (124.0, "f6db2557ba021b1b"),
+    (16, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (205.0, "7c37329e88815e03"),
+    (4, "KumarRao:2:on:Random:0.3:TailOfList:0:Local"):
+        (209.0, "0d031f0aed5001c8"),
+}
+
+
+def test_sim_reports_match_pinned_values():
+    problem = ArtificialProblem(_PINNED_SPEC)
+    for (workers, token), want in _PINNED_REPORTS.items():
+        report = run_sim(problem, StrategyConfig.from_token(token), workers,
+                         seed=3)
+        digest = hashlib.sha256(repr(report).encode()).hexdigest()[:16]
+        assert (report.makespan, digest) == want, (workers, token)
+
+
 def test_report_accounting_invariants():
     spec = _spec(d=5, b=3, herror=4, seed=2)
     problem = ArtificialProblem(spec)
@@ -335,6 +375,64 @@ def test_threads_mode_finds_optimal_cost():
                           2, mode=mode, seed=0)
     assert report.solution_cost == want
     assert report.mode == "threads"
+
+
+def test_engine_failures_raise_in_both_modes():
+    # a serial search of a goalless space raises, so pass a stand-in
+    baseline = SearchOutcome((), 0, [], 1, 0)
+    for mode in (ExecutionMode(), ExecutionMode("RealThreads")):
+        with pytest.raises(SpaceExhausted):
+            run_parallel(NoGoalProblem(), DEFAULT_CONFIG, 2, mode=mode,
+                         serial_outcome=baseline)
+    # about 95k serial expansions: far more than two threads finish
+    # before a zero timeout stops them
+    problem = ArtificialProblem(_spec(d=10, g=1.0, density=1e-9, herror=5,
+                                      seed=1))
+    with pytest.raises(EngineStall):
+        run_parallel(problem, DEFAULT_CONFIG, 2,
+                     mode=ExecutionMode("RealThreads"), timeout=0,
+                     serial_outcome=baseline)
+
+
+def test_threads_speedup_is_against_serial_wall_time():
+    problem = ArtificialProblem(_spec(d=5, b=3, herror=3, seed=10))
+    serial = serial_idastar(problem)
+    assert serial.wall_s > 0
+    report = run_parallel(problem, DEFAULT_CONFIG, 2,
+                          mode=ExecutionMode("RealThreads"),
+                          serial_outcome=serial)
+    assert report.speedup == pytest.approx(serial.wall_s / report.makespan)
+
+
+def test_threads_mode_stress_donates_and_stays_optimal():
+    # four threads sharing clusters of two or four, so workers steal work
+    mode = ExecutionMode("RealThreads")
+    specs = [_spec(d=6, g=0.6, imbalance=0.3, density=1e-9, herror=4,
+                   seed=1),
+             _spec(d=7, g=0.7, imbalance=0.3, density=1e-9, herror=5,
+                   seed=4),
+             _spec(d=8, g=0.8, imbalance=0.2, density=1e-9, herror=4,
+                   seed=2)]
+    messages = 0
+    for i, spec in enumerate(specs):
+        problem = ArtificialProblem(spec)
+        serial = serial_idastar(problem)
+        for distribution, clusters, polling in product(
+                ("BreadthFirst", "KumarRao"), (1, 2), ("Neighbor", "Random")):
+            config = StrategyConfig(distribution=distribution,
+                                    clusters=clusters, polling=polling)
+            report = run_parallel(problem, config, 4, mode=mode, seed=i,
+                                  serial_outcome=serial)
+            case = (spec, config.token())
+            assert report.solution_cost == serial.cost, case
+            assert report.tokens_balanced, case
+            assert report.over_threshold_expansions == 0, case
+            assert report.total_expanded \
+                == sum(w.nodes_expanded for w in report.per_worker), case
+            assert len(set(report.thresholds_granted)) \
+                == len(report.thresholds_granted), case
+            messages += report.total_messages
+    assert messages > 0
 
 
 @settings(max_examples=25, deadline=None)
