@@ -1,21 +1,12 @@
-"""Kernel backend selection.
+"""The hot kernels the domains call.
 
-Imports the compiled extension when available, otherwise the pure-Python
-twin.  Set IDASTRA_PURE=1 to force the fallback (used by the parity tests
-and the benchmark).
+Domains call them as ``kernels.<name>``, looked up on every call, so a
+wrapper set on ``kernels`` sees every call.
 """
 
-import os
-
-if os.environ.get("IDASTRA_PURE") == "1":
-    from idastra import _kernels_py as kernels
-else:
-    try:
-        from idastra import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from idastra import _kernels_py as kernels
+from idastra import _kernels_py as kernels
 
 
 def backend_name():
-    """Either "compiled" or "python"."""
+    """The kernels' implementation: "python"."""
     return kernels.BACKEND

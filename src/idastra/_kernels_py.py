@@ -1,8 +1,8 @@
 """Pure-Python hot kernels.
 
-Mirrors idastra._kernels (the compiled extension) exactly: every function
-here must produce bit-identical results, so all arithmetic is done on
-64-bit masked integers and byte strings.
+path_hash's results are frozen (the artificial space's goal and error
+draws depend on them bit for bit), so its arithmetic is done on 64-bit
+masked integers.
 """
 
 _MASK = (1 << 64) - 1
@@ -20,10 +20,11 @@ _MD = [
 ]
 
 # Blank displacement per operator: 0=Up, 1=Left, 2=Right, 3=Down.
-_DELTA = (-4, -1, 1, 4)
+DELTA = (-4, -1, 1, 4)
 
 
-def _legal(blank, op):
+def legal(blank, op):
+    """Whether operator op can move the blank out of cell blank."""
     if op == 0:
         return blank >= 4
     if op == 1:
@@ -43,12 +44,8 @@ def _swap_table(t):
 # parent's tiles it moves tile t into the blank's cell
 _SWAP = tuple(_swap_table(t) for t in range(16))
 
-# operator order -> move table, see _move_table; a table depends on the
-# order alone, so every caller can share it
-_MOVE_TABLES = {}
 
-
-def _move_table(order):
+def _move_table():
     """Moves in operator order, indexed [blank][prev_op + 1].
 
     Each entry is a tuple of (op, dest, dh) where dest is the blank's new
@@ -58,14 +55,17 @@ def _move_table(order):
     """
     table = []
     for blank in range(16):
-        moves = [(op, blank + _DELTA[op],
-                  tuple(_MD[t][blank] - _MD[t][blank + _DELTA[op]]
+        moves = [(op, blank + DELTA[op],
+                  tuple(_MD[t][blank] - _MD[t][blank + DELTA[op]]
                         for t in range(16)))
-                 for op in order if _legal(blank, op)]
+                 for op in range(4) if legal(blank, op)]
         table.append(tuple(
             tuple(m for m in moves if prev_op < 0 or m[0] != 3 - prev_op)
             for prev_op in range(-1, 4)))
     return tuple(table)
+
+
+_MOVES = _move_table()
 
 
 def manhattan(tiles):
@@ -78,24 +78,21 @@ def manhattan(tiles):
     return total
 
 
-def puzzle_expand(tiles, blank, h, prev_op, order):
+def puzzle_expand(tiles, blank, h, prev_op):
     """Expand a puzzle state.
 
     tiles: bytes(16); blank: index of the 0 tile; h: Manhattan distance of
-    tiles; prev_op: operator that produced this state (-1 at the root);
-    order: bytes giving the operator expansion order.  The operator
-    reversing prev_op is skipped.  Returns a list of
-    ((tiles, blank), op, 1, h) tuples, the child state, its operator, its
-    cost and its Manhattan distance (maintained incrementally): exactly
-    the (state, op, cost, h) children a search problem's expand returns.
+    tiles; prev_op: operator that produced this state (-1 at the root).
+    The operator reversing prev_op is skipped.  Returns a list of
+    ((tiles, blank), op, 1, h) tuples in operator order, the child state,
+    its operator, its cost and its Manhattan distance (maintained
+    incrementally): exactly the (state, op, cost, h) children a search
+    problem's expand returns.  Other orders are the ordering policy's job.
     """
-    table = _MOVE_TABLES.get(order)
-    if table is None:
-        table = _MOVE_TABLES[order] = _move_table(order)
     # a plain loop: for two or three children a comprehension's own
     # call costs more than the appends it saves
     out = []
-    for op, dest, dh in table[blank][prev_op + 1]:
+    for op, dest, dh in _MOVES[blank][prev_op + 1]:
         t = tiles[dest]
         out.append(((tiles.translate(_SWAP[t]), dest), op, 1, h + dh[t]))
     return out

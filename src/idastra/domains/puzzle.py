@@ -9,25 +9,8 @@ op is 3 - op.
 import random
 
 from idastra._backend import kernels
+from idastra._kernels_py import DELTA, GOAL_TILES, legal
 from idastra.errors import MalformedLine, UnsolvableInstance
-
-GOAL_TILES = bytes(range(16))
-IDENTITY_ORDER = bytes((0, 1, 2, 3))
-
-_DELTA = (-4, -1, 1, 4)
-
-
-def _legal_ops(blank):
-    ops = []
-    if blank >= 4:
-        ops.append(0)
-    if blank % 4 != 0:
-        ops.append(1)
-    if blank % 4 != 3:
-        ops.append(2)
-    if blank < 12:
-        ops.append(3)
-    return ops
 
 
 def manhattan(tiles):
@@ -36,7 +19,7 @@ def manhattan(tiles):
 
 def apply_op(state, op):
     tiles, blank = state
-    dest = blank + _DELTA[op]
+    dest = blank + DELTA[op]
     child = bytearray(tiles)
     child[blank] = tiles[dest]
     child[dest] = 0
@@ -66,8 +49,8 @@ def scramble(depth, seed):
     state = (GOAL_TILES, 0)
     prev = -1
     for _ in range(depth):
-        ops = [op for op in _legal_ops(state[1])
-               if prev < 0 or op != 3 - prev]
+        ops = [op for op in range(4)
+               if legal(state[1], op) and (prev < 0 or op != 3 - prev)]
         op = rng.choice(ops)
         state = apply_op(state, op)
         prev = op
@@ -106,11 +89,9 @@ def parse_korf_set(text):
 class PuzzleProblem:
     """Search-problem adapter for one puzzle instance."""
 
-    def __init__(self, state, operator_order=IDENTITY_ORDER):
+    def __init__(self, state):
         tiles, blank = state
         self.start = (bytes(tiles), blank)
-        self.operator_order = bytes(operator_order)
-        self.operator_count = 4
 
     def initial_state(self):
         return self.start
@@ -126,5 +107,4 @@ class PuzzleProblem:
 
     def expand(self, state, prev_op, h):
         tiles, blank = state
-        return kernels.puzzle_expand(tiles, blank, h, prev_op,
-                                     self.operator_order)
+        return kernels.puzzle_expand(tiles, blank, h, prev_op)

@@ -134,7 +134,6 @@ class ArtificialProblem:
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
-        self.operator_count = b
 
     def initial_state(self):
         return b""

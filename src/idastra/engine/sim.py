@@ -234,8 +234,7 @@ class _SimEngine:
             w.open.clear()
             w.outstanding = False
             w.pass_expanded = 0
-        root = SearchNode(self.root.state, self.root.g, self.root.h,
-                          self.root.f, -1, ())
+        root = self.root
         if self.config.distribution == "BreadthFirst":
             if len(cl.members) == 1:
                 self._bf_assign(cl, [root])

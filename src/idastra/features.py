@@ -103,8 +103,6 @@ def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
             if iterations[i]["complete"]:
                 pick = i
                 break
-        else:
-            pick = len(per_iter_stats) - 1
     stats = per_iter_stats[pick]
 
     root_children = max(s.root_children for s in per_iter_stats)

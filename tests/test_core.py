@@ -22,7 +22,6 @@ def _spec(**kw):
 
 class NoGoalProblem:
     """Tiny two-level tree with no goal anywhere."""
-    operator_count = 2
 
     def initial_state(self):
         return ()
@@ -155,13 +154,7 @@ def test_puzzle_search_matches_reference_per_pass(token):
     order = OrderPolicy.from_token(token)
     for depth, seed in _SCRAMBLES:
         state = scramble(depth, seed)
-        out = _assert_matches_references(PuzzleProblem(state), order)
-        if token == "Fixed:3102":
-            # the kernel's own operator order gives the same search
-            again = serial_idastar(PuzzleProblem(
-                state, operator_order=bytes((3, 1, 0, 2))))
-            assert (again.path, again.iterations, again.total_generated) \
-                == (out.path, out.iterations, out.total_generated)
+        _assert_matches_references(PuzzleProblem(state), order)
 
 
 @pytest.mark.parametrize("token", ["Fixed:210", "Local"])

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idastra.core import serial_idastar
 from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, apply_op,
                                     is_solvable, manhattan, parse_korf_set,
                                     scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
                                        goal_path_digits)
 from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
+from idastra.ordering import OrderPolicy
 from oracles import (SpaceModel, astar_cost, goal_digits_reference,
                      manhattan_reference, uniform_tree_size)
 
@@ -230,11 +232,14 @@ def test_puzzle_goal_properties():
     assert problem.initial_h() == 0
 
 
-def test_puzzle_operator_order_changes_child_order_only():
+def test_puzzle_fixed_order_changes_child_order_only():
+    # the domain expands in operator order; other orders are the
+    # ordering policy's, and they change neither the children nor the cost
     state = scramble(18, 7)
-    default = PuzzleProblem(state)
-    reordered = PuzzleProblem(state, operator_order=bytes((3, 2, 1, 0)))
-    a = [op for _s, op, _c, _h in _children(default, state)]
-    b = [op for _s, op, _c, _h in _children(reordered, state)]
-    assert b == a[::-1]
-    assert astar_cost(default) == astar_cost(reordered)
+    problem = PuzzleProblem(state)
+    reverse = OrderPolicy.fixed((3, 2, 1, 0))
+    children = _children(problem, state)
+    reordered = reverse.arrange(children, True)
+    assert [c[1] for c in children] == sorted(c[1] for c in children)
+    assert reordered == children[::-1]
+    assert serial_idastar(problem, reverse).cost == astar_cost(problem)
