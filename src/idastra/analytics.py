@@ -113,8 +113,9 @@ def simulate_ideal_dts(P, b, d, goal_pos, balance="Balanced", ratio=0.5):
     max_share = max(shares)
     parallel = max_share * sum(costs[:-1]) + (a - owner_left) * costs[-1]
     if parallel == 0:
-        # degenerate: d = 1 with the goal on the leftmost edge
-        return float(P)
+        # d = 1 with the goal on its owner's left edge: the owner finds
+        # it at once, so the speedup is unbounded
+        return float("inf")
     return float(serial / parallel)
 
 

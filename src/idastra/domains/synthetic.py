@@ -35,12 +35,6 @@ class ArtificialSpec:
     herror: int         # max heuristic error, >= 0
     seed: int
 
-    @property
-    def optimal_cost(self):
-        """Cost of the designated goal: the unique optimum when density
-        is 0 (extra density goals live at the same depth anyway)."""
-        return self.d
-
     def validate(self):
         if self.d < 1:
             raise DataError(f"d must be >= 1, got {self.d}")

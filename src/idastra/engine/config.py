@@ -1,13 +1,55 @@
 """Strategy configuration and cluster planning."""
 
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 from idastra.errors import InvalidConfig
 from idastra.ordering import OrderPolicy
 
-DISTRIBUTIONS = ("KumarRao", "BreadthFirst")
-POLLING = ("Neighbor", "Random")
-DONATE_FROM = ("HeadOfList", "TailOfList")
+
+class Axis(NamedTuple):
+    """One strategy axis: its StrategyConfig field, its text form both
+    ways, and its menu of named values (None for a numeric axis)."""
+    name: str
+    field: str
+    parse: Callable
+    format: Callable
+    menu: tuple | None
+
+
+def _parse_switch(text):
+    if text not in ("on", "off"):
+        raise ValueError("must be on or off")
+    return text == "on"
+
+
+# One row per axis, in config-token order.
+AXIS_TABLE = {row.name: row for row in (
+    Axis("distribution", "distribution", str, str,
+         ("KumarRao", "BreadthFirst")),
+    Axis("clusters", "clusters", int, str, None),
+    Axis("load_balancing", "load_balancing", _parse_switch,
+         lambda on: "on" if on else "off", ("on", "off")),
+    Axis("polling", "polling", str, str, ("Neighbor", "Random")),
+    Axis("fraction", "donation_fraction", float,
+         lambda fraction: repr(float(fraction)), None),
+    Axis("donate_from", "donate_from", str, str,
+         ("HeadOfList", "TailOfList")),
+    Axis("trigger", "anticipation_trigger", int, str, None),
+    Axis("ordering", "ordering", OrderPolicy.from_token, OrderPolicy.token,
+         ("Fixed", "Local", "Toida")),
+)}
+
+AXES = tuple(AXIS_TABLE) + ("all",)
+
+
+def _parse(row, text):
+    """Parse one axis value; a malformed text is an InvalidConfig."""
+    try:
+        return row.parse(text)
+    except ValueError as exc:
+        raise InvalidConfig(f"bad {row.name} value {text!r}: {exc}") \
+            from None
 
 
 @dataclass(frozen=True)
@@ -21,91 +63,33 @@ class StrategyConfig:
     anticipation_trigger: int = 0
     ordering: OrderPolicy = OrderPolicy.fixed()
 
-    def with_value(self, axis, value):
+    def with_value(self, axis, text):
         """New config with one strategy axis replaced by a text value."""
-        return replace(self, **{_AXIS_FIELD[axis]: _parse_axis(axis, value)})
+        row = AXIS_TABLE[axis]
+        return replace(self, **{row.field: _parse(row, text)})
+
+    def text(self, axis):
+        """Text form of one strategy axis' value."""
+        row = AXIS_TABLE[axis]
+        return row.format(getattr(self, row.field))
 
     def token(self):
         """Canonical one-line text form (also the axis=all label)."""
-        return ":".join([
-            self.distribution,
-            str(self.clusters),
-            "on" if self.load_balancing else "off",
-            self.polling,
-            repr(float(self.donation_fraction)),
-            self.donate_from,
-            str(self.anticipation_trigger),
-            self.ordering.token(),
-        ])
+        return ":".join(self.text(axis) for axis in AXIS_TABLE)
 
     @staticmethod
     def from_token(token):
-        parts = token.split(":")
-        # the ordering token may itself contain a colon (Fixed:0123)
-        if len(parts) == 9:
-            parts = parts[:7] + [parts[7] + ":" + parts[8]]
-        if len(parts) != 8:
+        # the ordering text may itself contain a colon (Fixed:0123)
+        texts = token.split(":", len(AXIS_TABLE) - 1)
+        if len(texts) != len(AXIS_TABLE):
             raise InvalidConfig(f"bad config token {token!r}")
-        dist, clusters, lb, polling, frac, donate, trigger, ordering = parts
-        if lb not in ("on", "off"):
-            raise InvalidConfig(f"load_balancing must be on/off, got {lb!r}")
-        try:
-            cfg = StrategyConfig(
-                distribution=dist,
-                clusters=int(clusters),
-                load_balancing=(lb == "on"),
-                polling=polling,
-                donation_fraction=float(frac),
-                donate_from=donate,
-                anticipation_trigger=int(trigger),
-                ordering=OrderPolicy.from_token(ordering),
-            )
-        except ValueError as exc:
-            raise InvalidConfig(f"bad config token {token!r}: {exc}") from None
-        return cfg
+        return StrategyConfig(**{
+            row.field: _parse(row, text)
+            for row, text in zip(AXIS_TABLE.values(), texts)})
 
     def describe(self):
         """key=value lines, one per strategy axis."""
-        return "\n".join([
-            f"distribution={self.distribution}",
-            f"clusters={self.clusters}",
-            f"load_balancing={'on' if self.load_balancing else 'off'}",
-            f"polling={self.polling}",
-            f"fraction={float(self.donation_fraction)!r}",
-            f"donate_from={self.donate_from}",
-            f"trigger={self.anticipation_trigger}",
-            f"ordering={self.ordering.token()}",
-        ])
-
-
-_AXIS_FIELD = {
-    "distribution": "distribution",
-    "clusters": "clusters",
-    "load_balancing": "load_balancing",
-    "polling": "polling",
-    "fraction": "donation_fraction",
-    "donate_from": "donate_from",
-    "trigger": "anticipation_trigger",
-    "ordering": "ordering",
-}
-
-AXES = tuple(_AXIS_FIELD) + ("all",)
-
-
-def _parse_axis(axis, value):
-    if axis == "clusters":
-        return int(value)
-    if axis == "fraction":
-        return float(value)
-    if axis == "trigger":
-        return int(value)
-    if axis == "load_balancing":
-        if value in ("on", "off"):
-            return value == "on"
-        raise InvalidConfig(f"load_balancing must be on/off, got {value!r}")
-    if axis == "ordering":
-        return OrderPolicy.from_token(value) if isinstance(value, str) else value
-    return value
+        return "\n".join(f"{axis}={self.text(axis)}" for axis in AXIS_TABLE)
 
 
 def config_for_axis_value(axis, value, base=None):
@@ -126,12 +110,12 @@ def validate_config(config, workers):
     """Check structural constraints; raises InvalidConfig."""
     if workers < 1:
         raise InvalidConfig(f"workers must be >= 1, got {workers}")
-    if config.distribution not in DISTRIBUTIONS:
-        raise InvalidConfig(f"unknown distribution {config.distribution!r}")
-    if config.polling not in POLLING:
-        raise InvalidConfig(f"unknown polling {config.polling!r}")
-    if config.donate_from not in DONATE_FROM:
-        raise InvalidConfig(f"unknown donate_from {config.donate_from!r}")
+    # text-valued axes are checked against their menus here; the parsers
+    # of the other named axes already reject values off their menus
+    for row in AXIS_TABLE.values():
+        value = getattr(config, row.field)
+        if row.parse is str and value not in row.menu:
+            raise InvalidConfig(f"unknown {row.name} {value!r}")
     if not 1 <= config.clusters <= workers:
         raise InvalidConfig(
             f"clusters must be in 1..{workers}, got {config.clusters}")

@@ -79,8 +79,7 @@ class _Coordinator:
     def __init__(self, root_f):
         self.pool = []                  # sorted candidate f values
         self.pool_set = set()
-        self.done = set()               # thresholds of completed empty passes
-        self.max_done = None
+        self.max_done = None            # highest completed empty pass
         self.claimed = set()
         self.granted_order = []
         self.solutions = []             # (cost, path, finder_threshold, cid)
@@ -122,7 +121,6 @@ class _Coordinator:
         return value
 
     def mark_done(self, threshold):
-        self.done.add(threshold)
         if self.max_done is None or threshold > self.max_done:
             self.max_done = threshold
 
@@ -140,9 +138,7 @@ class _Coordinator:
         for v in self.pool:
             if v >= cost:
                 break
-            if self.max_done is not None and v <= self.max_done:
-                continue
-            if v not in self.done:
+            if self.max_done is None or v > self.max_done:
                 return                  # unswept candidate below the cost
         self.accepted = (cost, path)
 

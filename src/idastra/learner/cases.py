@@ -5,49 +5,26 @@ import math
 import statistics
 from dataclasses import dataclass
 
+from idastra.engine.config import AXIS_TABLE, DEFAULT_CONFIG
 from idastra.errors import DataError, InsufficientData
 from idastra.features import ProblemFeatures
-
-# Baseline strategy values; ties in labeling resolve toward these.
-AXIS_DEFAULTS = {
-    "distribution": "BreadthFirst",
-    "clusters": "1",
-    "load_balancing": "on",
-    "polling": "Neighbor",
-    "fraction": "0.3",
-    "donate_from": "TailOfList",
-    "trigger": "0",
-    "ordering": "Fixed",
-}
-
-_AXIS_CANONICAL = {
-    "distribution": ("KumarRao", "BreadthFirst"),
-    "load_balancing": ("on", "off"),
-    "polling": ("Neighbor", "Random"),
-    "donate_from": ("HeadOfList", "TailOfList"),
-    "ordering": ("Fixed", "Local", "Toida"),
-}
-
-_NUMERIC_AXES = ("clusters", "fraction", "trigger")
-
 
 def canonical_label_order(axis, labels):
     """Stable canonical ordering of strategy values for one axis:
     numeric axes sort numerically, named axes follow the menu order,
     anything else keeps first-seen order."""
     labels = list(dict.fromkeys(labels))
-    if axis in _NUMERIC_AXES:
-        return sorted(labels, key=float)
-    menu = _AXIS_CANONICAL.get(axis)
-    if menu is None:
+    row = AXIS_TABLE.get(axis)
+    if row is None:
         return labels
-    rank = {v: i for i, v in enumerate(menu)}
+    if row.menu is None:
+        return sorted(labels, key=float)
 
     def key(lab):
-        for i, v in enumerate(menu):
+        for i, v in enumerate(row.menu):
             if lab == v or lab.startswith(v + ":"):
                 return (i, lab)
-        return (len(menu), lab)
+        return (len(row.menu), lab)
 
     return sorted(labels, key=key)
 
@@ -111,15 +88,15 @@ class Dataset:
 def label_cases(timings, features, axis, architecture):
     """Build a TrainingCase labeled with the fastest strategy value.
 
-    Ties go to the baseline default for the axis when it is among the
-    minima, otherwise to the first tied value in canonical order.
+    Ties go to the default config's value for the axis when it is among
+    the minima, otherwise to the first tied value in canonical order.
     """
     if not timings:
         raise DataError("empty timings: nothing to label")
     best = min(timings.values())
     tied = [k for k, v in timings.items() if v == best]
-    default = AXIS_DEFAULTS.get(axis)
-    if default is not None and default in tied:
+    default = DEFAULT_CONFIG.text(axis) if axis in AXIS_TABLE else None
+    if default in tied:
         label = default
     else:
         label = canonical_label_order(axis, tied)[0]

@@ -74,15 +74,16 @@ class OrderPolicy:
         return self.kind
 
     @staticmethod
-    def from_token(token, scores=None):
+    def from_token(token):
+        """Parse token()'s text.  A Toida policy comes back without
+        scores; the caller fills them from the instance's profiling
+        trace."""
         if token == "Fixed":
             return OrderPolicy.fixed()
         if token.startswith("Fixed:"):
             return OrderPolicy.fixed(tuple(int(c) for c in token[6:]))
-        if token == "Local":
-            return OrderPolicy.local()
-        if token == "Toida":
-            return OrderPolicy.toida(scores if scores is not None else None)
+        if token in ("Local", "Toida"):
+            return OrderPolicy(token)
         raise InvalidConfig(f"unknown ordering {token!r}")
 
 

@@ -4,7 +4,7 @@ hand-derived anchors."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra.analytics import (curve_table, dts_asymptote, dts_speedup_eq1,
@@ -102,6 +102,9 @@ def test_ideal_dts_superlinear_at_interval_starts():
     # while serial still pays for everything to its left
     value = simulate_ideal_dts(10, 6, 10, Fraction(9, 10))
     assert value > 10.0
+    # at depth 1 the owner of a left edge finds the goal with no work
+    assert simulate_ideal_dts(5, 2, 1, Fraction(1, 5)) == float("inf")
+    assert simulate_ideal_dts(5, 2, 1, Fraction(11, 50)) == 11.0
 
 
 def test_ideal_dts_rightmost_goal_near_p():
@@ -141,6 +144,7 @@ def test_ideal_dts_domain_errors():
 @settings(max_examples=60, deadline=None)
 @given(P=st.integers(1, 12), b=st.integers(2, 6), d=st.integers(1, 10),
        num=st.integers(0, 49))
+@example(P=5, b=2, d=1, num=10)
 def test_ideal_dts_balanced_shape(P, b, d, num):
     a = Fraction(num, 50)
     value = simulate_ideal_dts(P, b, d, a)

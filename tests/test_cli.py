@@ -133,17 +133,44 @@ def test_sweep_rejects_unknown_axis(run_cli, tmp_path):
 def test_sweep_survives_invalid_grid_value(run_cli, tmp_path):
     # a bad config is recorded as a failed row, the sweep continues
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    for axis, good, bad in (("clusters", "1", ("9", "x")),
+                            ("fraction", "0.3", ("abc",)),
+                            ("ordering", "Fixed", ("Fixed:01x",))):
+        records = str(tmp_path / f"records_{axis}.csv")
+        code, out, err = run_cli(["sweep", "--instances", *files,
+                                  "--axis", axis,
+                                  "--grid", ",".join((good,) + bad),
+                                  "--workers", 4, "--budget", 50,
+                                  "--out", records])
+        assert code == 0
+        assert "failed" in out
+        rows = _read_csv(records)
+        status = {r["approach"]: r["status"] for r in rows}
+        assert status[f"{axis}={good}"] == "ok"
+        for value in bad:
+            assert status[f"{axis}={value}"] == "InvalidConfig"
+
+
+def test_sweep_runs_toida_ordering(run_cli, tmp_path):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=2)
     records = str(tmp_path / "records.csv")
-    code, out, err = run_cli(["sweep", "--instances", *files,
-                              "--axis", "clusters", "--grid", "1,9",
-                              "--workers", 4, "--budget", 50,
-                              "--out", records])
+    code, _out, _err = run_cli(["sweep", "--instances", *files,
+                                "--axis", "ordering",
+                                "--grid", "Fixed,Local,Toida",
+                                "--workers", 4, "--budget", 50,
+                                "--out", records])
     assert code == 0
-    assert "failed" in out
     rows = _read_csv(records)
-    status = {r["approach"]: r["status"] for r in rows}
-    assert status["clusters=1"] == "ok"
-    assert status["clusters=9"] == "InvalidConfig"
+    assert len(rows) == 6
+    assert all(r["status"] == "ok" for r in rows)
+    for f in files:
+        iid = os.path.splitext(os.path.basename(f))[0]
+        want = serial_idastar(ArtificialProblem(
+            ArtificialSpec.from_file(f))).cost
+        toida = [r for r in rows
+                 if r["instance"] == iid and r["approach"] == "ordering=Toida"]
+        assert len(toida) == 1 and toida[0]["config"].endswith(":Toida")
+        assert int(toida[0]["cost"]) == want
 
 
 # -------------------------------------------------- train then advise
@@ -235,6 +262,17 @@ def test_advise_strict_needs_full_coverage(run_cli, tmp_path):
     assert code == 1                       # unknown axis in --model
 
 
+def test_advise_malformed_model_label_is_usage_error(run_cli, tmp_path):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    model = tmp_path / "clusters.tree"
+    model.write_text("leaf x 1 0\n")
+    code, _out, err = run_cli(["advise", "--instances", files[0],
+                               "--model", f"clusters={model}",
+                               "--budget", 50])
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_advise_wants_exactly_one_instance(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "inst"), count=2)
     code, _out, _err = run_cli(["advise", "--instances", *files,
@@ -259,6 +297,25 @@ def test_solve_appends_optimal_record(run_cli, tmp_path):
     assert rows[0]["approach"] == "advised"
     assert int(rows[0]["cost"]) == want
     assert rows[0]["status"] == "ok"
+
+
+def test_solve_with_a_toida_model(run_cli, tmp_path):
+    # the ordering model names Toida; its scores come from profiling
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    model = tmp_path / "ordering.tree"
+    model.write_text("leaf Toida 1 0\n")
+    records = str(tmp_path / "solve.csv")
+    code, out, _err = run_cli(["solve", "--instances", files[0],
+                               "--model", f"ordering={model}",
+                               "--budget", 50, "--out", records])
+    assert code == 0
+    assert "ordering=Toida" in out
+    want = serial_idastar(ArtificialProblem(
+        ArtificialSpec.from_file(files[0]))).cost
+    assert f"cost: {want}" in out
+    rows = _read_csv(records)
+    assert rows[0]["config"].endswith(":Toida")
+    assert int(rows[0]["cost"]) == want
 
 
 def test_advise_and_solve_read_a_puzzle_file(run_cli, tmp_path):

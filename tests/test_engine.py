@@ -2,6 +2,7 @@
 deterministic simulator and threads driver against serial and A*
 oracles."""
 
+import dataclasses
 import hashlib
 import random
 from itertools import product
@@ -142,6 +143,36 @@ def test_config_token_round_trip():
     with pytest.raises(InvalidConfig):
         StrategyConfig.from_token(
             "BreadthFirst:1:maybe:Neighbor:0.3:TailOfList:0:Fixed")
+    assert config.describe() == "\n".join([
+        "distribution=KumarRao", "clusters=3", "load_balancing=on",
+        "polling=Random", "fraction=0.5", "donate_from=HeadOfList",
+        "trigger=2", "ordering=Fixed:102"])
+
+
+def test_malformed_axis_text_is_invalid_config():
+    for axis, text in (("clusters", "x"), ("clusters", "1.5"),
+                       ("fraction", "abc"), ("trigger", ""),
+                       ("load_balancing", "maybe"),
+                       ("ordering", "Fixed:01x"), ("ordering", "Sorted")):
+        with pytest.raises(InvalidConfig):
+            DEFAULT_CONFIG.with_value(axis, text)
+    for token in ("BreadthFirst:x:on:Neighbor:0.3:TailOfList:0:Fixed",
+                  "BreadthFirst:1:on:Neighbor:abc:TailOfList:0:Fixed",
+                  "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed:0:1"):
+        with pytest.raises(InvalidConfig):
+            StrategyConfig.from_token(token)
+
+
+def test_toida_text_parses_unscored():
+    config = DEFAULT_CONFIG.with_value("ordering", "Toida")
+    assert config.ordering == OrderPolicy("Toida")
+    assert config.text("ordering") == "Toida"
+    token = "KumarRao:2:on:Random:0.5:HeadOfList:1:Toida"
+    assert StrategyConfig.from_token(token).ordering.scores is None
+    assert config_for_axis_value("all", token).token() == token
+    # scores come from a profiling trace, never from the text
+    with pytest.raises(InvalidConfig):
+        validate_config(config, 4)
 
 
 def test_config_axis_overrides():
@@ -180,8 +211,8 @@ def test_validate_config_rejections():
     with pytest.raises(InvalidConfig):
         validate_config(kr_off, 4)
     with pytest.raises(InvalidConfig):
-        validate_config(ok.with_value("ordering",
-                                      OrderPolicy("Toida", scores=None)), 4)
+        validate_config(dataclasses.replace(
+            ok, ordering=OrderPolicy("Toida", scores=None)), 4)
 
 
 def test_execution_mode_validation():

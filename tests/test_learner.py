@@ -17,7 +17,7 @@ from idastra.learner import (Dataset, TrainingCase, append_cases,
                              load_tree, paired_t_test, read_store,
                              save_tree, tree_from_text, tree_to_text,
                              variance_filter)
-from idastra.learner.cases import AXIS_DEFAULTS, canonical_label_order
+from idastra.learner.cases import canonical_label_order
 from idastra.learner.dtree import Leaf, Split, tree_depth, tree_leaves
 from idastra.learner.evaluate import mean_error
 
@@ -45,7 +45,24 @@ def test_label_prefers_fastest():
 def test_label_tie_goes_to_default_when_tied():
     timings = {"1": 50.0, "4": 50.0}
     case = label_cases(timings, _features(), "clusters", "sim-P4")
-    assert case.label == AXIS_DEFAULTS["clusters"] == "1"
+    assert case.label == "1"
+
+
+def test_label_tie_defaults_on_every_axis():
+    # each axis' tie-break default wins a tie with its rivals, also
+    # with those that come first in canonical order
+    rivals = {"distribution": ("BreadthFirst", ["KumarRao"]),
+              "clusters": ("1", ["0", "4"]),
+              "load_balancing": ("on", ["off"]),
+              "polling": ("Neighbor", ["Random"]),
+              "fraction": ("0.3", ["0.1", "1.0"]),
+              "donate_from": ("TailOfList", ["HeadOfList"]),
+              "trigger": ("0", ["-1", "2"]),
+              "ordering": ("Fixed", ["Fixed:0", "Local", "Toida"])}
+    for axis, (default, others) in rivals.items():
+        timings = {label: 5.0 for label in others + [default]}
+        case = label_cases(timings, _features(), axis, "sim-P4")
+        assert case.label == default, axis
 
 
 def test_label_tie_without_default_takes_canonical_first():
