@@ -2,7 +2,8 @@
 
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
-masked integers.
+masked integers.  It is a left fold of hash_step, so a child's hash is
+one step of its parent's.
 """
 
 _MASK = (1 << 64) - 1
@@ -98,15 +99,19 @@ def puzzle_expand(tiles, blank, h, prev_op):
     return out
 
 
-def _mix(z):
+def hash_step(h, c):
+    """One step of path_hash's left fold: the hash of a path extended by
+    byte c, given the hash h of the path."""
+    z = (h + _GAMMA * (c + 1)) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
 
 
 def path_hash(seed, tag, path):
-    """Seeded 64-bit hash of a byte path, with independent tag streams."""
-    h = _mix((seed + _GAMMA * (tag + 1)) & _MASK)
+    """Seeded 64-bit hash of a byte path, with independent tag streams:
+    hash_step folded over the tag, then over the path's bytes."""
+    h = hash_step(seed, tag)
     for c in path:
-        h = _mix((h + _GAMMA * (c + 1)) & _MASK)
+        h = hash_step(h, c)
     return h

@@ -8,7 +8,13 @@ heuristic_error subtracts a seeded pseudo-random amount from the exact
 distance-to-designated-goal heuristic.  Everything is a pure function of
 (spec, path), so runs are reproducible byte for byte.
 
-Node identity is the path itself: a bytes string of child indices.
+A node's state is the tuple (path, shared, err_key, goal_key): the
+bytes string of child indices from the root, its common-prefix length
+with the designated goal path, and its error-stream and goal-stream hash
+keys.  Every field is a function of the path, so the path alone still
+identifies the node; the other three are carried so that a child's
+heuristic and goal test cost one hash step each, not a rehash of the
+whole path.
 """
 
 import math
@@ -113,7 +119,11 @@ def goal_path_digits(g, b, d):
 
 
 class ArtificialProblem:
-    """Search-problem adapter over an ArtificialSpec."""
+    """Search-problem adapter over an ArtificialSpec.
+
+    err_key and goal_key are path_hash(seed, tag, path) in the error and
+    goal streams; expand extends each by one hash_step per child.
+    """
 
     def __init__(self, spec):
         spec.validate()
@@ -125,75 +135,91 @@ class ArtificialProblem:
         self.depth_limit = tuple(
             math.ceil(d * (1.0 - spec.imbalance * i / (b - 1)))
             for i in range(b))
+        # surviving child indices per parent depth, for parents on and
+        # off the goal path; depth d has none
+        self._off_path_children = tuple(
+            tuple(i for i in range(b) if k < self.depth_limit[i])
+            for k in range(d)) + ((),)
+        self._on_path_children = tuple(
+            tuple(i for i in range(b)
+                  if k < self.depth_limit[i] or i == self.goal_path[k])
+            for k in range(d)) + ((),)
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
 
+    def state_at(self, path):
+        """The state of the node at path, its keys hashed from scratch."""
+        path = bytes(path)
+        shared = 0
+        for a, g in zip(path, self.goal_path):
+            if a != g:
+                break
+            shared += 1
+        return (path, shared,
+                kernels.path_hash(self._seed, _TAG_ERROR, path),
+                kernels.path_hash(self._seed, _TAG_GOAL, path))
+
     def initial_state(self):
-        return b""
+        return self.state_at(b"")
 
     def initial_h(self):
-        return self.heuristic(b"")
+        return self.heuristic(self.initial_state())
 
-    def _is_goal_prefix(self, path):
-        return self.goal_path[:len(path)] == path
+    def is_goal(self, state):
+        path, shared, _err_key, goal_key = state
+        d = self.spec.d
+        return len(path) == d and (shared == d
+                                   or goal_key < self.density_threshold)
 
-    def is_goal(self, path):
-        if len(path) != self.spec.d:
-            return False
-        if path == self.goal_path:
-            return True
-        if self.density_threshold == 0:
-            return False
-        return kernels.path_hash(self._seed, _TAG_GOAL,
-                                 path) < self.density_threshold
+    def heuristic(self, state):
+        path, shared, err_key, goal_key = state
+        return self._h(len(path), shared, err_key, goal_key)
 
-    def heuristic(self, path):
-        if self.is_goal(path):
-            return 0
+    def _h(self, depth, shared, err_key, goal_key):
+        """The heuristic of the node these fields describe."""
+        d = self.spec.d
+        if depth == d and (shared == d or goal_key < self.density_threshold):
+            return 0                # is_goal's test
         # exact distance to the designated goal: back out of the
         # non-shared suffix, then down the rest of the goal path
-        gp = self.goal_path
-        c = 0
-        for a, bch in zip(path, gp):
-            if a != bch:
-                break
-            c += 1
-        dist = (len(path) - c) + (self.spec.d - c)
+        dist = (depth - shared) + (d - shared)
         if self.density_threshold > 0:
             # any depth-d node may be a goal, so cap at remaining depth
-            dist = min(dist, self.spec.d - len(path))
-        err = 0
-        if self.spec.herror > 0:
-            err = kernels.path_hash(self._seed, _TAG_ERROR, path) % self._emod
-        return max(0, dist - err)
+            dist = min(dist, d - depth)
+        # herror = 0 makes _emod 1 and the error 0
+        return max(0, dist - err_key % self._emod)
 
-    def child_indices(self, path):
+    def child_indices(self, state):
+        path, shared = state[0], state[1]
         k = len(path)
-        if k >= self.spec.d:
-            return ()
-        limits = self.depth_limit
-        on_goal = self._is_goal_prefix(path)
-        goal_next = self.goal_path[k] if on_goal else -1
-        return tuple(i for i in range(self.spec.b)
-                     if k < limits[i] or i == goal_next)
+        if shared == k:
+            return self._on_path_children[k]
+        return self._off_path_children[k]
 
-    def expand(self, path, prev_op, h):
+    def expand(self, state, prev_op, h):
+        path, shared, err_key, goal_key = state
+        depth = len(path) + 1
+        # the child that stays on the goal path, if any
+        goal_next = (self.goal_path[shared]
+                     if shared == depth - 1 < self.spec.d else -1)
+        step = kernels.hash_step
+        child_h = self._h
         out = []
-        for i in self.child_indices(path):
-            child = path + bytes([i])
-            out.append((child, i, 1, self.heuristic(child)))
+        for i in self.child_indices(state):
+            c_shared = shared + 1 if i == goal_next else shared
+            c_err = step(err_key, i)
+            c_goal = step(goal_key, i)
+            out.append(((path + bytes((i,)), c_shared, c_err, c_goal), i, 1,
+                        child_h(depth, c_shared, c_err, c_goal)))
         return out
 
     def count_nodes(self):
         """Total tree size (root included); exponential, test-sized only."""
         total = 0
-        frontier = [b""]
+        frontier = [self.initial_state()]
         while frontier:
             total += len(frontier)
-            nxt = []
-            for path in frontier:
-                for i in self.child_indices(path):
-                    nxt.append(path + bytes([i]))
-            frontier = nxt
+            frontier = [child for state in frontier
+                        for child, _i, _c, _h in self.expand(state, -1, 0)]
         return total

@@ -7,7 +7,7 @@ below the root.  All ties break on operator index so ordering is
 deterministic.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
 
@@ -19,6 +19,14 @@ class OrderPolicy:
     kind: str                       # "Fixed" | "Local" | "Toida"
     permutation: tuple | None = None
     scores: dict | None = None
+    # a Fixed permutation's rank per operator, built once
+    _rank: dict | None = field(default=None, init=False, repr=False,
+                               compare=False)
+
+    def __post_init__(self):
+        if self.permutation is not None:
+            object.__setattr__(self, "_rank", {
+                op: i for i, op in enumerate(self.permutation)})
 
     @staticmethod
     def fixed(permutation=None):
@@ -49,9 +57,9 @@ class OrderPolicy:
         """Return children (state, op, cost, h) in policy order; at_root
         says whether they are the root's children."""
         if self.kind == "Fixed":
-            if self.permutation is None:
+            rank = self._rank
+            if rank is None:
                 return children
-            rank = {op: i for i, op in enumerate(self.permutation)}
             bound = len(rank)
             return sorted(children,
                           key=lambda c: (rank.get(c[1], bound), c[1]))

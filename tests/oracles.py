@@ -180,6 +180,15 @@ class SpaceModel:
                 out.append(path + (i,))
         return out
 
+    def shared_prefix(self, path):
+        """Length of the common prefix of path and the goal path."""
+        shared = 0
+        for a, g in zip(path, self.goal):
+            if a != g:
+                break
+            shared += 1
+        return shared
+
     def is_goal(self, path):
         if len(path) != self.spec.d:
             return False
@@ -193,11 +202,7 @@ class SpaceModel:
     def heuristic(self, path):
         if self.is_goal(path):
             return 0
-        shared = 0
-        for a, g in zip(path, self.goal):
-            if a != g:
-                break
-            shared += 1
+        shared = self.shared_prefix(path)
         dist = (len(path) - shared) + (self.spec.d - shared)
         if self.density_threshold > 0:
             dist = min(dist, self.spec.d - len(path))

@@ -11,6 +11,7 @@ import pytest
 from idastra import _backend, core
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, scramble
+from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,3 +63,14 @@ def test_recorder_round_counts_kernel_calls(tracing):
     # leaving the round restores every original
     assert core.serial_idastar is serial_idastar
     assert not hasattr(_backend.kernels.puzzle_expand, "__wrapped__")
+
+
+def test_recorder_round_counts_synthetic_calls(tracing):
+    problem = ArtificialProblem(ArtificialSpec(
+        d=6, g=0.6, b=3, imbalance=0.2, density=1e-9, herror=3, seed=4))
+    with tracing.Recorder(True, 0) as rec:
+        out = core.serial_idastar(problem)
+    hot = rec.hot_totals()
+    assert hot["domains.expand"][0] == out.total_expanded - 1 > 0
+    assert hot["domains.is_goal"][0] == out.total_expanded
+    assert [span.name for span in rec.spans] == ["core.serial"]

@@ -170,14 +170,14 @@ def test_serial_finds_leftmost_optimal_path():
     out = serial_idastar(problem)
     goals = []
 
-    def walk(path, prev_op, h):
-        if problem.is_goal(path):
-            goals.append(tuple(path))
+    def walk(state, prev_op, h):
+        if problem.is_goal(state):
+            goals.append(tuple(state[0]))
             return
-        for child, op, _c, ch in problem.expand(path, prev_op, h):
+        for child, op, _c, ch in problem.expand(state, prev_op, h):
             walk(child, op, ch)
 
-    walk(b"", -1, problem.initial_h())
+    walk(problem.state_at(b""), -1, problem.initial_h())
     assert tuple(out.path) == min(goals)
     assert out.cost == 4
 
@@ -226,4 +226,4 @@ def test_property_density_goals_keep_cost_d(d, b, density, seed):
     out = serial_idastar(problem)
     assert out.cost == d
     # operators are digit choices, so the state is the op sequence
-    assert problem.is_goal(bytes(out.path))
+    assert problem.is_goal(problem.state_at(out.path))

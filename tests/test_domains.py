@@ -15,8 +15,10 @@ from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
                                        goal_path_digits)
 from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
 from idastra.ordering import OrderPolicy
-from oracles import (SpaceModel, astar_cost, goal_digits_reference,
-                     manhattan_reference, uniform_tree_size)
+from idastra import _kernels_py
+from oracles import (_TAG_ERROR, _TAG_GOAL, SpaceModel, astar_cost,
+                     goal_digits_reference, manhattan_reference,
+                     uniform_tree_size)
 
 
 def _spec(**kw):
@@ -57,12 +59,12 @@ def test_zero_imbalance_keeps_full_tree():
 def test_goal_path_exempt_from_depth_limits():
     # goal on the rightmost (most limited) path survives max imbalance
     problem = ArtificialProblem(_spec(d=5, b=3, g=1.0, imbalance=1.0))
-    state = b""
+    path = b""
     for _ in range(5):
-        children = problem.child_indices(state)
+        children = problem.child_indices(problem.state_at(path))
         assert 2 in children
-        state = state + bytes([2])
-    assert problem.is_goal(state)
+        path = path + bytes([2])
+    assert problem.is_goal(problem.state_at(path))
 
 
 def test_enumeration_matches_space_model():
@@ -75,12 +77,44 @@ def test_enumeration_matches_space_model():
         nodes = model.all_nodes()
         assert problem.count_nodes() == len(nodes)
         for path in nodes:
-            state = bytes(path)
+            state = problem.state_at(path)
             assert tuple(problem.child_indices(state)) == tuple(
                 i for _p, i, _c in
                 [(c, c[-1], 1) for c in model.children(path)])
             assert problem.heuristic(state) == model.heuristic(path)
             assert problem.is_goal(state) == model.is_goal(path)
+
+
+def test_expanded_states_carry_keys_hashed_from_scratch():
+    # every node reached through expand holds the keys, shared prefix, h
+    # and goal flag that its path gives when computed from nothing
+    for kw in (dict(), dict(density=0.15, herror=3, seed=2),
+               dict(imbalance=0.6, herror=2, seed=5),
+               dict(d=5, b=2, g=1.0, imbalance=1.0, density=0.2, herror=4,
+                    seed=8),
+               dict(d=4, b=4, g=0.3, imbalance=0.4, density=0.05, herror=1,
+                    seed=13)):
+        spec = _spec(**kw)
+        problem = ArtificialProblem(spec)
+        model = SpaceModel(spec)
+        seen = []
+        stack = [(problem.initial_state(), -1, problem.initial_h())]
+        while stack:
+            state, prev_op, h = stack.pop()
+            path = state[0]
+            seen.append(tuple(path))
+            assert state == (
+                path, model.shared_prefix(path),
+                _kernels_py.path_hash(spec.seed, _TAG_ERROR, path),
+                _kernels_py.path_hash(spec.seed, _TAG_GOAL, path))
+            assert state == problem.state_at(path)
+            assert h == problem.heuristic(state) == model.heuristic(path)
+            assert problem.is_goal(state) == model.is_goal(path)
+            children = problem.expand(state, prev_op, h)
+            assert [child[0] for child, _i, _c, _h in children] \
+                == [bytes(c) for c in model.children(tuple(path))]
+            stack.extend((child, op, ch) for child, op, _c, ch in children)
+        assert sorted(seen) == sorted(model.all_nodes())
 
 
 def test_density_draws_extra_goals_at_depth_d_only():
@@ -92,7 +126,7 @@ def test_density_draws_extra_goals_at_depth_d_only():
     assert all(len(p) == 4 for p in goals)
     for p in model.all_nodes():
         if len(p) < 4:
-            assert not problem.is_goal(bytes(p))
+            assert not problem.is_goal(problem.state_at(p))
 
 
 def test_heuristic_admissible_and_zero_at_goals():
@@ -104,7 +138,7 @@ def test_heuristic_admissible_and_zero_at_goals():
         model = SpaceModel(spec)
         for path in model.all_nodes():
             true_cost = model.true_remaining_cost(path)
-            h = problem.heuristic(bytes(path))
+            h = problem.heuristic(problem.state_at(path))
             if true_cost is None:
                 continue               # dead subtree, any h is safe
             assert h <= true_cost
@@ -117,8 +151,10 @@ def test_heuristic_depth_cap_only_with_density():
     spec_plain = _spec(d=6, b=4, g=0.0)
     spec_dense = _spec(d=6, b=4, g=0.0, density=1e-12)
     off_path = bytes([3, 3])
-    h_plain = ArtificialProblem(spec_plain).heuristic(off_path)
-    h_dense = ArtificialProblem(spec_dense).heuristic(off_path)
+    plain = ArtificialProblem(spec_plain)
+    dense = ArtificialProblem(spec_dense)
+    h_plain = plain.heuristic(plain.state_at(off_path))
+    h_dense = dense.heuristic(dense.state_at(off_path))
     assert h_plain == 2 + 6                # back out 2, descend 6
     assert h_dense == 4                    # capped at d - depth
 

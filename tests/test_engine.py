@@ -276,7 +276,7 @@ def test_returned_path_is_a_real_optimal_goal():
         report = _run(problem, workers=4, **axes)
         assert report.solution_cost == serial.cost, axes
         assert len(report.solution_path) == serial.cost
-        assert problem.is_goal(bytes(report.solution_path)), axes
+        assert problem.is_goal(problem.state_at(report.solution_path)), axes
 
 
 def test_latency_does_not_change_the_answer():

@@ -46,7 +46,7 @@ def test_stop_at_goal_reports_solution():
     assert trace.goal_found is not None
     path, cost = trace.goal_found
     assert cost == 3
-    assert problem.is_goal(bytes(path))
+    assert problem.is_goal(problem.state_at(path))
     assert not trace.truncated
 
 

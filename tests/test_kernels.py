@@ -3,6 +3,9 @@ anchors."""
 
 import random
 
+from hypothesis import given
+from hypothesis import strategies as st
+
 from idastra import _kernels_py
 from idastra.domains.puzzle import scramble
 from oracles import apply_op_reference, manhattan_reference
@@ -78,3 +81,14 @@ def test_path_hash_prefix_sensitivity():
     a = _kernels_py.path_hash(3, 1, bytes([0, 1]))
     b = _kernels_py.path_hash(3, 1, bytes([1, 0]))
     assert a != b
+
+
+@given(seed=st.integers(0, (1 << 64) - 1), tag=st.integers(0, 3),
+       path=st.binary(max_size=40))
+def test_hash_step_extends_path_hash_by_one_byte(seed, tag, path):
+    # the artificial space derives a child's keys from its parent's
+    h = _kernels_py.hash_step(seed, tag)
+    assert h == _kernels_py.path_hash(seed, tag, b"")
+    for i, c in enumerate(path):
+        h = _kernels_py.hash_step(h, c)
+        assert h == _kernels_py.path_hash(seed, tag, path[:i + 1])

@@ -1,6 +1,8 @@
 """Child ordering policies: rank tables, token round trips, learned
 root scores."""
 
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -30,6 +32,22 @@ def test_fixed_permutation_ranks_operators():
     # unknown operators sort after ranked ones, by index
     extra = _KIDS + [("s9", 9, 1, 0)]
     assert _ops(policy.arrange(extra, True)) == [3, 1, 0, 2, 9]
+
+
+def test_fixed_rank_table_keeps_the_sort_rule():
+    # the rule: ranked operators by rank, then unranked ones by index
+    lists = [_KIDS, _KIDS[::-1], _KIDS[1:3], [_KIDS[2], ("s9", 9, 1, 0),
+                                              _KIDS[0], ("s5", 5, 1, 2)]]
+    for perm in itertools.permutations(range(4)):
+        policy = OrderPolicy.fixed(perm)
+        for kids in lists:
+            want = sorted(kids, key=lambda c: (
+                perm.index(c[1]) if c[1] in perm else len(perm), c[1]))
+            for at_root in (True, False):
+                assert policy.arrange(kids, at_root) == want, (perm, kids)
+        assert policy == OrderPolicy.fixed(perm)
+        assert repr(policy) == f"OrderPolicy(kind='Fixed', " \
+            f"permutation={perm!r}, scores=None)"
 
 
 def test_fixed_explicit_identity_detected():

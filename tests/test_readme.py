@@ -1,4 +1,5 @@
-"""The README's command-line workflow runs as written."""
+"""The README's command-line workflow and library example run as
+written."""
 
 import glob
 import os
@@ -36,3 +37,13 @@ def test_readme_workflow_runs(tmp_path, monkeypatch, capsys):
         out, err = capsys.readouterr()
         assert code == 0, (argv, out, err)
     assert os.path.getsize(tmp_path / "runs" / "cases.jsonl") > 0
+
+
+def test_readme_library_block_runs(capsys):
+    with open(README) as fh:
+        text = fh.read()
+    section = text.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+    speedup = float(capsys.readouterr().out)
+    assert speedup > 0
