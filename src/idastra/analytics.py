@@ -98,18 +98,13 @@ def simulate_ideal_dts(P, b, d, goal_pos, balance="Balanced", ratio=0.5):
     if serial == 0:
         return 1.0
     # locate the goal's owner: half-open intervals, last one closed
-    left = Fraction(0)
-    owner = P - 1
     owner_left = 1 - shares[-1]
     acc = Fraction(0)
-    for i, share in enumerate(shares):
+    for share in shares:
         if a < acc + share:
-            owner = i
             owner_left = acc
             break
         acc += share
-    else:
-        owner_left = 1 - shares[-1]
     max_share = max(shares)
     parallel = max_share * sum(costs[:-1]) + (a - owner_left) * costs[-1]
     if parallel == 0:

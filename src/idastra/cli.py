@@ -21,9 +21,9 @@ from idastra.analytics import curve_table
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
-from idastra.engine import (AXES, DEFAULT_CONFIG, ExecutionMode,
-                            StrategyConfig, config_for_axis_value,
-                            run_parallel, validate_config)
+from idastra.engine import (AXES, DEFAULT_CONFIG, StrategyConfig,
+                            config_for_axis_value, run_parallel,
+                            validate_config)
 from idastra.errors import (DataError, DegenerateInput, EngineStall,
                             IdastraError, UsageError)
 from idastra.features import (DEFAULT_BUDGET, extract_features,
@@ -90,19 +90,22 @@ def _load_instances(paths):
     return instances
 
 
-def _execution_mode(args):
+def _check_run_flags(args):
+    """Reject run flags no engine run accepts, before any search."""
+    if args.workers < 1:
+        raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.latency < 0:
+        raise UsageError(f"--latency must be >= 0, got {args.latency}")
+
+
+def _warn_threads_mode(args):
     if args.mode == "threads":
         _warn("threads mode timings depend on machine load and are "
               "not reproducible")
-        return ExecutionMode(kind="RealThreads",
-                             message_latency_ticks=args.latency)
-    return ExecutionMode(kind="DeterministicSim",
-                         message_latency_ticks=args.latency)
 
 
 def _architecture(args):
-    kind = "threads" if args.mode == "threads" else "sim"
-    return f"{kind}-P{args.workers}"
+    return f"{args.mode}-P{args.workers}"
 
 
 def _timestamp(args):
@@ -210,7 +213,7 @@ def cmd_gen(args):
 
 # -------------------------------------------------------------- sweep
 
-def _sweep_instance(args, iid, problem, grid, base, mode, rows):
+def _sweep_instance(args, iid, problem, grid, base, rows):
     """Run every grid value on one instance, appending one record row per
     run to rows.  Returns (features, mean makespan per grid value);
     features is None when profiling solved the instance."""
@@ -231,8 +234,8 @@ def _sweep_instance(args, iid, problem, grid, base, mode, rows):
                 row["config"] = config.token()
                 validate_config(config, args.workers)
                 report = run_parallel(problem, config, args.workers,
-                                      mode=mode, seed=args.seed,
-                                      serial_outcome=serial)
+                                      mode=args.mode, latency=args.latency,
+                                      seed=args.seed, serial_outcome=serial)
             except EngineStall:
                 raise
             except IdastraError as exc:
@@ -256,10 +259,11 @@ def cmd_sweep(args):
         raise UsageError("--grid must list at least one value")
     if args.reps < 1:
         raise UsageError(f"--reps must be >= 1, got {args.reps}")
+    _check_run_flags(args)
     base = DEFAULT_CONFIG
     if args.clusters is not None and args.axis != "clusters":
         base = base.with_value("clusters", str(args.clusters))
-    mode = _execution_mode(args)
+    _warn_threads_mode(args)
     arch = _architecture(args)
 
     rows = []
@@ -268,7 +272,7 @@ def cmd_sweep(args):
     try:
         for iid, problem in instances:
             features, timings = _sweep_instance(args, iid, problem, grid,
-                                                base, mode, rows)
+                                                base, rows)
             if features is None:
                 _warn(f"{iid}: solved during profiling, no training case")
             elif len(timings) >= 2:
@@ -363,6 +367,7 @@ def _advise(args):
         raise UsageError(f"expected exactly one instance, got "
                          f"{len(instances)}")
     iid, problem = instances[0]
+    _check_run_flags(args)
     models = _parse_models(args.model)
     if args.strict:
         covered = set(AXES[:-1]) if "all" in models else set(models)
@@ -424,9 +429,10 @@ def cmd_solve(args):
         if args.out:
             _append_records(args.out, [row])
         return 0
+    _warn_threads_mode(args)
     serial = serial_idastar(problem)
-    report = run_parallel(problem, config, args.workers,
-                          mode=_execution_mode(args), seed=args.seed,
+    report = run_parallel(problem, config, args.workers, mode=args.mode,
+                          latency=args.latency, seed=args.seed,
                           serial_outcome=serial)
     print(f"cost: {report.solution_cost}")
     print(f"makespan: {_fmt(report.makespan)}")

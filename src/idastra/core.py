@@ -11,6 +11,12 @@ Expansion handles operator pruning (e.g. not undoing the parent move)
 internally; prev_op is -1 at the root.  Children come back in the
 problem's natural operator order and may be reordered by an ordering
 policy before being pushed.
+
+A search node is the plain tuple (state, g, h, op, parent): op is the
+operator that produced it (-1 at the root), parent the parent node
+(None at the root), and f is g + h.  make_root builds the root; the
+parallel engine chains children to their parents this way and walks
+the chain back only to rebuild the path of a goal it reports.
 """
 
 import sys
@@ -22,19 +28,8 @@ from idastra.errors import SpaceExhausted
 LEAF_SAMPLE_CAP = 1024
 
 
-@dataclass(slots=True)
-class SearchNode:
-    state: object
-    g: int
-    h: int
-    f: int
-    prev_op: int
-    path: tuple
-
-
 def make_root(problem):
-    h = problem.initial_h()
-    return SearchNode(problem.initial_state(), 0, h, h, -1, ())
+    return (problem.initial_state(), 0, problem.initial_h(), -1, None)
 
 
 @dataclass(slots=True)
@@ -108,10 +103,11 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     solution = None
     truncated = False
 
-    if root.f > threshold:
-        min_exceed = root.f
+    state, g, h, op, _parent = root
+    if g + h > threshold:
+        min_exceed = g + h
         if stats is not None:
-            stats.record_leaf(None, root.g, root.h)
+            stats.record_leaf(None, g, h)
         return PassResult(threshold, None, min_exceed, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
@@ -119,7 +115,7 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     expand = problem.expand
     arrange = None if order is None else order.arrange
     path = []
-    stack = [(root.state, root.g, root.h, root.prev_op, 0)]
+    stack = [(state, g, h, op, 0)]
     pop = stack.pop
     push = stack.append
     while stack:
@@ -199,7 +195,8 @@ def serial_idastar(problem, order=None):
     of threads-mode speedups."""
     start = time.perf_counter()
     root = make_root(problem)
-    threshold = root.f
+    _state, g, h, _op, _parent = root
+    threshold = g + h
     iterations = []
     total = 0
     total_gen = 0

@@ -26,6 +26,14 @@ def apply_op(state, op):
     return (bytes(child), dest)
 
 
+def _parities(tiles):
+    """(inversion parity, blank taxicab parity) of a tile permutation."""
+    inversions = sum(1 for i in range(16) for j in range(i + 1, 16)
+                     if tiles[i] > tiles[j])
+    blank = tiles.index(0)
+    return inversions % 2, (blank // 4 + blank % 4) % 2
+
+
 def is_solvable(tiles):
     """Parity test against the blank-first goal.
 
@@ -33,14 +41,8 @@ def is_solvable(tiles):
     parity, so (permutation parity == blank displacement parity) is
     invariant and holds at the goal.
     """
-    inversions = 0
-    for i in range(16):
-        for j in range(i + 1, 16):
-            if tiles[i] > tiles[j]:
-                inversions += 1
-    blank = tiles.index(0)
-    blank_parity = (blank // 4 + blank % 4) % 2
-    return inversions % 2 == blank_parity
+    inversion_parity, blank_parity = _parities(tiles)
+    return inversion_parity == blank_parity
 
 
 def scramble(depth, seed):
@@ -75,13 +77,11 @@ def parse_korf_set(text):
         if sorted(values) != list(range(16)):
             raise MalformedLine(lineno, "not a permutation of 0..15")
         tiles = bytes(values)
-        if not is_solvable(tiles):
-            inv = sum(1 for i in range(16) for j in range(i + 1, 16)
-                      if tiles[i] > tiles[j])
-            blank = tiles.index(0)
-            report = (f"inversion parity {inv % 2} != blank parity "
-                      f"{(blank // 4 + blank % 4) % 2}")
-            raise UnsolvableInstance(lineno, report)
+        inversion_parity, blank_parity = _parities(tiles)
+        if inversion_parity != blank_parity:
+            raise UnsolvableInstance(
+                lineno, f"inversion parity {inversion_parity} != blank "
+                        f"parity {blank_parity}")
         states.append((tiles, tiles.index(0)))
     return states
 

@@ -1,6 +1,6 @@
-from idastra.engine.config import (AXES, DEFAULT_CONFIG, ExecutionMode,
-                                   StrategyConfig, config_for_axis_value,
-                                   plan_clusters, validate_config)
+from idastra.engine.config import (AXES, DEFAULT_CONFIG, StrategyConfig,
+                                   config_for_axis_value, plan_clusters,
+                                   validate_config)
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
 from idastra.engine.sim import run_sim
@@ -9,7 +9,6 @@ from idastra.engine.run import run_parallel
 __all__ = [
     "AXES",
     "DEFAULT_CONFIG",
-    "ExecutionMode",
     "StrategyConfig",
     "config_for_axis_value",
     "plan_clusters",

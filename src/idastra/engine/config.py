@@ -150,16 +150,3 @@ def plan_clusters(workers, clusters):
         blocks.append(tuple(range(start, start + size)))
         start += size
     return blocks
-
-
-@dataclass(frozen=True)
-class ExecutionMode:
-    kind: str = "DeterministicSim"          # or "RealThreads"
-    message_latency_ticks: int = 1
-
-    def validate(self):
-        if self.kind not in ("DeterministicSim", "RealThreads"):
-            raise InvalidConfig(f"unknown mode {self.kind!r}")
-        if self.message_latency_ticks < 0:
-            raise InvalidConfig("message latency must be >= 0")
-        return self

@@ -1,20 +1,24 @@
 """Mode dispatch for the parallel engine."""
 
-from idastra.engine.config import ExecutionMode
+from idastra.errors import InvalidConfig
 
 
-def run_parallel(problem, config, workers, mode=None, seed=0,
+def run_parallel(problem, config, workers, mode="sim", latency=1, seed=0,
                  serial_outcome=None, timeout=60.0):
-    """Run the engine under the given execution mode (sim by default)."""
+    """Run the engine in "sim" mode (deterministic simulation, the
+    default) or "threads" mode (real threads, at most timeout seconds).
+
+    latency is the simulated message latency in ticks and applies to
+    "sim" only: threads deliver a message at the recipient's next step."""
     from idastra.engine.sim import run_sim
     from idastra.engine.threads import run_threads
 
-    if mode is None:
-        mode = ExecutionMode()
-    mode.validate()
-    if mode.kind == "DeterministicSim":
-        return run_sim(problem, config, workers,
-                       latency=mode.message_latency_ticks, seed=seed,
+    if mode not in ("sim", "threads"):
+        raise InvalidConfig(f"unknown mode {mode!r}")
+    if latency < 0:
+        raise InvalidConfig("message latency must be >= 0")
+    if mode == "sim":
+        return run_sim(problem, config, workers, latency=latency, seed=seed,
                        serial_outcome=serial_outcome)
     return run_threads(problem, config, workers, seed=seed, timeout=timeout,
                        serial_outcome=serial_outcome)

@@ -14,7 +14,7 @@ import random
 from bisect import insort
 from collections import deque
 
-from idastra.core import SearchNode, make_root, serial_idastar
+from idastra.core import make_root, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
@@ -32,7 +32,7 @@ class _Worker:
         self.cluster = None
         self.position = 0               # index within the cluster
         self.open = deque()
-        self.inbox = deque()            # (due_tick, seq, epoch, kind, payload)
+        self.inbox = deque()            # (due_tick, epoch, kind, payload)
         self.stats = WorkerStats()
         self.outstanding = False
         self.flip = True                # next neighbor poll goes right
@@ -43,7 +43,7 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("cid", "members", "threshold", "epoch", "phase",
-                 "live_nodes", "min_exceed", "bf_level", "bf_next",
+                 "live_nodes", "pruned", "bf_level", "bf_next",
                  "bf_cursor", "last_pass_expansions")
 
     def __init__(self, cid, members):
@@ -53,7 +53,7 @@ class _Cluster:
         self.epoch = 0
         self.phase = "pending"   # pending|distributing|searching|holding|done
         self.live_nodes = 0
-        self.min_exceed = None
+        self.pruned = False             # this pass pruned a child
         self.bf_level = []
         self.bf_next = []
         self.bf_cursor = 0
@@ -76,7 +76,7 @@ class _Coordinator:
     cheaper goal in the pool).
     """
 
-    def __init__(self, root_f):
+    def __init__(self):
         self.pool = []                  # sorted candidate f values
         self.pool_set = set()
         self.max_done = None            # highest completed empty pass
@@ -84,7 +84,6 @@ class _Coordinator:
         self.granted_order = []
         self.solutions = []             # (cost, path, finder_threshold, cid)
         self.accepted = None
-        self.root_f = root_f
 
     def add_candidate(self, f):
         if f not in self.pool_set:
@@ -108,8 +107,6 @@ class _Coordinator:
 
     def extrapolate(self):
         g = self.granted_order
-        if not g:
-            return self.root_f
         if len(g) >= 2:
             step = max(1, round((g[-1] - g[0]) / (len(g) - 1)))
         else:
@@ -168,13 +165,13 @@ class _SimEngine:
             self.clusters.append(cl)
 
         self.root = make_root(problem)
-        self.coord = _Coordinator(self.root.f)
+        _state, g, h, _op, _parent = self.root
+        self.root_threshold = g + h
+        self.coord = _Coordinator()
         self.tick = 0
-        self.seq = 0
         self.donated_sent = 0
         self.donated_delivered = 0
         self.donated_dropped = 0
-        self.in_flight = 0
         self.over_threshold = 0
         self.accepting_cluster = 0
         self.last_progress = 0
@@ -183,16 +180,14 @@ class _SimEngine:
     # -- messaging ------------------------------------------------------
 
     def _send(self, sender, target, kind, payload):
-        self.seq += 1
+        # latency is fixed for a run, so each inbox is in due-tick order
         sender.stats.messages_sent += 1
-        self.in_flight += 1
-        target.inbox.append((self.tick + self.latency, self.seq,
-                             sender.cluster.epoch, kind, payload))
+        target.inbox.append((self.tick + self.latency, sender.cluster.epoch,
+                             kind, payload))
 
     def _deliver(self, w):
         while w.inbox and w.inbox[0][0] <= self.tick:
-            _due, _seq, epoch, kind, payload = w.inbox.popleft()
-            self.in_flight -= 1
+            _due, epoch, kind, payload = w.inbox.popleft()
             cl = w.cluster
             if epoch != cl.epoch:       # stale: sent during an ended pass
                 if kind == "don":
@@ -224,7 +219,7 @@ class _SimEngine:
         self.coord.claim(threshold)
         cl.threshold = threshold
         cl.epoch += 1
-        cl.min_exceed = None
+        cl.pruned = False
         cl.live_nodes = 0
         for w in cl.members:
             w.open.clear()
@@ -274,7 +269,7 @@ class _SimEngine:
             if cl.phase != "pending":
                 continue
             if not self.coord.granted_order:
-                self._start_pass(cl, self.root.f)
+                self._start_pass(cl, self.root_threshold)
                 continue
             v = self.coord.next_unclaimed(below=hold)
             if v is not None:
@@ -282,7 +277,7 @@ class _SimEngine:
 
     def _pass_complete(self, cl):
         cl.snapshot_pass()
-        if cl.min_exceed is None and not self.coord.solutions:
+        if not cl.pruned and not self.coord.solutions:
             # nothing exceeded the threshold: the whole space was swept
             self.space_exhausted = True
             return
@@ -307,7 +302,13 @@ class _SimEngine:
 
     def _report_solution(self, cl, node):
         cl.snapshot_pass()
-        self.coord.solutions.append((node.g, node.path, cl.threshold, cl.cid))
+        _state, cost, _h, op, parent = node
+        ops = []
+        while parent is not None:
+            ops.append(op)
+            _state, _g, _h, op, parent = parent
+        path = tuple(reversed(ops))
+        self.coord.solutions.append((cost, path, cl.threshold, cl.cid))
         cl.phase = "holding"
         for w in cl.members:
             w.open.clear()
@@ -323,29 +324,29 @@ class _SimEngine:
     def _expand(self, w, cl, node):
         """One node expansion on worker w; returns surviving children,
         or None when the node was a goal."""
+        state, g, h, op, parent = node
+        threshold = cl.threshold
         w.stats.nodes_expanded += 1
         w.pass_expanded += 1
         self.last_progress = self.tick
-        if node.f > cl.threshold:
+        if g + h > threshold:
             self.over_threshold += 1
-        if self.problem.is_goal(node.state):
+        if self.problem.is_goal(state):
             self._report_solution(cl, node)
             return None
-        raw = self.problem.expand(node.state, node.prev_op, node.h)
+        raw = self.problem.expand(state, op, h)
         if self.order is not None:
-            raw = self.order.arrange(raw, not node.path)
+            raw = self.order.arrange(raw, parent is None)
         w.stats.nodes_generated += len(raw)
         kept = []
-        for child_state, op, cost, h in raw:
-            cg = node.g + cost
-            cf = cg + h
-            if cf > cl.threshold:
+        for child, cop, cost, ch in raw:
+            cg = g + cost
+            cf = cg + ch
+            if cf > threshold:
                 self.coord.add_candidate(cf)
-                if cl.min_exceed is None or cf < cl.min_exceed:
-                    cl.min_exceed = cf
+                cl.pruned = True
             else:
-                kept.append(SearchNode(child_state, cg, h, cf, op,
-                                       node.path + (op,)))
+                kept.append((child, cg, ch, cop, node))
         return kept
 
     def _step(self, w):
@@ -432,7 +433,7 @@ class _SimEngine:
         cost, path = self.coord.accepted
         # undelivered donations count as returned work
         for w in self.workers:
-            for _due, _seq, _epoch, kind, payload in w.inbox:
+            for _due, _epoch, kind, payload in w.inbox:
                 if kind == "don":
                     self.donated_dropped += len(payload)
         balanced = (self.donated_sent

@@ -11,8 +11,8 @@ Lock discipline: one engine lock.  A worker thread holds it for each
 grant-and-step (`_grant_pending` then `_step` of its own worker), and
 nothing else touches engine state until every worker thread is joined;
 only then does the calling thread read the engine to build the report.
-Messages are delivered at the recipient's next step (latency 0), so
-the `--latency` setting does not apply to this mode.
+Messages are delivered at the recipient's next step (latency 0):
+run_parallel's `latency` (the CLI's `--latency`) applies to "sim" only.
 """
 
 import threading

@@ -44,17 +44,6 @@ class ProblemFeatures:
         return ",".join(repr(float(v)) for v in
                         (self.b, self.herror, self.imb, self.loc, self.hbf))
 
-    @staticmethod
-    def csv_header():
-        return "b,herror,imb,loc,hbf"
-
-    @staticmethod
-    def from_csv_row(row):
-        parts = row.split(",")
-        if len(parts) != 5:
-            raise DataError(f"expected 5 feature fields, got {len(parts)}")
-        return ProblemFeatures(*(float(p) for p in parts))
-
     def as_dict(self):
         return {"b": self.b, "herror": self.herror, "imb": self.imb,
                 "loc": self.loc, "hbf": self.hbf}
@@ -72,7 +61,8 @@ def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
     if budget < 1:
         raise DataError(f"budget must be >= 1, got {budget}")
     root = make_root(problem)
-    threshold = root.f
+    _state, g, root_h, _op, _parent = root
+    threshold = g + root_h
     iterations = []
     per_iter_stats = []
     total = 0
@@ -109,7 +99,7 @@ def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
     fertile = sum(s.fertile_expanded for s in per_iter_stats)
     return ShallowTrace(
         iterations=iterations,
-        root_h=root.h,
+        root_h=root_h,
         root_children=root_children,
         subtree_expanded=dict(stats.subtree_expanded),
         subtree_min_leaf_f=dict(stats.subtree_min_leaf_f),

@@ -52,7 +52,3 @@ def cross_validate(dataset, k=10, seed=0):
         errors["majority"].append(rate(lambda c: majority_label))
 
     return errors
-
-
-def mean_error(fold_errors):
-    return sum(fold_errors) / len(fold_errors)

@@ -151,6 +151,34 @@ def test_sweep_survives_invalid_grid_value(run_cli, tmp_path):
             assert status[f"{axis}={value}"] == "InvalidConfig"
 
 
+def _forbid_search(monkeypatch):
+    import idastra.cli as cli_mod
+
+    def no_search(*_a, **_k):
+        raise AssertionError("searched before checking the run flags")
+
+    monkeypatch.setattr(cli_mod, "shallow_search", no_search)
+    monkeypatch.setattr(cli_mod, "serial_idastar", no_search)
+
+
+BAD_RUN_FLAGS = ((["--latency", -1], "--latency must be >= 0"),
+                 (["--workers", 0], "--workers must be >= 1"))
+
+
+def test_sweep_rejects_bad_run_flags_before_searching(run_cli, tmp_path,
+                                                      monkeypatch):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=2)
+    _forbid_search(monkeypatch)
+    records = tmp_path / "records.csv"
+    for flags, message in BAD_RUN_FLAGS:
+        code, _out, err = run_cli(["sweep", "--instances", *files,
+                                   "--axis", "clusters", "--grid", "1",
+                                   *flags, "--out", records])
+        assert code == 1, flags
+        assert message in err
+        assert not records.exists()
+
+
 def test_sweep_runs_toida_ordering(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "inst"), count=2)
     records = str(tmp_path / "records.csv")
@@ -297,6 +325,20 @@ def test_solve_appends_optimal_record(run_cli, tmp_path):
     assert rows[0]["approach"] == "advised"
     assert int(rows[0]["cost"]) == want
     assert rows[0]["status"] == "ok"
+
+
+def test_solve_rejects_bad_run_flags_before_searching(run_cli, tmp_path,
+                                                      monkeypatch):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    _forbid_search(monkeypatch)
+    records = tmp_path / "solve.csv"
+    for flags, message in BAD_RUN_FLAGS:
+        code, out, err = run_cli(["solve", "--instances", files[0],
+                                  *flags, "--out", records])
+        assert code == 1, flags
+        assert message in err
+        assert out == ""
+        assert not records.exists()
 
 
 def test_solve_with_a_toida_model(run_cli, tmp_path):

@@ -58,9 +58,10 @@ def test_pass_example_depth2_uniform():
     # threshold-0 pass expands the root alone
     problem = ArtificialProblem(_spec(d=2, b=3, density=1e-12, seed=1))
     root = make_root(problem)
-    assert root.h == 2                       # depth cap: d - 0
+    # (state, g, h, op, parent); h is the depth cap d - 0
+    assert root[1:] == (0, 2, -1, None)
     res0 = cost_bounded_dfs(problem, root, 1)
-    assert res0.nodes_expanded == 0          # root.f = 2 > 1
+    assert res0.nodes_expanded == 0          # root f = 2 > 1
     assert res0.min_exceeding_f == 2
     res = cost_bounded_dfs(problem, root, 2)
     exp, _gen, _me, sol = bounded_dfs_reference(problem, 2)
@@ -71,10 +72,11 @@ def test_pass_example_depth2_uniform():
 def test_root_over_threshold_short_circuits():
     problem = ArtificialProblem(_spec())
     root = make_root(problem)
-    res = cost_bounded_dfs(problem, root, root.f - 1)
+    _state, g, h, _op, _parent = root
+    res = cost_bounded_dfs(problem, root, g + h - 1)
     assert res.nodes_expanded == 0
     assert res.nodes_generated == 0
-    assert res.min_exceeding_f == root.f
+    assert res.min_exceeding_f == g + h
     assert not res.truncated
 
 

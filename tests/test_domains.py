@@ -242,8 +242,10 @@ def test_parse_korf_set_errors():
                        "0 0 0 0 0 0 0 0\n")
     bad = list(range(16))
     bad[1], bad[2] = bad[2], bad[1]
-    with pytest.raises(UnsolvableInstance, match="line 1"):
+    with pytest.raises(UnsolvableInstance) as info:
         parse_korf_set(" ".join(map(str, bad)))
+    assert str(info.value) == ("line 1: unsolvable instance (inversion "
+                               "parity 1 != blank parity 0)")
 
 
 def test_parse_korf_set_accepts_comments_and_blanks():

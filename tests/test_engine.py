@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from idastra.core import SearchOutcome, serial_idastar
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
-from idastra.engine import (DEFAULT_CONFIG, ExecutionMode, StrategyConfig,
+from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, plan_clusters,
                             run_parallel, run_sim, validate_config)
 from idastra.engine.parts import anticipatory_check, donate, poll_target
@@ -30,12 +30,13 @@ def _spec(**kw):
     return ArtificialSpec(**base)
 
 
-def _run(problem, workers=4, mode=None, seed=0, **axes):
+def _run(problem, workers=4, mode="sim", latency=1, seed=0, **axes):
     config = DEFAULT_CONFIG
     for axis, value in axes.items():
         config = config.with_value(axis, value)
     validate_config(config, workers)
-    return run_parallel(problem, config, workers, mode=mode, seed=seed)
+    return run_parallel(problem, config, workers, mode=mode, latency=latency,
+                        seed=seed)
 
 
 # ----------------------------------------------------- donation slicing
@@ -216,12 +217,15 @@ def test_validate_config_rejections():
 
 
 def test_execution_mode_validation():
-    ExecutionMode().validate()
-    ExecutionMode("RealThreads", 0).validate()
-    with pytest.raises(InvalidConfig):
-        ExecutionMode("Quantum").validate()
-    with pytest.raises(InvalidConfig):
-        ExecutionMode("DeterministicSim", -1).validate()
+    problem = ArtificialProblem(_spec())
+    assert _run(problem, workers=2, latency=0).mode == "sim"
+    assert _run(problem, workers=2, mode="threads").mode == "threads"
+    # both checks come before any search, so a goalless space never runs
+    for mode, latency in (("Quantum", 1), ("Threads", 1), (None, 1),
+                          ("sim", -1), ("threads", -1)):
+        with pytest.raises(InvalidConfig):
+            run_parallel(NoGoalProblem(), DEFAULT_CONFIG, 2, mode=mode,
+                         latency=latency)
 
 
 # --------------------------------------------------- simulator behaviour
@@ -284,8 +288,7 @@ def test_latency_does_not_change_the_answer():
     problem = ArtificialProblem(spec)
     want = serial_idastar(problem).cost
     for latency in (0, 1, 3, 7):
-        mode = ExecutionMode("DeterministicSim", latency)
-        report = _run(problem, workers=4, mode=mode, clusters="2")
+        report = _run(problem, workers=4, latency=latency, clusters="2")
         assert report.solution_cost == want, latency
 
 
@@ -401,9 +404,8 @@ def test_threads_mode_finds_optimal_cost():
     spec = _spec(d=4, b=3, herror=2, seed=10)
     problem = ArtificialProblem(spec)
     want = serial_idastar(problem).cost
-    mode = ExecutionMode("RealThreads")
     report = run_parallel(problem, DEFAULT_CONFIG.with_value("clusters", "2"),
-                          2, mode=mode, seed=0)
+                          2, mode="threads", seed=0)
     assert report.solution_cost == want
     assert report.mode == "threads"
 
@@ -411,7 +413,7 @@ def test_threads_mode_finds_optimal_cost():
 def test_engine_failures_raise_in_both_modes():
     # a serial search of a goalless space raises, so pass a stand-in
     baseline = SearchOutcome((), 0, [], 1, 0)
-    for mode in (ExecutionMode(), ExecutionMode("RealThreads")):
+    for mode in ("sim", "threads"):
         with pytest.raises(SpaceExhausted):
             run_parallel(NoGoalProblem(), DEFAULT_CONFIG, 2, mode=mode,
                          serial_outcome=baseline)
@@ -421,7 +423,7 @@ def test_engine_failures_raise_in_both_modes():
                                       seed=1))
     with pytest.raises(EngineStall):
         run_parallel(problem, DEFAULT_CONFIG, 2,
-                     mode=ExecutionMode("RealThreads"), timeout=0,
+                     mode="threads", timeout=0,
                      serial_outcome=baseline)
 
 
@@ -430,14 +432,12 @@ def test_threads_speedup_is_against_serial_wall_time():
     serial = serial_idastar(problem)
     assert serial.wall_s > 0
     report = run_parallel(problem, DEFAULT_CONFIG, 2,
-                          mode=ExecutionMode("RealThreads"),
-                          serial_outcome=serial)
+                          mode="threads", serial_outcome=serial)
     assert report.speedup == pytest.approx(serial.wall_s / report.makespan)
 
 
 def test_threads_mode_stress_donates_and_stays_optimal():
     # four threads sharing clusters of two or four, so workers steal work
-    mode = ExecutionMode("RealThreads")
     specs = [_spec(d=6, g=0.6, imbalance=0.3, density=1e-9, herror=4,
                    seed=1),
              _spec(d=7, g=0.7, imbalance=0.3, density=1e-9, herror=5,
@@ -452,8 +452,8 @@ def test_threads_mode_stress_donates_and_stays_optimal():
                 ("BreadthFirst", "KumarRao"), (1, 2), ("Neighbor", "Random")):
             config = StrategyConfig(distribution=distribution,
                                     clusters=clusters, polling=polling)
-            report = run_parallel(problem, config, 4, mode=mode, seed=i,
-                                  serial_outcome=serial)
+            report = run_parallel(problem, config, 4, mode="threads",
+                                  seed=i, serial_outcome=serial)
             case = (spec, config.token())
             assert report.solution_cost == serial.cost, case
             assert report.tokens_balanced, case

@@ -179,12 +179,12 @@ def test_degenerate_trace_rejected():
 
 
 def test_features_csv_round_trip():
+    # the text advise prints after "features: ", in b,herror,imb,loc,hbf
+    # order, each value's repr round-tripping exactly
     feats = ProblemFeatures(b=2.5, herror=1.0, imb=0.25, loc=0.625,
                             hbf=2.375)
-    assert ProblemFeatures.from_csv_row(feats.csv_row()) == feats
-    assert ProblemFeatures.csv_header() == "b,herror,imb,loc,hbf"
-    with pytest.raises(DataError):
-        ProblemFeatures.from_csv_row("1.0,2.0,3.0")
+    assert feats.csv_row() == "2.5,1.0,0.25,0.625,2.375"
+    assert ProblemFeatures(*map(float, feats.csv_row().split(","))) == feats
 
 
 def test_stability_report_shapes_and_guards():

@@ -4,6 +4,7 @@ t-test against scipy."""
 import json
 import math
 import random
+from statistics import fmean
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,6 @@ from idastra.learner import (Dataset, TrainingCase, append_cases,
                              variance_filter)
 from idastra.learner.cases import canonical_label_order
 from idastra.learner.dtree import Leaf, Split, tree_depth, tree_leaves
-from idastra.learner.evaluate import mean_error
 
 
 def _features(b=3.0, herror=0.0, imb=0.0, loc=0.5, hbf=3.0):
@@ -302,8 +302,8 @@ def test_cross_validation_methods_and_shapes():
     assert all(len(v) == 5 for v in results.values())
     assert all(0.0 <= e <= 1.0 for v in results.values() for e in v)
     # the rule is learnable: the tree must beat both fixed guesses
-    assert mean_error(results["tree"]) < mean_error(results["fixed:1"])
-    assert mean_error(results["tree"]) < mean_error(results["fixed:16"])
+    assert fmean(results["tree"]) < fmean(results["fixed:1"])
+    assert fmean(results["tree"]) < fmean(results["fixed:16"])
     # "16" dominates every training fold, so majority mirrors fixed:16
     assert results["majority"] == results["fixed:16"]
 
