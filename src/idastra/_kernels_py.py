@@ -1,13 +1,20 @@
 """Pure-Python hot kernels.
 
+puzzle_expand and synthetic_expand return exactly the (state, op, cost,
+h) children a domain's expand hands the search loop.
+
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
 masked integers.  It is a left fold of hash_step, so a child's hash is
-one step of its parent's.
+one step of its parent's; synthetic_expand takes that step inline for
+both of a child's hash keys.
 """
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# hash_step's two mixing multipliers
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 BACKEND = "python"
 
@@ -103,8 +110,8 @@ def hash_step(h, c):
     """One step of path_hash's left fold: the hash of a path extended by
     byte c, given the hash h of the path."""
     z = (h + _GAMMA * (c + 1)) & _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
 
 
@@ -115,3 +122,52 @@ def path_hash(seed, tag, path):
     for c in path:
         h = hash_step(h, c)
     return h
+
+
+# hash_step's additive constant per byte, and each byte as a bytes object
+_STEP_ADD = tuple(_GAMMA * (c + 1) & _MASK for c in range(256))
+_BYTE = tuple(bytes((c,)) for c in range(256))
+
+
+def synthetic_expand(path, shared, err_key, goal_key, indices, goal_next,
+                     d, density_threshold, emod):
+    """Expand an artificial-tree node.
+
+    path, shared, err_key, goal_key: the node's state (its child-index
+    bytes, common-prefix length with the goal path, and error- and
+    goal-stream hash keys).  indices: the surviving child indices;
+    goal_next: the index that stays on the goal path, or -1.  d, the
+    density threshold and emod (herror + 1) are the spec's.  Returns a
+    list of ((path, shared, err_key, goal_key), i, 1, h) tuples, with
+    each key one hash_step of its parent's and h as
+    ArtificialProblem._h computes it: exactly the (state, op, cost, h)
+    children ArtificialProblem.expand returns.
+    """
+    depth = len(path) + 1
+    at_leaf = depth == d
+    capped = density_threshold > 0
+    out = []
+    for i in indices:
+        add = _STEP_ADD[i]
+        z = (err_key + add) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        c_err = z ^ (z >> 31)
+        z = (goal_key + add) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+        c_goal = z ^ (z >> 31)
+        c_shared = shared + 1 if i == goal_next else shared
+        if at_leaf and (c_shared == d or c_goal < density_threshold):
+            h = 0                   # a goal
+        else:
+            # back out of the non-shared suffix, then down the goal path;
+            # with extra goals about, no further than the remaining depth
+            h = depth + d - 2 * c_shared
+            if capped and h > d - depth:
+                h = d - depth
+            h -= c_err % emod
+            if h < 0:
+                h = 0
+        out.append(((path + _BYTE[i], c_shared, c_err, c_goal), i, 1, h))
+    return out

@@ -125,6 +125,16 @@ def _attach_toida(config, trace):
     return config
 
 
+def _serial_baseline(problem, config, baselines):
+    """The serial search a run's speedup is measured against, under the
+    run's own child ordering; baselines holds one per ordering."""
+    order = None if config.ordering.is_identity() else config.ordering
+    key = None if order is None else order.token()
+    if key not in baselines:
+        baselines[key] = serial_idastar(problem, order=order)
+    return baselines[key]
+
+
 def _append_records(path, rows):
     need_header = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as fh:
@@ -218,7 +228,7 @@ def _sweep_instance(args, iid, problem, grid, base, rows):
     run to rows.  Returns (features, mean makespan per grid value);
     features is None when profiling solved the instance."""
     trace = shallow_search(problem, budget=args.budget)
-    serial = serial_idastar(problem)
+    baselines = {}
     features = None
     if trace.goal_found is None:
         features = extract_features(trace)
@@ -233,6 +243,7 @@ def _sweep_instance(args, iid, problem, grid, base, rows):
                 config = _attach_toida(config, trace)
                 row["config"] = config.token()
                 validate_config(config, args.workers)
+                serial = _serial_baseline(problem, config, baselines)
                 report = run_parallel(problem, config, args.workers,
                                       mode=args.mode, latency=args.latency,
                                       seed=args.seed, serial_outcome=serial)
@@ -430,7 +441,7 @@ def cmd_solve(args):
             _append_records(args.out, [row])
         return 0
     _warn_threads_mode(args)
-    serial = serial_idastar(problem)
+    serial = _serial_baseline(problem, config, {})
     report = run_parallel(problem, config, args.workers, mode=args.mode,
                           latency=args.latency, seed=args.seed,
                           serial_outcome=serial)

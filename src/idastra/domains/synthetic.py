@@ -122,7 +122,8 @@ class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
     err_key and goal_key are path_hash(seed, tag, path) in the error and
-    goal streams; expand extends each by one hash_step per child.
+    goal streams; expand's kernel extends each by one hash step per child
+    and computes the child's h as _h does.
     """
 
     def __init__(self, spec):
@@ -191,28 +192,22 @@ class ArtificialProblem:
         return max(0, dist - err_key % self._emod)
 
     def child_indices(self, state):
-        path, shared = state[0], state[1]
-        k = len(path)
-        if shared == k:
-            return self._on_path_children[k]
-        return self._off_path_children[k]
+        return tuple(op for _child, op, _cost, _h
+                     in self.expand(state, -1, 0))
 
     def expand(self, state, prev_op, h):
         path, shared, err_key, goal_key = state
-        depth = len(path) + 1
-        # the child that stays on the goal path, if any
-        goal_next = (self.goal_path[shared]
-                     if shared == depth - 1 < self.spec.d else -1)
-        step = kernels.hash_step
-        child_h = self._h
-        out = []
-        for i in self.child_indices(state):
-            c_shared = shared + 1 if i == goal_next else shared
-            c_err = step(err_key, i)
-            c_goal = step(goal_key, i)
-            out.append(((path + bytes((i,)), c_shared, c_err, c_goal), i, 1,
-                        child_h(depth, c_shared, c_err, c_goal)))
-        return out
+        depth = len(path)
+        if shared == depth < self.spec.d:
+            # on the goal path: its next step survives every depth limit
+            indices = self._on_path_children[depth]
+            goal_next = self.goal_path[depth]
+        else:
+            indices = self._off_path_children[depth]
+            goal_next = -1
+        return kernels.synthetic_expand(path, shared, err_key, goal_key,
+                                        indices, goal_next, self.spec.d,
+                                        self.density_threshold, self._emod)
 
     def count_nodes(self):
         """Total tree size (root included); exponential, test-sized only."""

@@ -1,10 +1,13 @@
 """Deterministic discrete-event parallel search engine.
 
 Virtual time advances in ticks; each worker performs at most one node
-expansion per tick, and workers are stepped round-robin by id.  Work
-messages (requests, donations, refusals) arrive message_latency_ticks
-after sending; coordination (threshold grants, pass reports, solution
-gating) is centralised in the coordinator and modelled as instantaneous.
+expansion per tick, and workers are stepped round-robin by id.  A worker
+whose cluster is parked (pending a threshold, holding a solution, or
+done) and has no message due is not stepped: the tick loop credits its
+idle tick directly.  Work messages (requests, donations, refusals)
+arrive message_latency_ticks after sending; coordination (threshold
+grants, pass reports, solution gating) is centralised in the
+coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
 seed), so reports are bit-identical across repetitions.  The threads
 driver (engine/threads.py) steps this same engine on real threads.
@@ -21,6 +24,8 @@ from idastra.engine.report import EngineReport, WorkerStats
 from idastra.errors import EngineStall, SpaceExhausted
 
 _NO_PROGRESS_CAP = 20000
+# cluster phases whose workers have nothing to expand
+_PARKED = frozenset(("pending", "holding", "done"))
 
 
 class _Worker:
@@ -42,13 +47,14 @@ class _Worker:
 
 
 class _Cluster:
-    __slots__ = ("cid", "members", "threshold", "epoch", "phase",
-                 "live_nodes", "pruned", "bf_level", "bf_next",
+    __slots__ = ("cid", "members", "can_balance", "threshold", "epoch",
+                 "phase", "live_nodes", "pruned", "bf_level", "bf_next",
                  "bf_cursor", "last_pass_expansions")
 
-    def __init__(self, cid, members):
+    def __init__(self, cid, members, load_balancing):
         self.cid = cid
         self.members = members
+        self.can_balance = load_balancing and len(members) > 1
         self.threshold = None
         self.epoch = 0
         self.phase = "pending"   # pending|distributing|searching|holding|done
@@ -158,12 +164,14 @@ class _SimEngine:
         self.clusters = []
         for cid, block in enumerate(plan_clusters(workers, config.clusters)):
             members = [self.workers[w] for w in block]
-            cl = _Cluster(cid, members)
+            cl = _Cluster(cid, members, config.load_balancing)
             for pos, w in enumerate(members):
                 w.cluster = cl
                 w.position = pos
             self.clusters.append(cl)
 
+        self._is_goal = problem.is_goal
+        self._expand_node = problem.expand
         self.root = make_root(problem)
         _state, g, h, _op, _parent = self.root
         self.root_threshold = g + h
@@ -272,8 +280,9 @@ class _SimEngine:
                 self._start_pass(cl, self.root_threshold)
                 continue
             v = self.coord.next_unclaimed(below=hold)
-            if v is not None:
-                self._start_pass(cl, v)
+            if v is None:
+                return              # nor is there one for a later cluster
+            self._start_pass(cl, v)
 
     def _pass_complete(self, cl):
         cl.snapshot_pass()
@@ -321,77 +330,73 @@ class _SimEngine:
 
     # -- worker stepping --------------------------------------------------
 
-    def _expand(self, w, cl, node):
-        """One node expansion on worker w; returns surviving children,
-        or None when the node was a goal."""
+    def _step(self, w):
+        """One tick of worker w: take due messages, then expand one node
+        (the distributing lead's next frontier node, or the head of a
+        searching worker's open list) or idle."""
+        inbox = w.inbox
+        if inbox and inbox[0][0] <= self.tick:
+            self._deliver(w)
+        if self.coord.accepted is not None or self.space_exhausted:
+            return
+        cl = w.cluster
+        phase = cl.phase
+        open_ = w.open
+        if phase == "searching" and open_:
+            node = open_.popleft()
+        elif phase == "distributing" and w is cl.members[0]:
+            node = cl.bf_level[cl.bf_cursor]
+            cl.bf_cursor += 1
+        else:
+            w.stats.idle_ticks += 1
+            if phase == "searching" and cl.can_balance \
+                    and not w.outstanding:
+                self._request_work(w)
+            return
+
         state, g, h, op, parent = node
         threshold = cl.threshold
-        w.stats.nodes_expanded += 1
+        stats = w.stats
+        stats.nodes_expanded += 1
         w.pass_expanded += 1
         self.last_progress = self.tick
         if g + h > threshold:
             self.over_threshold += 1
-        if self.problem.is_goal(state):
+        if self._is_goal(state):
             self._report_solution(cl, node)
-            return None
-        raw = self.problem.expand(state, op, h)
+            return
+        raw = self._expand_node(state, op, h)
         if self.order is not None:
             raw = self.order.arrange(raw, parent is None)
-        w.stats.nodes_generated += len(raw)
+        stats.nodes_generated += len(raw)
+        coord = self.coord
+        pool_set = coord.pool_set
         kept = []
         for child, cop, cost, ch in raw:
             cg = g + cost
             cf = cg + ch
             if cf > threshold:
-                self.coord.add_candidate(cf)
+                if cf not in pool_set:
+                    coord.add_candidate(cf)
                 cl.pruned = True
             else:
                 kept.append((child, cg, ch, cop, node))
-        return kept
 
-    def _step(self, w):
-        self._deliver(w)
-        if self.coord.accepted is not None or self.space_exhausted:
+        if phase == "distributing":
+            cl.bf_next.extend(kept)
+            if cl.bf_cursor == len(cl.bf_level):
+                self._bf_level_done(cl)
             return
-        cl = w.cluster
-        if cl.phase == "distributing":
-            if w is cl.members[0]:
-                node = cl.bf_level[cl.bf_cursor]
-                cl.bf_cursor += 1
-                kept = self._expand(w, cl, node)
-                if kept is None:
-                    return              # goal reported
-                cl.bf_next.extend(kept)
-                if cl.bf_cursor == len(cl.bf_level):
-                    self._bf_level_done(cl)
-            else:
-                w.stats.idle_ticks += 1
+        live = cl.live_nodes - 1 + len(kept)
+        cl.live_nodes = live
+        if live == 0:
+            self._pass_complete(cl)
             return
-        if cl.phase != "searching":
-            w.stats.idle_ticks += 1
-            return
-        if w.open:
-            node = w.open.popleft()
-            cl.live_nodes -= 1
-            kept = self._expand(w, cl, node)
-            if kept is None:
-                return
-            if kept:
-                w.open.extendleft(reversed(kept))
-                cl.live_nodes += len(kept)
-            if cl.live_nodes == 0 and cl.phase == "searching":
-                self._pass_complete(cl)
-                return
-            if self.config.load_balancing and len(cl.members) > 1 \
-                    and anticipatory_check(len(w.open),
-                                           self.config.anticipation_trigger,
-                                           w.outstanding):
-                self._request_work(w)
-        else:
-            w.stats.idle_ticks += 1
-            if self.config.load_balancing and len(cl.members) > 1 \
-                    and not w.outstanding:
-                self._request_work(w)
+        if kept:
+            open_.extendleft(reversed(kept))
+        if cl.can_balance and anticipatory_check(
+                len(open_), self.config.anticipation_trigger, w.outstanding):
+            self._request_work(w)
 
     def _request_work(self, w):
         members = [m.wid for m in w.cluster.members]
@@ -404,14 +409,36 @@ class _SimEngine:
 
     # -- main loop ----------------------------------------------------------
 
+    def _tick(self):
+        """Step every worker once, in id order (clusters are contiguous
+        id blocks).  A worker of a parked cluster (pending, holding or
+        done) with no message due is credited its idle tick unstepped:
+        its step would only count that tick."""
+        tick = self.tick
+        coord = self.coord
+        step = self._step
+        for cl in self.clusters:
+            if cl.phase in _PARKED:
+                # a parked worker's step only drops stale messages, takes
+                # a refusal or refuses a request: it changes no phase and
+                # accepts no solution
+                for w in cl.members:
+                    inbox = w.inbox
+                    if inbox and inbox[0][0] <= tick:
+                        step(w)
+                    else:
+                        w.stats.idle_ticks += 1
+                continue
+            for w in cl.members:
+                step(w)
+                if coord.accepted is not None:
+                    return
+
     def run(self):
         cap = max(100000, 50 * self.serial.total_expanded)
         while True:
             self._grant_pending()
-            for w in self.workers:
-                self._step(w)
-                if self.coord.accepted is not None:
-                    break
+            self._tick()
             if self.space_exhausted:
                 raise SpaceExhausted(
                     "a pass completed without pruning or solving")

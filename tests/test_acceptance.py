@@ -144,6 +144,7 @@ def test_c05_best_cluster_count_tracks_space_shape():
     P, cluster_grid, seeds = 16, (1, 2, 4, 8, 16), (1, 2, 3, 4, 5)
     base = dict(d=9, g=0.5, b=3, imbalance=0.0, density=1e-9, herror=5)
     cache = {}
+    baselines = {}                  # one serial search per problem
 
     def mean_makespan(kw, clusters):
         key = (tuple(sorted(kw.items())), clusters)
@@ -151,9 +152,13 @@ def test_c05_best_cluster_count_tracks_space_shape():
             cfg = DEFAULT_CONFIG.with_value("clusters", str(clusters))
             runs = []
             for seed in seeds:
-                problem = ArtificialProblem(ArtificialSpec(seed=seed, **kw))
-                runs.append(run_parallel(problem, cfg, workers=P,
-                                         seed=seed).makespan)
+                spec = ArtificialSpec(seed=seed, **kw)
+                problem = ArtificialProblem(spec)
+                if spec not in baselines:
+                    baselines[spec] = serial_idastar(problem)
+                runs.append(run_parallel(
+                    problem, cfg, workers=P, seed=seed,
+                    serial_outcome=baselines[spec]).makespan)
             cache[key] = statistics.fmean(runs)
         return cache[key]
 
@@ -308,11 +313,12 @@ def test_c09_advised_strategy_beats_every_fixed_one():
     rows = []
     for spec in specs:
         problem = ArtificialProblem(spec)
+        serial = serial_idastar(problem)
         timings = {}
         for lab in labels:
             cfg = DEFAULT_CONFIG.with_value("clusters", lab)
-            timings[lab] = run_parallel(problem, cfg, workers=P,
-                                        seed=1).makespan
+            timings[lab] = run_parallel(problem, cfg, workers=P, seed=1,
+                                        serial_outcome=serial).makespan
         trace = shallow_search(problem, budget=300)
         assert trace.goal_found is None
         rows.append((timings, extract_features(trace)))

@@ -51,6 +51,22 @@ def test_kernel_wrapper_counts_every_expansion(monkeypatch):
     assert len(calls) == out.total_expanded - 1 > 0
 
 
+def test_kernel_wrapper_counts_every_synthetic_expansion(monkeypatch):
+    # one synthetic_expand call per expansion, so a benchmark that wraps
+    # the kernel sees the synthetic domain's hashing
+    calls = []
+    original = _backend.kernels.synthetic_expand
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(_backend.kernels, "synthetic_expand", counting)
+    out = serial_idastar(ArtificialProblem(ArtificialSpec(
+        d=6, g=0.6, b=3, imbalance=0.2, density=1e-9, herror=3, seed=4)))
+    assert len(calls) == out.total_expanded - 1 > 0
+
+
 def test_recorder_round_counts_kernel_calls(tracing):
     problem = PuzzleProblem(scramble(20, 1))
     with tracing.Recorder(True, 0) as rec:

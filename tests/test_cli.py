@@ -2,6 +2,7 @@
 solve, report, curves."""
 
 import csv
+import dataclasses
 import os
 
 import pytest
@@ -10,6 +11,9 @@ from idastra.cli import RECORD_FIELDS
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
+from idastra.engine import StrategyConfig, run_parallel
+from idastra.features import shallow_search
+from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
 EASY_PUZZLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "data", "easy_puzzles.txt")
@@ -199,6 +203,50 @@ def test_sweep_runs_toida_ordering(run_cli, tmp_path):
                  if r["instance"] == iid and r["approach"] == "ordering=Toida"]
         assert len(toida) == 1 and toida[0]["config"].endswith(":Toida")
         assert int(toida[0]["cost"]) == want
+
+
+def _unbaselined_speedup(problem, token, trace, workers):
+    """The speedup run_parallel reports when it runs its own serial
+    search, as the CLI prints it."""
+    config = StrategyConfig.from_token(token)
+    if config.ordering.kind == "Toida":
+        config = dataclasses.replace(config, ordering=OrderPolicy.toida(
+            toida_scores_from_trace(trace)))
+    report = run_parallel(problem, config, workers)
+    return f"{report.speedup:.6g}"
+
+
+def test_speedups_are_against_the_runs_own_ordering(run_cli, tmp_path):
+    # the serial baseline searches in the run's child order; against the
+    # identity order, Fixed:3102 recorded a speedup of 447.7, not 0.82
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1, d="8", b="3",
+                 g="0.5", herror="3", seed=7)
+    problem = ArtificialProblem(ArtificialSpec.from_file(files[0]))
+    trace = shallow_search(problem, budget=50)
+    records = str(tmp_path / "records.csv")
+    code, _out, _err = run_cli(["sweep", "--instances", *files,
+                                "--axis", "ordering",
+                                "--grid", "Fixed,Fixed:3102,Local,Toida",
+                                "--workers", 4, "--budget", 50,
+                                "--out", records])
+    assert code == 0
+    rows = _read_csv(records)
+    assert [r["status"] for r in rows] == ["ok"] * 4
+    for row in rows:
+        assert row["speedup"] == _unbaselined_speedup(
+            problem, row["config"], trace, 4), row["config"]
+
+    model = tmp_path / "ordering.tree"
+    model.write_text("leaf Local 1 0\n")
+    code, out, _err = run_cli(["solve", "--instances", files[0],
+                               "--model", f"ordering={model}",
+                               "--workers", 4, "--budget", 50])
+    assert code == 0
+    token = next(line[len("config: "):] for line in out.splitlines()
+                 if line.startswith("config: "))
+    assert token.endswith(":Local")
+    want = _unbaselined_speedup(problem, token, trace, 4)
+    assert f"speedup: {want}\n" in out
 
 
 # -------------------------------------------------- train then advise

@@ -300,48 +300,82 @@ def test_simulation_is_deterministic():
     assert repr(reports[0]) == repr(reports[1])
 
 
-# Sim reports recorded before the threads driver began stepping the sim
-# engine: (workers, config token) -> (makespan, first 16 hex digits of
-# the sha256 of repr(report)), all at latency 1 and seed 3.
-_PINNED_SPEC = _spec(d=7, g=0.7, b=3, imbalance=0.3, density=1e-9,
-                     herror=5, seed=4)
+# Sim reports pinned as (spec, workers, latency, config token) ->
+# (makespan, first 16 hex digits of the sha256 of repr(report)), all at
+# seed 3.  The latency-1 "deep" P=4 and P=16 entries up to the Local one
+# were recorded before the threads driver began stepping the sim engine;
+# the rest before parked workers stopped being stepped.  At P=16 most
+# clusters wait for a threshold; on "dense" and "skewed", work requests
+# and donations are still in flight to clusters that finish or hold a
+# solution, so parked workers receive messages and answer with refusals.
+_PINNED_SPECS = {
+    "deep": _spec(d=7, g=0.7, b=3, imbalance=0.3, density=1e-9, herror=5,
+                  seed=4),
+    "dense": _spec(d=6, g=0.5, b=3, imbalance=0.6, density=1.0, herror=4,
+                   seed=1),
+    "skewed": _spec(d=6, g=0.5, b=3, imbalance=0.6, density=1e-9, herror=4,
+                    seed=1),
+}
 _PINNED_REPORTS = {
-    (4, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
         (405.0, "d8445b8dced2f8ce"),
-    (4, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (345.0, "f3391893e4783b4d"),
-    (4, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
         (264.0, "f6c922705d0378c8"),
-    (4, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (537.0, "17241fb7b73fe670"),
-    (4, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
         (946.0, "7a6b83602963a2a2"),
-    (4, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 4, 1, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (946.0, "7a6b83602963a2a2"),
-    (16, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
         (131.0, "2ec8e80228beb4cf"),
-    (16, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (192.0, "72ef8f74faad9e9a"),
-    (16, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "KumarRao:2:on:Random:0.3:TailOfList:0:Fixed"):
         (111.0, "e761ea9f64524309"),
-    (16, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (87.0, "f035e04b8f840108"),
-    (16, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
         (124.0, "f6db2557ba021b1b"),
-    (16, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
+    ("deep", 16, 1, "BreadthFirst:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (205.0, "7c37329e88815e03"),
-    (4, "KumarRao:2:on:Random:0.3:TailOfList:0:Local"):
+    ("deep", 4, 1, "KumarRao:2:on:Random:0.3:TailOfList:0:Local"):
         (209.0, "0d031f0aed5001c8"),
+    ("deep", 16, 1, "KumarRao:8:on:Random:0.3:TailOfList:0:Fixed"):
+        (213.0, "2833df0a07d4a7bf"),
+    ("deep", 16, 1, "BreadthFirst:16:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (944.0, "f9fb82ddfca54919"),
+    ("deep", 16, 0, "KumarRao:8:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (207.0, "0464ebbd432025ca"),
+    ("deep", 16, 3, "BreadthFirst:8:on:Random:0.3:TailOfList:0:Fixed"):
+        (498.0, "90ddb1addcd7c71d"),
+    ("deep", 16, 3, "KumarRao:4:on:Neighbor:0.3:TailOfList:0:Local"):
+        (314.0, "3518195ecedc8dd5"),
+    ("dense", 16, 0, "KumarRao:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (28.0, "7d19ac77edeeeec5"),
+    ("dense", 16, 3, "KumarRao:4:on:Random:0.3:TailOfList:0:Fixed"):
+        (46.0, "4ee5441ed8c1e452"),
+    ("dense", 16, 1, "BreadthFirst:8:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (46.0, "8882a25e95f398af"),
+    ("dense", 16, 1, "KumarRao:16:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (88.0, "e1b41e60487d8370"),
+    ("skewed", 16, 3, "KumarRao:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (53.0, "b01d1aaa03a179dd"),
+    ("skewed", 16, 3, "KumarRao:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (47.0, "2fbf5499ac681c87"),
 }
 
 
 def test_sim_reports_match_pinned_values():
-    problem = ArtificialProblem(_PINNED_SPEC)
-    for (workers, token), want in _PINNED_REPORTS.items():
-        report = run_sim(problem, StrategyConfig.from_token(token), workers,
-                         seed=3)
+    for (name, workers, latency, token), want in _PINNED_REPORTS.items():
+        report = run_sim(ArtificialProblem(_PINNED_SPECS[name]),
+                         StrategyConfig.from_token(token), workers,
+                         latency=latency, seed=3)
         digest = hashlib.sha256(repr(report).encode()).hexdigest()[:16]
-        assert (report.makespan, digest) == want, (workers, token)
+        assert (report.makespan, digest) == want, (name, workers, latency,
+                                                   token)
 
 
 def test_report_accounting_invariants():

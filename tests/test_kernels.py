@@ -3,11 +3,12 @@ anchors."""
 
 import random
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idastra import _kernels_py
 from idastra.domains.puzzle import scramble
+from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from oracles import apply_op_reference, manhattan_reference
 
 
@@ -92,3 +93,33 @@ def test_hash_step_extends_path_hash_by_one_byte(seed, tag, path):
     for i, c in enumerate(path):
         h = _kernels_py.hash_step(h, c)
         assert h == _kernels_py.path_hash(seed, tag, path[:i + 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(2, 5), d=st.integers(1, 9),
+       g=st.floats(0.0, 1.0), herror=st.integers(0, 6),
+       density=st.sampled_from((0.0, 1e-9, 0.05, 1.0)),
+       imbalance=st.sampled_from((0.0, 0.6)),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_synthetic_expand_matches_states_built_from_scratch(
+        b, d, g, herror, density, imbalance, seed, data):
+    # walk down from the root; every child the kernel returns is the
+    # state, h and goal flag its path gives when computed from nothing
+    problem = ArtificialProblem(ArtificialSpec(
+        d=d, g=g, b=b, imbalance=imbalance, density=density,
+        herror=herror, seed=seed))
+    state = problem.initial_state()
+    while True:
+        children = problem.expand(state, -1, 0)
+        if not children:
+            break
+        path = state[0]
+        for child, i, cost, h in children:
+            assert cost == 1
+            assert child[0] == path + bytes((i,))
+            assert child == problem.state_at(child[0])
+            assert h == problem._h(len(child[0]), *child[1:]) \
+                == problem.heuristic(child)
+            if problem.is_goal(child):
+                assert h == 0
+        state = data.draw(st.sampled_from(children))[0]
