@@ -20,7 +20,8 @@ from fractions import Fraction
 from idastra.analytics import curve_table
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
-from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
+from idastra.domains.synthetic import (SPEC_FIELDS, ArtificialProblem,
+                                      ArtificialSpec)
 from idastra.engine import (AXES, DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, run_parallel,
                             validate_config)
@@ -38,9 +39,6 @@ from idastra.ordering import OrderPolicy, toida_scores_from_trace
 RECORD_FIELDS = ("instance", "approach", "config", "workers", "mode",
                  "latency", "seed", "rep", "status", "cost", "makespan",
                  "speedup", "total_expanded", "total_messages", "timestamp")
-
-_GEN_FIELDS = ("d", "g", "b", "imbalance", "density", "herror")
-_GEN_INT = {"d", "b", "herror"}
 
 
 def _warn(msg):
@@ -197,24 +195,19 @@ def cmd_gen(args):
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
     grids = {}
-    for name in _GEN_FIELDS:
-        raw = getattr(args, name).split(",")
-        cast = int if name in _GEN_INT else float
+    for name, cast in SPEC_FIELDS.items():
+        if name == "seed":
+            continue
+        text = getattr(args, name)
         try:
-            grids[name] = [cast(v) for v in raw]
+            grids[name] = [cast(v) for v in text.split(",")]
         except ValueError:
-            raise UsageError(f"--{name}: cannot parse {getattr(args, name)!r}"
-                             ) from None
+            raise UsageError(f"--{name}: cannot parse {text!r}") from None
     os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         spec = ArtificialSpec(
-            d=grids["d"][i % len(grids["d"])],
-            g=grids["g"][i % len(grids["g"])],
-            b=grids["b"][i % len(grids["b"])],
-            imbalance=grids["imbalance"][i % len(grids["imbalance"])],
-            density=grids["density"][i % len(grids["density"])],
-            herror=grids["herror"][i % len(grids["herror"])],
             seed=args.seed + i,
+            **{name: grid[i % len(grid)] for name, grid in grids.items()},
         ).validate()
         spec.to_file(os.path.join(args.out, f"inst_{i:04d}.spec"))
     print(f"wrote {args.count} instance file(s) to {args.out}")
@@ -325,14 +318,11 @@ def cmd_train(args):
     save_tree(args.out, tree)
 
     errors = cross_validate(dataset, k=args.folds, seed=args.seed)
-    labels = dataset.labels()
-    methods = ["tree"] + [f"fixed:{lab}" for lab in labels] + ["majority"]
     eval_path = args.out + ".eval.csv"
     with open(eval_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "mean_error", "p_vs_tree"])
-        for method in methods:
-            folds = errors[method]
+        for method, folds in errors.items():
             if method == "tree":
                 p_text = ""
             else:
@@ -565,7 +555,7 @@ def cmd_curves(args):
 
 # ------------------------------------------------------------- parser
 
-def _add_run_flags(parser, default_budget=DEFAULT_BUDGET):
+def _add_run_flags(parser):
     parser.add_argument("--workers", type=int, default=4,
                         help="worker count P (default 4)")
     parser.add_argument("--clusters", type=int, default=None,
@@ -574,9 +564,9 @@ def _add_run_flags(parser, default_budget=DEFAULT_BUDGET):
                         help="deterministic simulation or real threads")
     parser.add_argument("--latency", type=int, default=1,
                         help="simulated message latency in ticks (sim mode)")
-    parser.add_argument("--budget", type=int, default=default_budget,
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="profiling expansion budget "
-                             f"(default {default_budget})")
+                             f"(default {DEFAULT_BUDGET})")
     parser.add_argument("--seed", type=int, default=0)
 
 

@@ -17,6 +17,10 @@ operator that produced it (-1 at the root), parent the parent node
 (None at the root), and f is g + h.  make_root builds the root; the
 parallel engine chains children to their parents this way and walks
 the chain back only to rebuild the path of a goal it reports.
+
+Iterative deepening exists once, as _deepen's stream of passes:
+serial_idastar runs it to the goal, and features.shallow_search runs it
+under a node budget with per-pass statistics.
 """
 
 import sys
@@ -24,8 +28,6 @@ import time
 from dataclasses import dataclass, field
 
 from idastra.errors import SpaceExhausted
-
-LEAF_SAMPLE_CAP = 1024
 
 
 def make_root(problem):
@@ -46,7 +48,6 @@ class PassStats:
     subtree_min_leaf_f: dict = field(default_factory=dict)
     subtree_min_leaf_h: dict = field(default_factory=dict)
     min_leaf_f: int | None = None
-    leaf_samples: list = field(default_factory=list)
     fertile_expanded: int = 0
     root_children: int = 0
 
@@ -59,8 +60,6 @@ class PassStats:
                 self.subtree_min_leaf_f[sub] = f
             if h < self.subtree_min_leaf_h.get(sub, h + 1):
                 self.subtree_min_leaf_h[sub] = h
-        if len(self.leaf_samples) < LEAF_SAMPLE_CAP:
-            self.leaf_samples.append((g, h))
 
     def record_expansion(self, sub, n_children):
         if sub is not None:
@@ -154,7 +153,6 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                 stats.root_children = len(raw)
             if not raw:
                 stats.record_leaf(sub, g, h)
-            # leaves are sampled in generation order
             for child, cop, cost, ch in raw:
                 cg = g + cost
                 if cg + ch > threshold:
@@ -177,6 +175,33 @@ def next_threshold(result):
     return result.min_exceeding_f
 
 
+def _deepen(problem, order=None, budget=None, collect_stats=False):
+    """Iterative deepening as a stream of cost-bounded passes.
+
+    Yields each pass's PassResult: the first at the root's f, each later
+    one at next_threshold of the pass before.  A budget counts expansions
+    across passes, each pass getting what the earlier ones left.  The
+    stream ends after the pass that finds the goal, after a pass the
+    budget truncates, or once the budget is used up, so every pass but
+    the last is complete.  Without a budget it ends only at the goal
+    (next_threshold raises SpaceExhausted when there is none).
+    """
+    root = make_root(problem)
+    _state, g, h, _op, _parent = root
+    threshold = g + h
+    while True:
+        res = cost_bounded_dfs(problem, root, threshold, order=order,
+                               budget=budget, collect_stats=collect_stats)
+        yield res
+        if res.solution is not None or res.truncated:
+            return
+        if budget is not None:
+            budget -= res.nodes_expanded
+            if budget <= 0:
+                return
+        threshold = next_threshold(res)
+
+
 @dataclass(slots=True)
 class SearchOutcome:
     path: tuple
@@ -194,19 +219,10 @@ def serial_idastar(problem, order=None):
     The outcome carries the search's own wall time (wall_s), the baseline
     of threads-mode speedups."""
     start = time.perf_counter()
-    root = make_root(problem)
-    _state, g, h, _op, _parent = root
-    threshold = g + h
-    iterations = []
-    total = 0
-    total_gen = 0
-    while True:
-        res = cost_bounded_dfs(problem, root, threshold, order=order)
-        iterations.append((threshold, res.nodes_expanded))
-        total += res.nodes_expanded
-        total_gen += res.nodes_generated
-        if res.solution is not None:
-            path, cost = res.solution
-            return SearchOutcome(path, cost, iterations, total, total_gen,
-                                 time.perf_counter() - start)
-        threshold = next_threshold(res)
+    passes = list(_deepen(problem, order))
+    path, cost = passes[-1].solution
+    return SearchOutcome(path, cost,
+                         [(p.threshold, p.nodes_expanded) for p in passes],
+                         sum(p.nodes_expanded for p in passes),
+                         sum(p.nodes_generated for p in passes),
+                         time.perf_counter() - start)

@@ -9,21 +9,8 @@ op is 3 - op.
 import random
 
 from idastra._backend import kernels
-from idastra._kernels_py import DELTA, GOAL_TILES, legal
+from idastra._kernels_py import GOAL_TILES, puzzle_expand
 from idastra.errors import MalformedLine, UnsolvableInstance
-
-
-def manhattan(tiles):
-    return kernels.manhattan(bytes(tiles))
-
-
-def apply_op(state, op):
-    tiles, blank = state
-    dest = blank + DELTA[op]
-    child = bytearray(tiles)
-    child[blank] = tiles[dest]
-    child[dest] = 0
-    return (bytes(child), dest)
 
 
 def _parities(tiles):
@@ -46,16 +33,17 @@ def is_solvable(tiles):
 
 
 def scramble(depth, seed):
-    """Random walk from the goal without immediate backtracking."""
+    """Random walk from the goal without immediate backtracking: each
+    step picks one of the moves puzzle_expand yields, in operator order.
+
+    The kernel is bound at import, not looked up on kernels, so a
+    wrapper counting kernel calls sees the search's calls only."""
     rng = random.Random(seed)
     state = (GOAL_TILES, 0)
     prev = -1
     for _ in range(depth):
-        ops = [op for op in range(4)
-               if legal(state[1], op) and (prev < 0 or op != 3 - prev)]
-        op = rng.choice(ops)
-        state = apply_op(state, op)
-        prev = op
+        state, prev, _cost, _h = rng.choice(
+            puzzle_expand(*state, 0, prev))
     return state
 
 

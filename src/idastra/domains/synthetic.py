@@ -18,7 +18,7 @@ whole path.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from idastra._backend import kernels
 from idastra.errors import DataError
@@ -26,9 +26,6 @@ from idastra.errors import DataError
 _TAG_ERROR = 1
 _TAG_GOAL = 2
 _TWO64 = 1 << 64
-
-_FIELDS = ("d", "g", "b", "imbalance", "density", "herror", "seed")
-_INT_FIELDS = {"d", "b", "herror", "seed"}
 
 
 @dataclass(frozen=True)
@@ -59,7 +56,7 @@ class ArtificialSpec:
 
     def to_text(self):
         lines = []
-        for name in _FIELDS:
+        for name in SPEC_FIELDS:
             lines.append(f"{name} = {getattr(self, name)!r}")
         return "\n".join(lines) + "\n"
 
@@ -75,16 +72,16 @@ class ArtificialSpec:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in _FIELDS:
+            if key not in SPEC_FIELDS:
                 raise DataError(f"line {lineno}: unknown key {key!r}")
             if key in values:
                 raise DataError(f"line {lineno}: duplicate key {key!r}")
             try:
-                values[key] = int(val) if key in _INT_FIELDS else float(val)
+                values[key] = SPEC_FIELDS[key](val)
             except ValueError:
                 raise DataError(
                     f"line {lineno}: bad value {val!r} for {key}") from None
-        missing = [k for k in _FIELDS if k not in values]
+        missing = [k for k in SPEC_FIELDS if k not in values]
         if missing:
             raise DataError(f"missing keys: {', '.join(missing)}")
         return ArtificialSpec(**values).validate()
@@ -101,6 +98,11 @@ class ArtificialSpec:
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from None
         return ArtificialSpec.from_text(text)
+
+
+# each spec field's name and type, in .spec file order: the type (int or
+# float) parses the field's text
+SPEC_FIELDS = {f.name: f.type for f in fields(ArtificialSpec)}
 
 
 def goal_path_digits(g, b, d):

@@ -4,9 +4,10 @@ from idastra.errors import InvalidConfig
 
 
 def run_parallel(problem, config, workers, mode="sim", latency=1, seed=0,
-                 serial_outcome=None, timeout=60.0):
+                 serial_outcome=None):
     """Run the engine in "sim" mode (deterministic simulation, the
-    default) or "threads" mode (real threads, at most timeout seconds).
+    default) or "threads" mode (real threads, stalled after
+    engine.threads.TIMEOUT seconds).
 
     latency is the simulated message latency in ticks and applies to
     "sim" only: threads deliver a message at the recipient's next step."""
@@ -20,5 +21,5 @@ def run_parallel(problem, config, workers, mode="sim", latency=1, seed=0,
     if mode == "sim":
         return run_sim(problem, config, workers, latency=latency, seed=seed,
                        serial_outcome=serial_outcome)
-    return run_threads(problem, config, workers, seed=seed, timeout=timeout,
+    return run_threads(problem, config, workers, seed=seed,
                        serial_outcome=serial_outcome)

@@ -24,10 +24,11 @@ from idastra.engine.sim import _SimEngine
 from idastra.errors import EngineStall, SpaceExhausted
 
 _IDLE_SLEEP = 0.0002
+# seconds a run may take before it is declared stalled
+TIMEOUT = 60.0
 
 
-def run_threads(problem, config, workers, seed=0, timeout=60.0,
-                serial_outcome=None):
+def run_threads(problem, config, workers, seed=0, serial_outcome=None):
     """Run the parallel engine on real threads (wall-clock timing)."""
     validate_config(config, workers)
     if serial_outcome is None:
@@ -61,7 +62,7 @@ def run_threads(problem, config, workers, seed=0, timeout=60.0,
     for t in threads:
         t.start()
     try:
-        stop.wait(timeout)
+        stop.wait(TIMEOUT)
     finally:
         stop.set()
         for t in threads:
@@ -72,5 +73,5 @@ def run_threads(problem, config, workers, seed=0, timeout=60.0,
     if engine.space_exhausted:
         raise SpaceExhausted("a pass completed without pruning or solving")
     if engine.coord.accepted is None:
-        raise EngineStall(f"no acceptance within {timeout}s")
+        raise EngineStall(f"no acceptance within {TIMEOUT}s")
     return engine._finish(wall, serial_outcome.wall_s / wall, "threads")

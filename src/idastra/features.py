@@ -7,9 +7,9 @@ the heuristic branching factor (hbf).  These drive strategy selection.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, fields
 
-from idastra.core import cost_bounded_dfs, make_root, next_threshold
+from idastra.core import _deepen
 from idastra.errors import DataError, DegenerateTrace, InsufficientData
 
 DEFAULT_BUDGET = 200000
@@ -24,7 +24,6 @@ class ShallowTrace:
     subtree_min_leaf_f: dict
     subtree_min_leaf_h: dict
     min_leaf_f: int | None
-    leaf_samples: list
     total_expanded: int
     total_generated: int
     fertile_expanded: int
@@ -41,12 +40,15 @@ class ProblemFeatures:
     hbf: float
 
     def csv_row(self):
-        return ",".join(repr(float(v)) for v in
-                        (self.b, self.herror, self.imb, self.loc, self.hbf))
+        return ",".join(repr(float(v)) for v in astuple(self))
 
     def as_dict(self):
-        return {"b": self.b, "herror": self.herror, "imb": self.imb,
-                "loc": self.loc, "hbf": self.hbf}
+        return asdict(self)
+
+
+# the feature names in field order: store lines, CSV rows and the
+# decision tree's split candidates all follow it
+FEATURES = tuple(f.name for f in fields(ProblemFeatures))
 
 
 def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
@@ -54,63 +56,34 @@ def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
 
     Stops at the goal or when the budget runs out, whichever first.  The
     in-progress expansion always completes, so generated counts may pass
-    the budget but expanded never does.  Subtree statistics come from the
-    final iteration unless the budget truncated it and a completed one
-    exists (a partial sweep would bias the imbalance measurement).
+    the budget but expanded never does.  Every pass but the last is
+    complete; subtree statistics come from the last pass unless the
+    budget cut it short and an earlier pass exists (a partial sweep
+    would bias the imbalance measurement).
     """
     if budget < 1:
         raise DataError(f"budget must be >= 1, got {budget}")
-    root = make_root(problem)
-    _state, g, root_h, _op, _parent = root
-    threshold = g + root_h
-    iterations = []
-    per_iter_stats = []
-    total = 0
-    total_gen = 0
-    goal_found = None
-    truncated = False
-    while True:
-        res = cost_bounded_dfs(problem, root, threshold, order=order,
-                               budget=budget - total, collect_stats=True)
-        total += res.nodes_expanded
-        total_gen += res.nodes_generated
-        complete = not res.truncated and res.solution is None
-        iterations.append({"threshold": threshold,
-                           "nodes_expanded": res.nodes_expanded,
-                           "complete": complete})
-        per_iter_stats.append(res.stats)
-        if res.solution is not None:
-            goal_found = res.solution
-            break
-        if res.truncated or total >= budget:
-            truncated = True
-            break
-        threshold = next_threshold(res)
-
-    pick = len(per_iter_stats) - 1
-    if truncated and pick > 0:
-        for i in range(len(per_iter_stats) - 1, -1, -1):
-            if iterations[i]["complete"]:
-                pick = i
-                break
-    stats = per_iter_stats[pick]
-
-    root_children = max(s.root_children for s in per_iter_stats)
-    fertile = sum(s.fertile_expanded for s in per_iter_stats)
+    passes = list(_deepen(problem, order, budget, collect_stats=True))
+    last = passes[-1]
+    stats = (passes[-2] if len(passes) > 1 and last.truncated
+             else last).stats
     return ShallowTrace(
-        iterations=iterations,
-        root_h=root_h,
-        root_children=root_children,
-        subtree_expanded=dict(stats.subtree_expanded),
-        subtree_min_leaf_f=dict(stats.subtree_min_leaf_f),
-        subtree_min_leaf_h=dict(stats.subtree_min_leaf_h),
+        iterations=[{"threshold": p.threshold,
+                     "nodes_expanded": p.nodes_expanded,
+                     "complete": not p.truncated and p.solution is None}
+                    for p in passes],
+        # the root's g is 0, so the first threshold is its h
+        root_h=passes[0].threshold,
+        root_children=max(p.stats.root_children for p in passes),
+        subtree_expanded=stats.subtree_expanded,
+        subtree_min_leaf_f=stats.subtree_min_leaf_f,
+        subtree_min_leaf_h=stats.subtree_min_leaf_h,
         min_leaf_f=stats.min_leaf_f,
-        leaf_samples=list(stats.leaf_samples),
-        total_expanded=total,
-        total_generated=total_gen,
-        fertile_expanded=fertile,
-        truncated=truncated,
-        goal_found=goal_found,
+        total_expanded=sum(p.nodes_expanded for p in passes),
+        total_generated=sum(p.nodes_generated for p in passes),
+        fertile_expanded=sum(p.stats.fertile_expanded for p in passes),
+        truncated=last.solution is None,
+        goal_found=last.solution,
     )
 
 
@@ -193,10 +166,9 @@ def stability_report(samples):
     for group in samples:
         if len(group) < 2:
             raise InsufficientData("need at least 2 budget levels per problem")
-    names = ("b", "herror", "imb", "loc", "hbf")
     within = {}
     between = {}
-    for name in names:
+    for name in FEATURES:
         per_problem_sd = []
         per_problem_mean = []
         for group in samples:

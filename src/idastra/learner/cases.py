@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from idastra.engine.config import AXIS_TABLE, DEFAULT_CONFIG
 from idastra.errors import DataError, InsufficientData
-from idastra.features import ProblemFeatures
+from idastra.features import FEATURES, ProblemFeatures
 
 def canonical_label_order(axis, labels):
     """Stable canonical ordering of strategy values for one axis:
@@ -55,11 +55,8 @@ class TrainingCase:
         try:
             f = obj["features"]
             return TrainingCase(
-                features=ProblemFeatures(b=float(f["b"]),
-                                         herror=float(f["herror"]),
-                                         imb=float(f["imb"]),
-                                         loc=float(f["loc"]),
-                                         hbf=float(f["hbf"])),
+                features=ProblemFeatures(
+                    **{name: float(f[name]) for name in FEATURES}),
                 architecture=obj["architecture"],
                 axis=obj["axis"],
                 label=obj["label"],

@@ -2,9 +2,8 @@
 
 Binary splits only: numeric features split on midpoint thresholds
 (<= goes left), the architecture tag splits on equality (== goes left).
-Split choice maximizes gain ratio; growth stops at purity, below
-``min_cases``, or when no candidate has positive information gain.
-No post-pruning.
+Split choice maximizes gain ratio; growth stops at purity or when no
+candidate has positive information gain.  No post-pruning.
 """
 
 import math
@@ -12,11 +11,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from idastra.errors import DataError, InsufficientData
+from idastra.features import FEATURES as NUMERIC_FEATURES
 
-NUMERIC_FEATURES = ("b", "herror", "imb", "loc", "hbf")
 CATEGORICAL_FEATURES = ("architecture",)
-
-MIN_CASES = 2
 
 
 @dataclass
@@ -105,9 +102,8 @@ def _candidates(cases, base_entropy):
                 yield score, feature, value, left, right
 
 
-def _grow(cases, min_cases):
-    labels = set(c.label for c in cases)
-    if len(labels) == 1 or len(cases) < min_cases:
+def _grow(cases):
+    if len(set(c.label for c in cases)) == 1:
         return _make_leaf(cases)
     base_entropy = _entropy([c.label for c in cases])
     best = None
@@ -120,18 +116,16 @@ def _grow(cases, min_cases):
         return _make_leaf(cases)
     _score, feature, threshold, left, right = best
     return Split(feature=feature, threshold=threshold,
-                 left=_grow(left, min_cases), right=_grow(right, min_cases))
+                 left=_grow(left), right=_grow(right))
 
 
-def induce_tree(dataset, min_cases=MIN_CASES):
+def induce_tree(dataset):
     if not dataset.cases:
         raise InsufficientData("cannot induce a tree from zero cases")
-    if min_cases < 1:
-        raise DataError(f"min_cases must be >= 1, got {min_cases}")
     for c in dataset.cases:
         if " " in c.label:
             raise DataError(f"label contains a space: {c.label!r}")
-    return _grow(list(dataset.cases), min_cases)
+    return _grow(list(dataset.cases))
 
 
 def classify(tree, features, architecture):

@@ -90,8 +90,8 @@ def test_sweep_records_store_and_determinism(run_cli, tmp_path):
         assert code == 0
         assert "appended 6 run record(s)" in out
         assert "appended 2 training case(s)" in out
-        outputs.append((open(records, "rb").read(),
-                        open(store, "rb").read()))
+        with open(records, "rb") as fh, open(store, "rb") as gh:
+            outputs.append((fh.read(), gh.read()))
     # simulation reruns are byte-identical
     assert outputs[0] == outputs[1]
 

@@ -8,9 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idastra.core import serial_idastar
-from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, apply_op,
-                                    is_solvable, manhattan, parse_korf_set,
-                                    scramble)
+from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, is_solvable,
+                                    parse_korf_set, scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
                                        goal_path_digits)
 from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
@@ -193,8 +192,9 @@ def test_spec_file_round_trip(tmp_path):
 
 def test_manhattan_matches_reference_on_scrambles():
     for seed in range(30):
-        tiles, _ = scramble(25, seed)
-        assert manhattan(tiles) == manhattan_reference(tiles)
+        state = scramble(25, seed)
+        assert PuzzleProblem(state).heuristic(state) \
+            == manhattan_reference(state[0])
 
 
 def test_scramble_is_always_solvable_and_deterministic():
@@ -210,14 +210,12 @@ def _children(problem, state, prev_op=-1):
 
 
 def test_apply_op_round_trip():
+    # each child's own expansion leads back to the parent under 3 - op
     state = scramble(15, 3)
-    for op in range(4):
-        children = dict((o, s) for s, o, _c, _h in
-                        _children(PuzzleProblem(state), state))
-        if op not in children:
-            continue
-        back = apply_op(children[op], 3 - op)
-        assert back == state
+    problem = PuzzleProblem(state)
+    for child, op, _c, _h in _children(problem, state):
+        back = {o: s for s, o, _c, _h in _children(problem, child)}
+        assert back[3 - op] == state
 
 
 def test_successors_skip_reverse():

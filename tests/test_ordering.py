@@ -112,7 +112,7 @@ def _trace(min_leaf_f):
     return ShallowTrace(iterations=[], root_h=0, root_children=len(min_leaf_f),
                         subtree_expanded={}, subtree_min_leaf_f=min_leaf_f,
                         subtree_min_leaf_h={}, min_leaf_f=None,
-                        leaf_samples=[], total_expanded=0, total_generated=0,
+                        total_expanded=0, total_generated=0,
                         fertile_expanded=0, truncated=False, goal_found=None)
 
 
