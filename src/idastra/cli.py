@@ -6,7 +6,8 @@ decision trees (train), pick a strategy for a new instance (advise),
 run the advised strategy (solve), summarize run records (report), and
 tabulate the closed-form speedup models (curves).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 engine stall.
+Exit codes: 0 success, 1 usage error, 2 data error (including a file
+that cannot be read or written), 3 engine stall.
 """
 
 import argparse
@@ -76,11 +77,8 @@ def _load_instances(paths):
             spec = ArtificialSpec.from_file(path)
             instances.append((stem, ArtificialProblem(spec)))
         else:
-            try:
-                with open(path) as fh:
-                    states = parse_korf_set(fh.read())
-            except OSError as exc:
-                raise DataError(f"cannot read {path}: {exc}") from None
+            with open(path) as fh:
+                states = parse_korf_set(fh.read())
             if not states:
                 raise DataError(f"no instances in {path}")
             for i, state in enumerate(states, start=1):
@@ -94,6 +92,8 @@ def _check_run_flags(args):
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
     if args.latency < 0:
         raise UsageError(f"--latency must be >= 0, got {args.latency}")
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
 
 
 def _warn_threads_mode(args):
@@ -123,14 +123,13 @@ def _attach_toida(config, trace):
     return config
 
 
-def _serial_baseline(problem, config, baselines):
-    """The serial search a run's speedup is measured against, under the
-    run's own child ordering; baselines holds one per ordering."""
-    order = None if config.ordering.is_identity() else config.ordering
-    key = None if order is None else order.token()
-    if key not in baselines:
-        baselines[key] = serial_idastar(problem, order=order)
-    return baselines[key]
+def _profile(problem, budget):
+    """Profile one instance with a budgeted serial search.  Returns
+    (trace, features); features is None when the search found the goal."""
+    trace = shallow_search(problem, budget=budget)
+    if trace.goal_found is not None:
+        return trace, None
+    return trace, extract_features(trace)
 
 
 def _append_records(path, rows):
@@ -144,49 +143,61 @@ def _append_records(path, rows):
 
 
 def _read_records(paths):
+    """(path, row) for every record in the files."""
     rows = []
     for path in paths:
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.DictReader(fh)
-                if reader.fieldnames is None:
-                    continue
-                missing = set(RECORD_FIELDS) - set(reader.fieldnames)
-                if missing:
-                    raise DataError(f"{path}: record file missing columns "
-                                    f"{sorted(missing)}")
-                rows.extend(reader)
-        except OSError as exc:
-            raise DataError(f"cannot read records {path}: {exc}") from None
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                continue
+            missing = set(RECORD_FIELDS) - set(reader.fieldnames)
+            if missing:
+                raise DataError(f"{path}: record file missing columns "
+                                f"{sorted(missing)}")
+            rows.extend((path, row) for row in reader)
     return rows
 
 
-def _record_row(args, instance, approach, config_text, rep):
-    return {
-        "instance": instance,
-        "approach": approach,
-        "config": config_text,
-        "workers": args.workers,
-        "mode": args.mode,
-        "latency": args.latency,
-        "seed": args.seed,
-        "rep": rep,
-        "status": "ok",
-        "cost": "",
-        "makespan": "",
-        "speedup": "",
-        "total_expanded": "",
-        "total_messages": "",
-        "timestamp": _timestamp(args),
-    }
+def _record_row(args, instance, approach, rep):
+    """A record row for one run, its outcome columns still empty."""
+    row = dict.fromkeys(RECORD_FIELDS, "")
+    row.update(instance=instance, approach=approach, workers=args.workers,
+               mode=args.mode, latency=args.latency, seed=args.seed,
+               rep=rep, status="ok", timestamp=_timestamp(args))
+    return row
 
 
-def _fill_report(row, report):
-    row["cost"] = report.solution_cost
-    row["makespan"] = _fmt(report.makespan)
-    row["speedup"] = _fmt(report.speedup)
-    row["total_expanded"] = report.total_expanded
-    row["total_messages"] = report.total_messages
+def _run_record(row, args, problem, trace, config, baselines):
+    """Run config on problem, fill the record row and return the engine
+    report.
+
+    The speedup is measured against serial IDA* in the run's own child
+    order; baselines caches one search per ordering.  config None means
+    profiling solved the instance: profiling is serial IDA* under a
+    budget, so its expansions are the serial baseline and the speedup
+    is 1.  Nothing runs then, and the report is None.
+    """
+    if config is None:
+        row.update(config="solved-during-profiling",
+                   cost=trace.goal_found[1],
+                   makespan=_fmt(trace.total_expanded), speedup=_fmt(1),
+                   total_expanded=trace.total_expanded, total_messages=0)
+        return None
+    config = _attach_toida(config, trace)
+    row["config"] = config.token()
+    validate_config(config, args.workers)
+    order = None if config.ordering.is_identity() else config.ordering
+    key = None if order is None else order.token()
+    if key not in baselines:
+        baselines[key] = serial_idastar(problem, order=order)
+    report = run_parallel(problem, config, args.workers, mode=args.mode,
+                          latency=args.latency, seed=args.seed,
+                          serial_outcome=baselines[key])
+    row.update(cost=report.solution_cost, makespan=_fmt(report.makespan),
+               speedup=_fmt(report.speedup),
+               total_expanded=report.total_expanded,
+               total_messages=report.total_messages)
+    return report
 
 
 # ---------------------------------------------------------------- gen
@@ -220,33 +231,24 @@ def _sweep_instance(args, iid, problem, grid, base, rows):
     """Run every grid value on one instance, appending one record row per
     run to rows.  Returns (features, mean makespan per grid value);
     features is None when profiling solved the instance."""
-    trace = shallow_search(problem, budget=args.budget)
+    trace, features = _profile(problem, args.budget)
     baselines = {}
-    features = None
-    if trace.goal_found is None:
-        features = extract_features(trace)
     timings = {}
     for value in grid:
         approach = value if args.axis == "all" else f"{args.axis}={value}"
         per_value = []
         for rep in range(args.reps):
-            row = _record_row(args, iid, approach, "", rep)
+            row = _record_row(args, iid, approach, rep)
             try:
                 config = config_for_axis_value(args.axis, value, base=base)
-                config = _attach_toida(config, trace)
-                row["config"] = config.token()
-                validate_config(config, args.workers)
-                serial = _serial_baseline(problem, config, baselines)
-                report = run_parallel(problem, config, args.workers,
-                                      mode=args.mode, latency=args.latency,
-                                      seed=args.seed, serial_outcome=serial)
+                report = _run_record(row, args, problem, trace, config,
+                                     baselines)
             except EngineStall:
                 raise
             except IdastraError as exc:
                 row["status"] = type(exc).__name__
                 _warn(f"{iid} {approach} rep {rep}: {exc}")
             else:
-                _fill_report(row, report)
                 per_value.append(report.makespan)
             rows.append(row)
         if per_value:
@@ -376,10 +378,9 @@ def _advise(args):
         if missing:
             raise DataError(f"--strict: no model for axes {missing}")
 
-    trace = shallow_search(problem, budget=args.budget)
-    if trace.goal_found is not None:
+    trace, features = _profile(problem, args.budget)
+    if features is None:
         return iid, problem, trace, None, None
-    features = extract_features(trace)
     arch = _architecture(args)
 
     config = DEFAULT_CONFIG
@@ -419,30 +420,16 @@ def cmd_advise(args):
 def cmd_solve(args):
     iid, problem, trace, features, config = _advise(args)
     _print_advice(iid, trace, features, config)
-    if features is None:
-        # Profiling found the solution; charge its node count as the
-        # run time so reports stay comparable.
-        row = _record_row(args, iid, "advised", "solved-during-profiling", 0)
-        row["cost"] = trace.goal_found[1]
-        row["makespan"] = _fmt(trace.total_expanded)
-        row["total_expanded"] = trace.total_expanded
-        row["total_messages"] = 0
-        if args.out:
-            _append_records(args.out, [row])
-        return 0
-    _warn_threads_mode(args)
-    serial = _serial_baseline(problem, config, {})
-    report = run_parallel(problem, config, args.workers, mode=args.mode,
-                          latency=args.latency, seed=args.seed,
-                          serial_outcome=serial)
-    print(f"cost: {report.solution_cost}")
-    print(f"makespan: {_fmt(report.makespan)}")
-    print(f"speedup: {_fmt(report.speedup)}")
-    print(f"expanded: {report.total_expanded}")
-    print(f"messages: {report.total_messages}")
+    if config is not None:
+        _warn_threads_mode(args)
+    row = _record_row(args, iid, "advised", 0)
+    if _run_record(row, args, problem, trace, config, {}) is not None:
+        print(f"cost: {row['cost']}")
+        print(f"makespan: {row['makespan']}")
+        print(f"speedup: {row['speedup']}")
+        print(f"expanded: {row['total_expanded']}")
+        print(f"messages: {row['total_messages']}")
     if args.out:
-        row = _record_row(args, iid, "advised", config.token(), 0)
-        _fill_report(row, report)
         _append_records(args.out, [row])
     return 0
 
@@ -450,23 +437,23 @@ def cmd_solve(args):
 # ------------------------------------------------------------- report
 
 def cmd_report(args):
-    records = _read_records(args.records)
-    usable = []
-    for row in records:
+    by_cell = {}
+    for path, row in _read_records(args.records):
         if row["status"] != "ok":
             continue
         if not row["speedup"]:
             _warn(f"skipping record without speedup: {row['instance']} "
                   f"{row['approach']}")
             continue
-        usable.append(row)
-    if not usable:
+        try:
+            speedup = float(row["speedup"])
+        except ValueError:
+            raise DataError(f"{path}: instance {row['instance']}: speedup "
+                            f"{row['speedup']!r} is not a number") from None
+        by_cell.setdefault((row["instance"], row["approach"]),
+                           []).append(speedup)
+    if not by_cell:
         raise DataError("no usable run records")
-
-    by_cell = {}
-    for row in usable:
-        key = (row["instance"], row["approach"])
-        by_cell.setdefault(key, []).append(float(row["speedup"]))
     cell_mean = {key: statistics.fmean(vals) for key, vals in by_cell.items()}
 
     instances = sorted(set(inst for inst, _ in cell_mean))
@@ -540,8 +527,14 @@ def _parse_grid(text):
         raise UsageError(f"cannot parse grid {text!r}") from None
 
 
+# each curve's default grid: eq1 sweeps depths d (which must exceed the
+# default --x 3), eq2 goal positions in (0, 1], fig5/fig6 goal positions
+DEFAULT_GRIDS = {"eq1": "4:30:1", "eq2": "1/100:1:1/100",
+                 "fig5": "0:1:1/100", "fig6": "0:1:1/100"}
+
+
 def cmd_curves(args):
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid or DEFAULT_GRIDS[args.curve])
     header, rows = curve_table(args.curve, grid, P=args.workers, b=args.b,
                                d=args.d, x=args.x, balance=args.balance,
                                ratio=args.ratio)
@@ -568,6 +561,17 @@ def _add_run_flags(parser):
                         help="profiling expansion budget "
                              f"(default {DEFAULT_BUDGET})")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_advise_flags(parser):
+    """The flags advise and solve share."""
+    parser.add_argument("--instances", nargs="+", required=True)
+    parser.add_argument("--model", action="append", default=[],
+                        metavar="AXIS=PATH",
+                        help="model file for one axis (repeatable)")
+    parser.add_argument("--strict", action="store_true",
+                        help="require a model for every axis")
+    _add_run_flags(parser)
 
 
 def build_parser():
@@ -619,23 +623,13 @@ def build_parser():
 
     p = sub.add_parser("advise",
                        help="recommend a strategy for one instance")
-    p.add_argument("--instances", nargs="+", required=True)
-    p.add_argument("--model", action="append", default=[],
-                   metavar="AXIS=PATH",
-                   help="model file for one axis (repeatable)")
-    p.add_argument("--strict", action="store_true",
-                   help="require a model for every axis")
-    _add_run_flags(p)
+    _add_advise_flags(p)
     p.set_defaults(func=cmd_advise)
 
     p = sub.add_parser("solve",
                        help="advise, then run the advised strategy")
-    p.add_argument("--instances", nargs="+", required=True)
-    p.add_argument("--model", action="append", default=[],
-                   metavar="AXIS=PATH")
-    p.add_argument("--strict", action="store_true")
+    _add_advise_flags(p)
     p.add_argument("--out", default=None, help="run-record CSV (appended)")
-    _add_run_flags(p)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("report", help="summarize run-record CSVs")
@@ -645,8 +639,10 @@ def build_parser():
 
     p = sub.add_parser("curves", help="tabulate the speedup models")
     p.add_argument("curve", choices=("eq1", "eq2", "fig5", "fig6"))
-    p.add_argument("--grid", default="0:1:1/100",
-                   help="comma list or start:stop:step (exact rationals)")
+    p.add_argument("--grid", default=None,
+                   help="comma list or start:stop:step (exact rationals); "
+                        "default 4:30:1 for eq1, 1/100:1:1/100 for eq2, "
+                        "0:1:1/100 for fig5 and fig6")
     p.add_argument("--workers", type=int, default=10)
     p.add_argument("--b", type=int, default=6)
     p.add_argument("--d", type=int, default=10)
@@ -675,7 +671,8 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError) as exc:
+        # an unreadable input or unwritable output path is a data error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IdastraError as exc:

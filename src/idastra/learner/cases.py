@@ -158,11 +158,8 @@ def append_cases(path, cases):
 
 def read_store(path, axis=None):
     """Load TrainingCases, optionally filtered to one axis."""
-    try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read store {path}: {exc}") from None
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     cases = []
     for line in lines:
         if not line.strip():

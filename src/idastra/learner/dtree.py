@@ -234,8 +234,5 @@ def save_tree(path, tree):
 
 
 def load_tree(path):
-    try:
-        with open(path) as fh:
-            return tree_from_text(fh.read())
-    except OSError as exc:
-        raise DataError(f"cannot read model {path}: {exc}") from None
+    with open(path) as fh:
+        return tree_from_text(fh.read())

@@ -166,7 +166,8 @@ def _forbid_search(monkeypatch):
 
 
 BAD_RUN_FLAGS = ((["--latency", -1], "--latency must be >= 0"),
-                 (["--workers", 0], "--workers must be >= 1"))
+                 (["--workers", 0], "--workers must be >= 1"),
+                 (["--budget", 0], "--budget must be >= 1"))
 
 
 def test_sweep_rejects_bad_run_flags_before_searching(run_cli, tmp_path,
@@ -436,6 +437,24 @@ def test_solve_profiled_solution_recorded(run_cli, tmp_path):
     rows = _read_csv(records)
     assert rows[0]["config"] == "solved-during-profiling"
     assert rows[0]["cost"] == "3"
+    # profiling is serial IDA*, so it is its own serial baseline
+    assert rows[0]["speedup"] == "1"
+
+
+def test_report_counts_an_instance_solved_during_profiling(run_cli,
+                                                           tmp_path):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1, d="4", b="3",
+                 g="0.5", herror="0", density="1e-9")
+    records = str(tmp_path / "rec.csv")
+    code, out, _err = run_cli(["solve", "--instances", *files,
+                               "--workers", 4, "--out", records])
+    assert code == 0
+    assert "solved-during-profiling" in out
+    out_csv = str(tmp_path / "report.csv")
+    code, _out, _err = run_cli(["report", records, "--out", out_csv])
+    assert code == 0
+    rows = _read_csv(out_csv)
+    assert [(r["approach"], r["speedup"]) for r in rows] == [("advised", "1")]
 
 
 # ------------------------------------------------------------- report
@@ -488,6 +507,22 @@ def test_report_with_nothing_usable(run_cli, tmp_path):
     assert code == 2
 
 
+def test_report_rejects_a_non_numeric_speedup(run_cli, tmp_path):
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(dict.fromkeys(RECORD_FIELDS, "")
+                        | {"instance": "inst_0007", "approach": "advised",
+                           "status": "ok", "speedup": "abc"})
+    code, _out, err = run_cli(["report", records,
+                               "--out", tmp_path / "r.csv"])
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+    assert str(records) in err and "inst_0007" in err and "'abc'" in err
+
+
 # ------------------------------------------------------------- curves
 
 def test_curves_default_grid_has_101_rows(run_cli, tmp_path):
@@ -512,6 +547,14 @@ def test_curves_eq1_integer_grid(run_cli, tmp_path):
     assert float(rows[2]["dts_eq1"]) == pytest.approx(10.0, rel=0.01)
 
 
+@pytest.mark.parametrize("curve", ["eq1", "eq2", "fig5", "fig6"])
+def test_curves_run_at_their_default_grid(run_cli, tmp_path, curve):
+    out_csv = str(tmp_path / f"{curve}.csv")
+    code, _out, err = run_cli(["curves", curve, "--out", out_csv])
+    assert code == 0, err
+    assert len(_read_csv(out_csv)) >= 1
+
+
 def test_curves_bad_grid_is_usage_error(run_cli, tmp_path):
     code, _out, _err = run_cli(["curves", "eq2", "--grid", "0:1:0",
                                 "--out", str(tmp_path / "x.csv")])
@@ -531,6 +574,35 @@ def test_help_and_bad_flag_exit_codes(run_cli):
     assert code == 1
     code, _out, _err = run_cli([])
     assert code == 1
+
+
+def test_unreadable_or_unwritable_path_is_a_data_error(run_cli, tmp_path):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    records = str(tmp_path / "records.csv")
+    code, _out, _err = run_cli(["sweep", "--instances", *files,
+                                "--axis", "clusters", "--grid", "1",
+                                "--budget", 50, "--out", records])
+    assert code == 0
+    nowhere = tmp_path / "no" / "such" / "dir"
+    run = ["--budget", 50]
+    for argv in (["solve", "--instances", *files, *run,
+                  "--out", nowhere / "solve.csv"],
+                 ["report", records, "--out", nowhere / "report.csv"],
+                 ["curves", "fig6", "--out", nowhere / "fig6.csv"],
+                 ["sweep", "--instances", *files, "--axis", "clusters",
+                  "--grid", "1", *run, "--out", nowhere / "records.csv"],
+                 ["sweep", "--instances", *files, "--axis", "clusters",
+                  "--grid", "1,2", *run, "--out", records,
+                  "--store", nowhere / "cases.jsonl"],
+                 ["train", "--store", nowhere / "cases.jsonl",
+                  "--axis", "clusters", "--out", tmp_path / "c.tree"],
+                 ["advise", "--instances", *files, *run,
+                  "--model", f"clusters={nowhere / 'c.tree'}"]):
+        code, _out, err = run_cli(argv)
+        assert code == 2, argv
+        assert "Traceback" not in err, argv
+        assert err.splitlines()[-1].startswith(
+            "error: [Errno 2] No such file or directory"), argv
 
 
 def test_threads_mode_warns(run_cli, tmp_path):
