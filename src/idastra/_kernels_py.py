@@ -6,8 +6,18 @@ h) children a domain's expand hands the search loop.
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
 masked integers.  It is a left fold of hash_step, so a child's hash is
-one step of its parent's; synthetic_expand takes that step inline for
-both of a child's hash keys.
+one step of its parent's.
+
+synthetic_expand steps both of a node's hash streams at once.  A
+synthetic state packs its two path_hash values into one key, the error
+stream in bits 0-63 and the goal stream in bits 128-191
+(err | goal << 128).  _LANES masks those two 64-bit lanes.  Bits 64-127
+are a gap: the error lane's carries and the high halves of its products
+land there, the goal lane's above bit 191.  Every add, shift and
+multiply of hash_step is applied to the packed key and followed by
+& _LANES, and each product is taken of a masked value, so no bit of one
+lane ever reaches the other: an error-lane product stays below bit 128,
+and a right shift moves goal-lane bits no lower than the gap.
 """
 
 _MASK = (1 << 64) - 1
@@ -124,41 +134,50 @@ def path_hash(seed, tag, path):
     return h
 
 
-# hash_step's additive constant per byte, and each byte as a bytes object
-_STEP_ADD = tuple(_GAMMA * (c + 1) & _MASK for c in range(256))
+# both lanes of a packed key (see the module docstring)
+_LANES = _MASK | _MASK << 128
+# hash_step's additive constant per byte, in both lanes, and each byte as
+# a bytes object
+_STEP_ADD2 = tuple((_GAMMA * (c + 1) & _MASK) * ((1 << 128) + 1)
+                   for c in range(256))
 _BYTE = tuple(bytes((c,)) for c in range(256))
 
 
-def synthetic_expand(path, shared, err_key, goal_key, indices, goal_next,
-                     d, density_threshold, emod):
+def synthetic_expand(state, tables):
     """Expand an artificial-tree node.
 
-    path, shared, err_key, goal_key: the node's state (its child-index
-    bytes, common-prefix length with the goal path, and error- and
-    goal-stream hash keys).  indices: the surviving child indices;
-    goal_next: the index that stays on the goal path, or -1.  d, the
-    density threshold and emod (herror + 1) are the spec's.  Returns a
-    list of ((path, shared, err_key, goal_key), i, 1, h) tuples, with
-    each key one hash_step of its parent's and h as
+    state is (path, shared, key): the node's child-index bytes, its
+    common-prefix length with the goal path and its packed error- and
+    goal-stream hash key.  tables is ArtificialProblem's (on_path,
+    off_path, goal_path, d, density_threshold, emod): the surviving
+    child indices per parent depth on and off the goal path, the goal
+    path, and the spec's d, density threshold and herror + 1.  Returns a
+    list of ((path, shared, key), i, 1, h) tuples, each child's key one
+    hash_step of its parent's in both lanes and h as
     ArtificialProblem._h computes it: exactly the (state, op, cost, h)
     children ArtificialProblem.expand returns.
     """
-    depth = len(path) + 1
+    path, shared, key = state
+    on_path, off_path, goal_path, d, density_threshold, emod = tables
+    depth = len(path)
+    if shared == depth < d:
+        # on the goal path: its next step survives every depth limit
+        indices = on_path[depth]
+        goal_next = goal_path[depth]
+    else:
+        indices = off_path[depth]
+        goal_next = -1
+    depth += 1
     at_leaf = depth == d
     capped = density_threshold > 0
     out = []
     for i in indices:
-        add = _STEP_ADD[i]
-        z = (err_key + add) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        c_err = z ^ (z >> 31)
-        z = (goal_key + add) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        c_goal = z ^ (z >> 31)
+        z = (key + _STEP_ADD2[i]) & _LANES
+        z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
+        z = ((z ^ (z >> 27)) & _LANES) * _MIX2 & _LANES
+        z ^= (z >> 31) & _LANES
         c_shared = shared + 1 if i == goal_next else shared
-        if at_leaf and (c_shared == d or c_goal < density_threshold):
+        if at_leaf and (c_shared == d or z >> 128 < density_threshold):
             h = 0                   # a goal
         else:
             # back out of the non-shared suffix, then down the goal path;
@@ -166,8 +185,8 @@ def synthetic_expand(path, shared, err_key, goal_key, indices, goal_next,
             h = depth + d - 2 * c_shared
             if capped and h > d - depth:
                 h = d - depth
-            h -= c_err % emod
+            h -= (z & _MASK) % emod
             if h < 0:
                 h = 0
-        out.append(((path + _BYTE[i], c_shared, c_err, c_goal), i, 1, h))
+        out.append(((path + _BYTE[i], c_shared, z), i, 1, h))
     return out

@@ -271,6 +271,10 @@ def cmd_sweep(args):
         base = base.with_value("clusters", str(args.clusters))
     _warn_threads_mode(args)
     arch = _architecture(args)
+    # open both outputs before any search, so a bad path fails first
+    for path in (args.out, args.store):
+        if path:
+            open(path, "a").close()
 
     rows = []
     cases = []

@@ -8,13 +8,16 @@ heuristic_error subtracts a seeded pseudo-random amount from the exact
 distance-to-designated-goal heuristic.  Everything is a pure function of
 (spec, path), so runs are reproducible byte for byte.
 
-A node's state is the tuple (path, shared, err_key, goal_key): the
-bytes string of child indices from the root, its common-prefix length
-with the designated goal path, and its error-stream and goal-stream hash
-keys.  Every field is a function of the path, so the path alone still
-identifies the node; the other three are carried so that a child's
-heuristic and goal test cost one hash step each, not a rehash of the
-whole path.
+A node's state is the tuple (path, shared, key): the bytes string of
+child indices from the root, its common-prefix length with the
+designated goal path, and its packed hash key.  The key holds the
+node's two path_hash values in two 64-bit lanes, the error stream in
+bits 0-63 and the goal stream in bits 128-191:
+path_hash(seed, 1, path) | path_hash(seed, 2, path) << 128.  Every field
+is a function of the path, so the path alone still identifies the node;
+the other two are carried so that a child's heuristic and goal test
+cost one two-lane hash step (see idastra._kernels_py), not a rehash of
+the whole path.
 """
 
 import math
@@ -26,6 +29,7 @@ from idastra.errors import DataError
 _TAG_ERROR = 1
 _TAG_GOAL = 2
 _TWO64 = 1 << 64
+_LOW64 = _TWO64 - 1            # a packed key's error lane
 
 
 @dataclass(frozen=True)
@@ -123,15 +127,16 @@ def goal_path_digits(g, b, d):
 class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
-    err_key and goal_key are path_hash(seed, tag, path) in the error and
-    goal streams; expand's kernel extends each by one hash step per child
-    and computes the child's h as _h does.
+    A state's key packs path_hash(seed, tag, path) for the error and goal
+    streams (err | goal << 128); expand's kernel steps both lanes of it
+    once per child and computes the child's h as _h does.
     """
 
     def __init__(self, spec):
         spec.validate()
         self.spec = spec
         d, b = spec.d, spec.b
+        self._d = d
         self.goal_path = goal_path_digits(spec.g, b, d)
         # child i of a parent at depth k survives iff k < depth_limit[i];
         # the designated goal path is exempt
@@ -140,19 +145,22 @@ class ArtificialProblem:
             for i in range(b))
         # surviving child indices per parent depth, for parents on and
         # off the goal path; depth d has none
-        self._off_path_children = tuple(
+        off_path = tuple(
             tuple(i for i in range(b) if k < self.depth_limit[i])
             for k in range(d)) + ((),)
-        self._on_path_children = tuple(
+        on_path = tuple(
             tuple(i for i in range(b)
                   if k < self.depth_limit[i] or i == self.goal_path[k])
             for k in range(d)) + ((),)
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
+        # everything synthetic_expand reads besides the state
+        self._tables = (on_path, off_path, self.goal_path, d,
+                        self.density_threshold, self._emod)
 
     def state_at(self, path):
-        """The state of the node at path, its keys hashed from scratch."""
+        """The state of the node at path, its key hashed from scratch."""
         path = bytes(path)
         shared = 0
         for a, g in zip(path, self.goal_path):
@@ -160,8 +168,8 @@ class ArtificialProblem:
                 break
             shared += 1
         return (path, shared,
-                kernels.path_hash(self._seed, _TAG_ERROR, path),
-                kernels.path_hash(self._seed, _TAG_GOAL, path))
+                kernels.path_hash(self._seed, _TAG_ERROR, path)
+                | kernels.path_hash(self._seed, _TAG_GOAL, path) << 128)
 
     def initial_state(self):
         return self.state_at(b"")
@@ -170,19 +178,20 @@ class ArtificialProblem:
         return self.heuristic(self.initial_state())
 
     def is_goal(self, state):
-        path, shared, _err_key, goal_key = state
-        d = self.spec.d
+        path, shared, key = state
+        d = self._d
         return len(path) == d and (shared == d
-                                   or goal_key < self.density_threshold)
+                                   or key >> 128 < self.density_threshold)
 
     def heuristic(self, state):
-        path, shared, err_key, goal_key = state
-        return self._h(len(path), shared, err_key, goal_key)
+        path, shared, key = state
+        return self._h(len(path), shared, key)
 
-    def _h(self, depth, shared, err_key, goal_key):
+    def _h(self, depth, shared, key):
         """The heuristic of the node these fields describe."""
-        d = self.spec.d
-        if depth == d and (shared == d or goal_key < self.density_threshold):
+        d = self._d
+        if depth == d and (shared == d
+                           or key >> 128 < self.density_threshold):
             return 0                # is_goal's test
         # exact distance to the designated goal: back out of the
         # non-shared suffix, then down the rest of the goal path
@@ -191,25 +200,14 @@ class ArtificialProblem:
             # any depth-d node may be a goal, so cap at remaining depth
             dist = min(dist, d - depth)
         # herror = 0 makes _emod 1 and the error 0
-        return max(0, dist - err_key % self._emod)
+        return max(0, dist - (key & _LOW64) % self._emod)
 
     def child_indices(self, state):
         return tuple(op for _child, op, _cost, _h
                      in self.expand(state, -1, 0))
 
     def expand(self, state, prev_op, h):
-        path, shared, err_key, goal_key = state
-        depth = len(path)
-        if shared == depth < self.spec.d:
-            # on the goal path: its next step survives every depth limit
-            indices = self._on_path_children[depth]
-            goal_next = self.goal_path[depth]
-        else:
-            indices = self._off_path_children[depth]
-            goal_next = -1
-        return kernels.synthetic_expand(path, shared, err_key, goal_key,
-                                        indices, goal_next, self.spec.d,
-                                        self.density_threshold, self._emod)
+        return kernels.synthetic_expand(state, self._tables)
 
     def count_nodes(self):
         """Total tree size (root included); exponential, test-sized only."""

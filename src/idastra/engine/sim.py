@@ -30,7 +30,7 @@ _PARKED = frozenset(("pending", "holding", "done"))
 
 class _Worker:
     __slots__ = ("wid", "cluster", "open", "inbox", "stats", "outstanding",
-                 "flip", "rng", "pass_expanded", "position")
+                 "flip", "rng", "pass_start", "position")
 
     def __init__(self, wid, seed):
         self.wid = wid
@@ -43,7 +43,8 @@ class _Worker:
         self.flip = True                # next neighbor poll goes right
         self.rng = random.Random((seed * 0x9E3779B1 + wid * 2654435761)
                                  & 0xFFFFFFFF)
-        self.pass_expanded = 0
+        # stats.nodes_expanded when this worker's current pass started
+        self.pass_start = 0
 
 
 class _Cluster:
@@ -66,7 +67,8 @@ class _Cluster:
         self.last_pass_expansions = [0] * len(members)
 
     def snapshot_pass(self):
-        self.last_pass_expansions = [w.pass_expanded for w in self.members]
+        self.last_pass_expansions = [w.stats.nodes_expanded - w.pass_start
+                                     for w in self.members]
 
 
 class _Coordinator:
@@ -172,6 +174,8 @@ class _SimEngine:
 
         self._is_goal = problem.is_goal
         self._expand_node = problem.expand
+        self._arrange = None if self.order is None else self.order.arrange
+        self._trigger = config.anticipation_trigger
         self.root = make_root(problem)
         _state, g, h, _op, _parent = self.root
         self.root_threshold = g + h
@@ -232,7 +236,7 @@ class _SimEngine:
         for w in cl.members:
             w.open.clear()
             w.outstanding = False
-            w.pass_expanded = 0
+            w.pass_start = w.stats.nodes_expanded
         root = self.root
         if self.config.distribution == "BreadthFirst":
             if len(cl.members) == 1:
@@ -337,7 +341,8 @@ class _SimEngine:
         inbox = w.inbox
         if inbox and inbox[0][0] <= self.tick:
             self._deliver(w)
-        if self.coord.accepted is not None or self.space_exhausted:
+        coord = self.coord
+        if coord.accepted is not None or self.space_exhausted:
             return
         cl = w.cluster
         phase = cl.phase
@@ -358,7 +363,6 @@ class _SimEngine:
         threshold = cl.threshold
         stats = w.stats
         stats.nodes_expanded += 1
-        w.pass_expanded += 1
         self.last_progress = self.tick
         if g + h > threshold:
             self.over_threshold += 1
@@ -366,10 +370,10 @@ class _SimEngine:
             self._report_solution(cl, node)
             return
         raw = self._expand_node(state, op, h)
-        if self.order is not None:
-            raw = self.order.arrange(raw, parent is None)
+        arrange = self._arrange
+        if arrange is not None:
+            raw = arrange(raw, parent is None)
         stats.nodes_generated += len(raw)
-        coord = self.coord
         pool_set = coord.pool_set
         kept = []
         for child, cop, cost, ch in raw:
@@ -395,7 +399,7 @@ class _SimEngine:
         if kept:
             open_.extendleft(reversed(kept))
         if cl.can_balance and anticipatory_check(
-                len(open_), self.config.anticipation_trigger, w.outstanding):
+                len(open_), self._trigger, w.outstanding):
             self._request_work(w)
 
     def _request_work(self, w):

@@ -8,10 +8,13 @@ deterministic.
 """
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
 
 _INF = float("inf")
+# Local's (h, op) sort key for (state, op, cost, h) children
+_BY_H = itemgetter(3, 1)
 
 
 @dataclass(frozen=True)
@@ -64,14 +67,14 @@ class OrderPolicy:
             return sorted(children,
                           key=lambda c: (rank.get(c[1], bound), c[1]))
         if self.kind == "Local":
-            return sorted(children, key=lambda c: (c[3], c[1]))
+            return sorted(children, key=_BY_H)
         # Toida: learned scores steer only the top of the tree
         if self.scores is None:
             raise MissingScores("Toida ordering needs a score table")
         if at_root:
             return sorted(children,
                           key=lambda c: (self.scores.get(c[1], _INF), c[1]))
-        return sorted(children, key=lambda c: (c[3], c[1]))
+        return sorted(children, key=_BY_H)
 
     def token(self):
         """Short text form used in strategy configuration strings."""

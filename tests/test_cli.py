@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from idastra import cli
 from idastra.cli import RECORD_FIELDS
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
@@ -124,6 +125,26 @@ def test_sweep_append_warns_on_store_dupes(run_cli, tmp_path):
         if i == 1:
             assert "identical case line" in err
     assert len(_read_csv(records)) == 4    # appended, not overwritten
+
+
+def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,
+                                                       monkeypatch):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+
+    def never(*_args, **_kwargs):
+        raise AssertionError("profiled before the outputs were opened")
+
+    monkeypatch.setattr(cli, "shallow_search", never)
+    missing = str(tmp_path / "nodir" / "x")
+    for out, store in ((missing, str(tmp_path / "cases.jsonl")),
+                       (str(tmp_path / "records.csv"), missing)):
+        code, out_text, err = run_cli(["sweep", "--instances", *files,
+                                       "--axis", "clusters", "--grid", "1",
+                                       "--workers", 4, "--out", out,
+                                       "--store", store])
+        assert code == 2
+        assert err.startswith("error:")
+        assert out_text == ""
 
 
 def test_sweep_rejects_unknown_axis(run_cli, tmp_path):

@@ -3,7 +3,7 @@ anchors."""
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra import _kernels_py
@@ -93,6 +93,29 @@ def test_hash_step_extends_path_hash_by_one_byte(seed, tag, path):
     for i, c in enumerate(path):
         h = _kernels_py.hash_step(h, c)
         assert h == _kernels_py.path_hash(seed, tag, path[:i + 1])
+
+
+_TOP = (1 << 64) - 1
+
+
+@example(err=0, goal=_TOP)
+@example(err=_TOP, goal=0)
+@example(err=_TOP, goal=_TOP)
+@example(err=0, goal=0)
+@given(err=st.integers(0, _TOP), goal=st.integers(0, _TOP))
+def test_packed_step_advances_each_lane_alone(err, goal):
+    # one two-lane step of synthetic_expand is hash_step in each lane; a
+    # lane mask left out lets carries or shifted bits cross between them
+    key = err | goal << 128
+    for c in range(256):
+        # one child, c, of the root of a depth-2 tree
+        tables = (((c,), ()), ((c,), ()), bytes((c,)), 2, 0, 1)
+        [(child, _op, _cost, _h)] = _kernels_py.synthetic_expand(
+            (b"", 0, key), tables)
+        stepped = child[2]
+        assert stepped & _TOP == _kernels_py.hash_step(err, c)
+        assert stepped >> 128 == _kernels_py.hash_step(goal, c)
+        assert stepped >> 64 & _TOP == 0      # the gap stays clear
 
 
 @settings(max_examples=80, deadline=None)
