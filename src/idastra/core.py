@@ -14,9 +14,13 @@ policy before being pushed.
 
 A search node is the plain tuple (state, g, h, op, parent): op is the
 operator that produced it (-1 at the root), parent the parent node
-(None at the root), and f is g + h.  make_root builds the root; the
-parallel engine chains children to their parents this way and walks
-the chain back only to rebuild the path of a goal it reports.
+(None at the root), and f is g + h.  make_root builds the root.  The
+serial pass and the parallel engine both stack these nodes, test one
+for the goal only where its h is 0, and rebuild a goal's path from its
+parents with path_to.  The goal gate relies on the heuristic's
+contract: h >= 0 everywhere and h == 0 at every goal.  Manhattan
+distance meets it, and so do the artificial trees, which give a goal
+h 0 and clamp every other h at 0.
 
 Iterative deepening exists once, as _deepen's stream of passes:
 serial_idastar runs it to the goal, and features.shallow_search runs it
@@ -32,6 +36,15 @@ from idastra.errors import SpaceExhausted
 
 def make_root(problem):
     return (problem.initial_state(), 0, problem.initial_h(), -1, None)
+
+
+def path_to(node):
+    """The operators from the root to node, read along its parents."""
+    ops = []
+    while node[4] is not None:
+        ops.append(node[3])
+        node = node[4]
+    return tuple(reversed(ops))
 
 
 @dataclass(slots=True)
@@ -84,59 +97,49 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     """One depth-first pass from make_root's node expanding only nodes
     with f <= threshold.
 
-    Children over the threshold are recorded (their minimum f feeds the
-    next threshold) but never pushed.  The goal test runs when a node is
-    popped, so finding the goal counts as expanding it.  With a budget,
-    the pass stops once nodes_expanded reaches it and reports truncated
-    when work remained on the stack.
-
-    The stack holds (state, g, h, op, depth) tuples, and one shared list
-    is the path: path[0] is the root's prev_op and path[1:depth + 1] the
-    operators leading to the node popped last.  Popping a node at depth
-    d cuts the list back to d entries and appends the node's operator.
+    The stack holds search nodes, root first.  Children over the
+    threshold are recorded (their minimum f feeds the next threshold)
+    but never pushed.  A popped node with h 0 is goal-tested, so
+    finding the goal counts as expanding it.  With a budget, the pass
+    stops once nodes_expanded reaches it and reports truncated when
+    work remained on the stack.  Statistics key a node's subtree by the
+    operator of the root child it descends from: a depth-first pass
+    finishes one root child's subtree before it pops the next.
     """
     stats = PassStats() if collect_stats else None
-    expanded = 0
-    generated = 0
-    min_exceed = None
-    solution = None
-    truncated = False
+    expanded = generated = 0
+    min_exceed = solution = None
 
-    state, g, h, op, _parent = root
+    _state, g, h, _op, _parent = root
     if g + h > threshold:
-        min_exceed = g + h
         if stats is not None:
             stats.record_leaf(None, g, h)
-        return PassResult(threshold, None, min_exceed, 0, 0, False, stats)
+        return PassResult(threshold, None, g + h, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
     is_goal = problem.is_goal
     expand = problem.expand
     arrange = None if order is None else order.arrange
-    path = []
-    stack = [(state, g, h, op, 0)]
+    sub = None
+    stack = [root]
     pop = stack.pop
     push = stack.append
-    while stack:
-        if expanded >= limit:
-            truncated = True
-            break
-        state, g, h, op, depth = pop()
-        del path[depth:]
-        path.append(op)
+    while stack and expanded < limit:
+        node = pop()
+        state, g, h, op, parent = node
+        if parent is root:
+            sub = op
         expanded += 1
-        if is_goal(state):
-            solution = (tuple(path[1:]), g)
+        if not h and is_goal(state):
+            solution = (path_to(node), g)
             if stats is not None:
-                sub = path[1] if depth else None
                 stats.record_expansion(sub, 0)
                 stats.record_leaf(sub, g, h)
             break
         raw = expand(state, op, h)
         if arrange is not None:
-            raw = arrange(raw, not depth)
+            raw = arrange(raw, parent is None)
         generated += len(raw)
-        child_depth = depth + 1
         # push in reverse so the first child is popped first
         for child, cop, cost, ch in reversed(raw):
             cg = g + cost
@@ -145,11 +148,10 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                 if min_exceed is None or cf < min_exceed:
                     min_exceed = cf
             else:
-                push((child, cg, ch, cop, child_depth))
+                push((child, cg, ch, cop, node))
         if stats is not None:
-            sub = path[1] if depth else None
             stats.record_expansion(sub, len(raw))
-            if not depth:
+            if parent is None:
                 stats.root_children = len(raw)
             if not raw:
                 stats.record_leaf(sub, g, h)
@@ -158,8 +160,9 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                 if cg + ch > threshold:
                     stats.record_leaf(cop if sub is None else sub, cg, ch)
 
+    # work left on the stack and no goal: the budget cut the pass short
     return PassResult(threshold, solution, min_exceed, expanded, generated,
-                      truncated, stats)
+                      solution is None and bool(stack), stats)
 
 
 def next_threshold(result):

@@ -1,12 +1,13 @@
 """Deterministic discrete-event parallel search engine.
 
 Virtual time advances in ticks; each worker performs at most one node
-expansion per tick, and workers are stepped round-robin by id.  A worker
-whose cluster is parked (pending a threshold, holding a solution, or
-done) and has no message due is not stepped: the tick loop credits its
-idle tick directly.  Work messages (requests, donations, refusals)
-arrive message_latency_ticks after sending; coordination (threshold
-grants, pass reports, solution gating) is centralised in the
+expansion per tick, and workers are stepped round-robin by id.  A node
+is goal-tested only where its h is 0 (the contract in idastra.core).  A
+worker whose cluster is parked (pending a threshold, holding a
+solution, or done) and has no message due is not stepped: the tick loop
+credits its idle tick directly.  Work messages (requests, donations,
+refusals) arrive message_latency_ticks after sending; coordination
+(threshold grants, pass reports, solution gating) is centralised in the
 coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
 seed), so reports are bit-identical across repetitions.  The threads
@@ -17,7 +18,7 @@ import random
 from bisect import insort
 from collections import deque
 
-from idastra.core import make_root, serial_idastar
+from idastra.core import make_root, path_to, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
@@ -315,13 +316,8 @@ class _SimEngine:
 
     def _report_solution(self, cl, node):
         cl.snapshot_pass()
-        _state, cost, _h, op, parent = node
-        ops = []
-        while parent is not None:
-            ops.append(op)
-            _state, _g, _h, op, parent = parent
-        path = tuple(reversed(ops))
-        self.coord.solutions.append((cost, path, cl.threshold, cl.cid))
+        self.coord.solutions.append((node[1], path_to(node), cl.threshold,
+                                     cl.cid))
         cl.phase = "holding"
         for w in cl.members:
             w.open.clear()
@@ -366,7 +362,7 @@ class _SimEngine:
         self.last_progress = self.tick
         if g + h > threshold:
             self.over_threshold += 1
-        if self._is_goal(state):
+        if not h and self._is_goal(state):
             self._report_solution(cl, node)
             return
         raw = self._expand_node(state, op, h)

@@ -74,7 +74,9 @@ def test_recorder_round_counts_kernel_calls(tracing):
     hot = rec.hot_totals()
     assert hot["kernels.puzzle_expand"][0] == hot["domains.expand"][0] \
         == out.total_expanded - 1
-    assert hot["domains.is_goal"][0] == out.total_expanded
+    # only a node with h 0 is goal-tested, and only the goal tiles have
+    # Manhattan distance 0
+    assert hot["domains.is_goal"][0] == 1
     assert [span.name for span in rec.spans] == ["core.serial"]
     # leaving the round restores every original
     assert core.serial_idastar is serial_idastar
@@ -82,11 +84,24 @@ def test_recorder_round_counts_kernel_calls(tracing):
 
 
 def test_recorder_round_counts_synthetic_calls(tracing):
-    problem = ArtificialProblem(ArtificialSpec(
-        d=6, g=0.6, b=3, imbalance=0.2, density=1e-9, herror=3, seed=4))
+    spec = ArtificialSpec(d=6, g=0.6, b=3, imbalance=0.2, density=1e-9,
+                          herror=3, seed=4)
+    # a plain run counts the expansions made at h 0: those nodes and the
+    # goal are the only ones goal-tested
+    plain = ArtificialProblem(spec)
+    expand = plain.expand
+    zero_h = []
+
+    def counting(state, prev_op, h):
+        zero_h.append(h == 0)
+        return expand(state, prev_op, h)
+
+    plain.expand = counting
+    core.serial_idastar(plain)
+    problem = ArtificialProblem(spec)
     with tracing.Recorder(True, 0) as rec:
         out = core.serial_idastar(problem)
     hot = rec.hot_totals()
     assert hot["domains.expand"][0] == out.total_expanded - 1 > 0
-    assert hot["domains.is_goal"][0] == out.total_expanded
+    assert hot["domains.is_goal"][0] == zero_h.count(True) + 1
     assert [span.name for span in rec.spans] == ["core.serial"]

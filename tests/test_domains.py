@@ -4,7 +4,7 @@ oracle and hand-derived values."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra.core import serial_idastar
@@ -145,6 +145,28 @@ def test_heuristic_admissible_and_zero_at_goals():
                 assert h == 0
 
 
+# The search goal-tests a node only where its h is 0, which relies on
+# h >= 0 everywhere and h == 0 at every goal.
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 6), b=st.integers(2, 4), g=st.floats(0.0, 1.0),
+       herror=st.integers(0, 6), density=st.sampled_from((1e-9, 0.05, 1.0)),
+       imbalance=st.sampled_from((0.0, 0.6)), seed=st.integers(0, 999))
+def test_heuristic_meets_the_goal_gate_contract(d, b, g, herror, density,
+                                                imbalance, seed):
+    problem = ArtificialProblem(_spec(d=d, b=b, g=g, herror=herror,
+                                      density=density, imbalance=imbalance,
+                                      seed=seed))
+    frontier = [(problem.initial_state(), problem.initial_h())]
+    while frontier:
+        state, h = frontier.pop()
+        assert h >= 0
+        if problem.is_goal(state):
+            assert problem.heuristic(state) == 0
+        for child, _op, _cost, ch in problem.expand(state, -1, h):
+            assert ch == problem.heuristic(child)
+            frontier.append((child, ch))
+
+
 def test_heuristic_depth_cap_only_with_density():
     # far-right subtree of a wide tree: distance via the goal is large
     spec_plain = _spec(d=6, b=4, g=0.0)
@@ -195,6 +217,17 @@ def test_manhattan_matches_reference_on_scrambles():
         state = scramble(25, seed)
         assert PuzzleProblem(state).heuristic(state) \
             == manhattan_reference(state[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(0, 40), seed=st.integers(0, 10**6))
+@example(depth=0, seed=0)
+def test_puzzle_goal_exactly_where_manhattan_is_zero(depth, seed):
+    state = scramble(depth, seed)
+    problem = PuzzleProblem(state)
+    for s in [state] + [child for child, _op, _cost, _h
+                        in _children(problem, state)]:
+        assert problem.is_goal(s) == (_kernels_py.manhattan(s[0]) == 0)
 
 
 def test_scramble_is_always_solvable_and_deterministic():

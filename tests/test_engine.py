@@ -11,13 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idastra.core import SearchOutcome, serial_idastar
+from idastra.core import (SearchOutcome, cost_bounded_dfs, make_root,
+                          serial_idastar)
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, plan_clusters,
                             run_parallel, run_sim, validate_config)
 from idastra.engine import threads
 from idastra.engine.parts import anticipatory_check, donate, poll_target
+from idastra.engine.sim import _SimEngine
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
 from oracles import astar_cost
@@ -510,3 +512,41 @@ def test_parallel_cost_always_optimal(d, b, g, herror, seed, clusters):
     problem = ArtificialProblem(spec)
     report = _run(problem, workers=4, clusters=str(clusters))
     assert report.solution_cost == d
+
+
+# Every pass a cluster completes expands exactly the nodes of the serial
+# pass at its threshold, and that pass finds no goal: ties the sim's
+# goal test to the serial pass's.
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(4, 7), b=st.integers(2, 3), g=st.floats(0.0, 1.0),
+       herror=st.integers(2, 6), density=st.sampled_from((1e-9, 0.05)),
+       imbalance=st.sampled_from((0.0, 0.6)), seed=st.integers(0, 99),
+       workers=st.sampled_from((4, 8)), clusters=st.sampled_from((1, 2, 4)),
+       distribution=st.sampled_from(("KumarRao", "BreadthFirst")),
+       latency=st.sampled_from((0, 1, 3)),
+       ordering=st.sampled_from(("Fixed", "Local")))
+def test_each_completed_pass_conserves_the_serial_pass(
+        d, b, g, herror, density, imbalance, seed, workers, clusters,
+        distribution, latency, ordering):
+    problem = ArtificialProblem(_spec(d=d, b=b, g=g, herror=herror,
+                                      density=density, imbalance=imbalance,
+                                      seed=seed))
+    config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
+        .with_value("distribution", distribution) \
+        .with_value("ordering", ordering)
+    passes = []
+    original = _SimEngine._pass_complete
+
+    def recording(self, cl):
+        passes.append((cl.threshold, sum(w.stats.nodes_expanded - w.pass_start
+                                         for w in cl.members)))
+        original(self, cl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SimEngine, "_pass_complete", recording)
+        run_sim(problem, config, workers, latency=latency, seed=seed)
+    root = make_root(problem)
+    for threshold, expanded in passes:
+        serial = cost_bounded_dfs(problem, root, threshold, config.ordering)
+        assert serial.solution is None, threshold
+        assert expanded == serial.nodes_expanded, threshold
