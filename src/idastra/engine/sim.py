@@ -3,10 +3,13 @@
 Virtual time advances in ticks; each worker performs at most one node
 expansion per tick, and workers are stepped round-robin by id.  A node
 is goal-tested only where its h is 0 (the contract in idastra.core).  A
-worker whose cluster is parked (pending a threshold, holding a
-solution, or done) and has no message due is not stepped: the tick loop
-credits its idle tick directly.  Work messages (requests, donations,
-refusals) arrive message_latency_ticks after sending; coordination
+cluster moves through the phases pending (waiting for a threshold),
+distributing (a BreadthFirst lead splitting the top of the tree),
+searching, and done (it found a solution, or no threshold below the
+held cost is left for it).  A worker whose cluster is parked (pending
+or done) and has no message due is not stepped: the tick loop credits
+its idle tick directly.  Work messages (requests, donations, refusals)
+arrive message_latency_ticks after sending; coordination
 (threshold grants, pass reports, solution gating) is centralised in the
 coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
@@ -26,7 +29,7 @@ from idastra.errors import EngineStall, SpaceExhausted
 
 _NO_PROGRESS_CAP = 20000
 # cluster phases whose workers have nothing to expand
-_PARKED = frozenset(("pending", "holding", "done"))
+_PARKED = frozenset(("pending", "done"))
 
 
 class _Worker:
@@ -59,7 +62,7 @@ class _Cluster:
         self.can_balance = load_balancing and len(members) > 1
         self.threshold = None
         self.epoch = 0
-        self.phase = "pending"   # pending|distributing|searching|holding|done
+        self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
         self.pruned = False             # this pass pruned a child
         self.bf_level = []
@@ -75,14 +78,18 @@ class _Cluster:
 class _Coordinator:
     """Threshold pool, grants, and the optimality gate.
 
-    Candidate thresholds are the pruned f values every running pass
-    reports.  A finishing cluster is granted the smallest candidate not
-    yet claimed; with no unclaimed candidate it extrapolates by the mean
+    Candidate thresholds are the root's f, the pool's first candidate,
+    and the pruned f values every running pass reports.  Every grant,
+    the first included, is the smallest candidate not yet claimed; with
+    no unclaimed candidate a finishing cluster extrapolates by the mean
     granted increment.  A found solution is held until every candidate
     value below its cost has been searched to completion, which keeps
     the accepted cost optimal even when earlier grants raced ahead of
     candidate discovery (admissibility puts a pruned witness below any
-    cheaper goal in the pool).
+    cheaper goal in the pool).  The root's f is the gate's base case:
+    no goal costs less, so a goal found in a deeper window waits until
+    the root pass, or a completed pass above it, has ruled out a
+    cheaper one.
     """
 
     def __init__(self):
@@ -91,8 +98,8 @@ class _Coordinator:
         self.max_done = None            # highest completed empty pass
         self.claimed = set()
         self.granted_order = []
-        self.solutions = []             # (cost, path, finder_threshold, cid)
-        self.accepted = None
+        self.solutions = []             # (cost, path, cid)
+        self.accepted = None            # the best solution, once proven
 
     def add_candidate(self, f):
         if f not in self.pool_set:
@@ -133,20 +140,17 @@ class _Coordinator:
     def holding_cost(self):
         return min(s[0] for s in self.solutions) if self.solutions else None
 
-    def best_solution(self):
-        return min(self.solutions, key=lambda s: (s[0], s[1]))
-
     def reevaluate(self):
         """Accept the best held solution once nothing cheaper can exist."""
         if not self.solutions or self.accepted is not None:
             return
-        cost, path, _thr, _cid = self.best_solution()
+        best = min(self.solutions, key=lambda s: (s[0], s[1]))
         for v in self.pool:
-            if v >= cost:
+            if v >= best[0]:
                 break
             if self.max_done is None or v > self.max_done:
                 return                  # unswept candidate below the cost
-        self.accepted = (cost, path)
+        self.accepted = best
 
 
 class _SimEngine:
@@ -179,14 +183,13 @@ class _SimEngine:
         self._trigger = config.anticipation_trigger
         self.root = make_root(problem)
         _state, g, h, _op, _parent = self.root
-        self.root_threshold = g + h
         self.coord = _Coordinator()
+        self.coord.add_candidate(g + h)
         self.tick = 0
         self.donated_sent = 0
         self.donated_delivered = 0
         self.donated_dropped = 0
         self.over_threshold = 0
-        self.accepting_cluster = 0
         self.last_progress = 0
         self.space_exhausted = False
 
@@ -281,9 +284,6 @@ class _SimEngine:
         for cl in self.clusters:
             if cl.phase != "pending":
                 continue
-            if not self.coord.granted_order:
-                self._start_pass(cl, self.root_threshold)
-                continue
             v = self.coord.next_unclaimed(below=hold)
             if v is None:
                 return              # nor is there one for a later cluster
@@ -298,35 +298,27 @@ class _SimEngine:
         self.coord.mark_done(cl.threshold)
         self.coord.reevaluate()
         if self.coord.accepted is not None:
-            self.accepting_cluster = self.coord.best_solution()[3]
             return
+        # with a solution held, only thresholds below its cost matter
         hold = self.coord.holding_cost()
-        if hold is not None:
-            # only thresholds that could hide a cheaper goal matter now
-            v = self.coord.next_unclaimed(below=hold)
-            if v is None:
-                cl.phase = "done"
-            else:
-                self._start_pass(cl, v)
-            return
-        v = self.coord.next_unclaimed()
+        v = self.coord.next_unclaimed(below=hold)
         if v is None:
+            if hold is not None:
+                cl.phase = "done"
+                return
             v = self.coord.extrapolate()
         self._start_pass(cl, v)
 
     def _report_solution(self, cl, node):
         cl.snapshot_pass()
-        self.coord.solutions.append((node[1], path_to(node), cl.threshold,
-                                     cl.cid))
-        cl.phase = "holding"
+        self.coord.solutions.append((node[1], path_to(node), cl.cid))
+        cl.phase = "done"
         for w in cl.members:
             w.open.clear()
             w.outstanding = False
         cl.live_nodes = 0
         cl.epoch += 1                   # invalidate in-flight work messages
         self.coord.reevaluate()
-        if self.coord.accepted is not None:
-            self.accepting_cluster = self.coord.best_solution()[3]
 
     # -- worker stepping --------------------------------------------------
 
@@ -411,9 +403,9 @@ class _SimEngine:
 
     def _tick(self):
         """Step every worker once, in id order (clusters are contiguous
-        id blocks).  A worker of a parked cluster (pending, holding or
-        done) with no message due is credited its idle tick unstepped:
-        its step would only count that tick."""
+        id blocks).  A worker of a parked cluster (pending or done) with
+        no message due is credited its idle tick unstepped: its step
+        would only count that tick."""
         tick = self.tick
         coord = self.coord
         step = self._step
@@ -457,7 +449,7 @@ class _SimEngine:
     def _finish(self, makespan, speedup, mode):
         """Build the report once a solution is accepted; the driver
         supplies its clock's makespan and the speedup it implies."""
-        cost, path = self.coord.accepted
+        cost, path, cid = self.coord.accepted
         # undelivered donations count as returned work
         for w in self.workers:
             for _due, _epoch, kind, payload in w.inbox:
@@ -465,7 +457,7 @@ class _SimEngine:
                     self.donated_dropped += len(payload)
         balanced = (self.donated_sent
                     == self.donated_delivered + self.donated_dropped)
-        finder = self.clusters[self.accepting_cluster]
+        finder = self.clusters[cid]
         final_pass = [0] * self.P
         for pos, w in enumerate(finder.members):
             final_pass[w.wid] = finder.last_pass_expansions[pos]

@@ -198,10 +198,11 @@ def tree_from_text(text):
                             f"got {d}")
         pos += 1
         if parts[0] == "leaf":
-            if len(parts) != 4:
-                raise DataError(f"model line {lineno}: bad leaf")
-            return Leaf(label=parts[1], cases=int(parts[2]),
-                        errors=int(parts[3]))
+            try:
+                _leaf, label, cases, errors = parts
+                return Leaf(label=label, cases=int(cases), errors=int(errors))
+            except ValueError:
+                raise DataError(f"model line {lineno}: bad leaf") from None
         if parts[0] == "split":
             if len(parts) != 4 or parts[2] not in ("le", "eq"):
                 raise DataError(f"model line {lineno}: bad split")
@@ -210,7 +211,11 @@ def tree_from_text(text):
                 if feature not in NUMERIC_FEATURES:
                     raise DataError(
                         f"model line {lineno}: {feature} is not numeric")
-                threshold = float(operand)
+                try:
+                    threshold = float(operand)
+                except ValueError:
+                    raise DataError(f"model line {lineno}: bad threshold "
+                                    f"{operand!r}") from None
             else:
                 if feature not in CATEGORICAL_FEATURES:
                     raise DataError(

@@ -81,10 +81,11 @@ def test_gen_count_must_be_positive(run_cli, tmp_path):
 def test_sweep_records_store_and_determinism(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "inst"), count=2)
     outputs = []
-    for rerun in ("a", "b"):
+    # the rerun names the directory: it reads the same files in order
+    for rerun, instances in (("a", files), ("b", [tmp_path / "inst"])):
         records = str(tmp_path / f"records_{rerun}.csv")
         store = str(tmp_path / f"cases_{rerun}.jsonl")
-        code, out, err = run_cli(["sweep", "--instances", *files,
+        code, out, err = run_cli(["sweep", "--instances", *instances,
                                   "--axis", "clusters", "--grid", "1,2,4",
                                   "--workers", 4, "--budget", 50,
                                   "--out", records, "--store", store])
@@ -153,6 +154,19 @@ def test_sweep_rejects_unknown_axis(run_cli, tmp_path):
                                 "--axis", "colour", "--grid", "red",
                                 "--out", str(tmp_path / "r.csv")])
     assert code == 1
+
+
+def test_sweep_instances_that_name_nothing_are_data_errors(run_cli,
+                                                           tmp_path):
+    (tmp_path / "empty").mkdir()
+    for instances, message in ((tmp_path / "empty", "no .spec files"),
+                               (tmp_path / "missing",
+                                "no such instance file")):
+        code, _out, err = run_cli(["sweep", "--instances", instances,
+                                   "--axis", "clusters", "--grid", "1",
+                                   "--out", tmp_path / "r.csv"])
+        assert code == 2, instances
+        assert message in err and "Traceback" not in err
 
 
 def test_sweep_survives_invalid_grid_value(run_cli, tmp_path):
@@ -304,6 +318,17 @@ def test_train_writes_model_and_eval(run_cli, tmp_path):
     assert methods[0] == "tree" and "majority" in methods
     assert all(r["p_vs_tree"] == "" or 0 <= float(r["p_vs_tree"]) <= 1
                for r in eval_rows)
+    # --filter trains on the most decisive third of the cases
+    code, filtered, _err = run_cli(["train", "--store", store,
+                                    "--axis", "clusters", "--folds", 2,
+                                    "--filter",
+                                    "--out", str(tmp_path / "f.tree")])
+    assert code == 0
+
+    def cases(text):
+        return int(text.split("cases: ")[1].split()[0])
+
+    assert 0 < cases(filtered) < cases(out)
 
 
 def test_train_missing_axis_is_a_data_error(run_cli, tmp_path):
@@ -337,6 +362,19 @@ def test_advise_applies_trained_model(run_cli, tmp_path):
     advised = [line for line in out.splitlines()
                if line.startswith("clusters=")]
     assert advised and advised[0].split("=")[1] in ("1", "4")
+    # an all-axes model sets the whole config; an axis model overrides it
+    everything = tmp_path / "all.tree"
+    everything.write_text("leaf KumarRao:2:on:Random:0.5:HeadOfList:2:Local"
+                          " 1 0\n")
+    code, out, _err = run_cli(["advise", "--instances", files[0],
+                               "--model", f"all={everything}",
+                               "--model", f"clusters={model}",
+                               "--budget", 50])
+    assert code == 0
+    config = out.split("config: ")[1].split()[0].split(":")
+    assert config[0] == "KumarRao" and config[2:] \
+        == ["on", "Random", "0.5", "HeadOfList", "2", "Local"]
+    assert config[1] == advised[0].split("=")[1]
 
 
 def test_advise_solved_during_profiling(run_cli, tmp_path):
@@ -448,6 +486,19 @@ def test_advise_and_solve_read_a_puzzle_file(run_cli, tmp_path):
     assert int(rows[0]["cost"]) == want
 
 
+def test_solve_window_search_returns_the_optimal_puzzle_cost(run_cli,
+                                                             tmp_path):
+    # scramble(14, 46): a deeper window finds a cost-16 goal while the
+    # root pass, which holds a cost-14 one, is still running
+    path = tmp_path / "p.txt"
+    path.write_text("5 2 7 11 1 4 3 0 8 9 6 10 12 13 14 15\n")
+    code, out, _err = run_cli(["solve", "--instances", path,
+                               "--clusters", 2, "--workers", 4,
+                               "--budget", 5])
+    assert code == 0
+    assert "cost: 14" in out.splitlines()
+
+
 def test_solve_profiled_solution_recorded(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "easy"), count=1, d="3",
                  density="0.0", herror="0")
@@ -510,9 +561,20 @@ def test_report_skips_failed_rows(run_cli, tmp_path):
                                 "--out", records])
     assert code == 0
     out_csv = str(tmp_path / "report.csv")
-    code, _out, _err = run_cli(["report", records, "--out", out_csv])
+    code, _out, err = run_cli(["report", records, "--out", out_csv])
     assert code == 0
     assert {r["approach"] for r in _read_csv(out_csv)} == {"clusters=1"}
+    assert "warning" not in err
+    # an ok row without a speedup is skipped with a warning
+    with open(records, "a", newline="") as fh:
+        csv.DictWriter(fh, fieldnames=RECORD_FIELDS, lineterminator="\n") \
+            .writerow(dict.fromkeys(RECORD_FIELDS, "")
+                      | {"instance": "inst_0000", "approach": "clusters=2",
+                         "status": "ok"})
+    code, _out, err = run_cli(["report", records, "--out", out_csv])
+    assert code == 0
+    assert {r["approach"] for r in _read_csv(out_csv)} == {"clusters=1"}
+    assert "skipping record without speedup: inst_0000 clusters=2" in err
 
 
 def test_report_with_nothing_usable(run_cli, tmp_path):
@@ -526,6 +588,12 @@ def test_report_with_nothing_usable(run_cli, tmp_path):
     code, _out, _err = run_cli(["report", str(tmp_path / "missing.csv"),
                                 "--out", str(tmp_path / "r.csv")])
     assert code == 2
+    short = tmp_path / "short.csv"
+    short.write_text(",".join(RECORD_FIELDS[:-1]) + "\n")
+    code, _out, err = run_cli(["report", short,
+                               "--out", str(tmp_path / "r.csv")])
+    assert code == 2
+    assert "missing columns ['timestamp']" in err
 
 
 def test_report_rejects_a_non_numeric_speedup(run_cli, tmp_path):

@@ -201,6 +201,17 @@ def test_spec_parse_errors_carry_line_numbers():
         ArtificialSpec.from_text("d = 3\n")     # missing fields
 
 
+@pytest.mark.parametrize("head, message", [
+    ("depth = 3", "line 1: unknown key 'depth'"),
+    ("d = 4\nd = 4", "line 2: duplicate key 'd'"),
+    ("b = three", "line 1: bad value 'three' for b"),
+])
+def test_malformed_spec_text_is_a_data_error(head, message):
+    # the bad lines come before a complete, valid spec
+    with pytest.raises(DataError, match=message):
+        ArtificialSpec.from_text(head + "\n" + _spec().to_text())
+
+
 def test_spec_file_round_trip(tmp_path):
     spec = _spec(seed=77)
     path = tmp_path / "x.spec"

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from idastra.core import (SearchOutcome, cost_bounded_dfs, make_root,
                           serial_idastar)
+from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, plan_clusters,
@@ -512,6 +513,46 @@ def test_parallel_cost_always_optimal(d, b, g, herror, seed, clusters):
     problem = ArtificialProblem(spec)
     report = _run(problem, workers=4, clusters=str(clusters))
     assert report.solution_cost == d
+
+
+# Puzzle goals sit at many depths, so a deeper window can find a costlier
+# goal while the root pass is still running; the gate must hold it until
+# the root pass has ruled out a cheaper one.
+def test_window_search_never_accepts_a_costlier_puzzle_goal():
+    for depth, seed in ((14, 46), (14, 24), (22, 1), (18, 7), (10, 48),
+                        (18, 53), (14, 57), (18, 57)):
+        problem = PuzzleProblem(scramble(depth, seed))
+        serial = serial_idastar(problem)
+        assert serial.cost == astar_cost(problem)
+        for distribution, clusters, workers, latency in product(
+                ("BreadthFirst", "KumarRao"), (2, 4), (4, 8), (0, 1, 3)):
+            config = StrategyConfig(distribution=distribution,
+                                    clusters=clusters)
+            report = run_sim(problem, config, workers, latency=latency,
+                             serial_outcome=serial)
+            assert report.solution_cost == serial.cost, \
+                (depth, seed, config.token(), workers, latency)
+
+
+def test_a_held_solution_grants_a_cheaper_threshold(monkeypatch):
+    # a cluster finishing a pass while another holds a solution is
+    # granted a threshold below the held cost, not parked
+    problem = ArtificialProblem(_spec(d=7, g=0.6, b=3, imbalance=0.3,
+                                      density=0.05, herror=6, seed=7))
+    below_hold = []
+    original = _SimEngine._start_pass
+
+    def counting(self, cl, threshold):
+        if self.coord.solutions and cl.phase != "pending":
+            below_hold.append((threshold, self.coord.holding_cost()))
+        original(self, cl, threshold)
+
+    monkeypatch.setattr(_SimEngine, "_start_pass", counting)
+    config = StrategyConfig(distribution="BreadthFirst", clusters=2)
+    report = run_sim(problem, config, 8, latency=0)
+    assert below_hold
+    assert all(threshold < hold for threshold, hold in below_hold)
+    assert report.solution_cost == serial_idastar(problem).cost
 
 
 # Every pass a cluster completes expands exactly the nodes of the serial

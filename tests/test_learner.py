@@ -286,6 +286,22 @@ def test_tree_text_rejects_bad_input():
         tree_to_text(Leaf("two words", 1, 0))
 
 
+@pytest.mark.parametrize("text", [
+    " leaf A 1 0\n",                                    # odd indent
+    "leaf A 1\n",                                       # bad leaf
+    "leaf A one 0\n",                                   # non-integer count
+    "split b lt 3.0\n  leaf A 1 0\n  leaf B 1 0\n",     # bad split
+    "split b le x\n  leaf A 1 0\n  leaf B 1 0\n",       # bad threshold
+    "split architecture le 3.0\n  leaf A 1 0\n  leaf B 1 0\n",
+    "split b eq sim-P4\n  leaf A 1 0\n  leaf B 1 0\n",
+    "leaf A 1 0\nleaf B 1 0\n",                         # trailing content
+    "split b le 3.0\n",                                 # ends inside a split
+])
+def test_malformed_model_text_is_a_data_error(text):
+    with pytest.raises(DataError, match="model"):
+        tree_from_text(text)
+
+
 # -------------------------------------------------------- cross-validation
 
 def test_cross_validation_methods_and_shapes():
