@@ -90,6 +90,10 @@ def _check_run_flags(args):
     """Reject run flags no engine run accepts, before any search."""
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.clusters is not None \
+            and not 1 <= args.clusters <= args.workers:
+        raise UsageError(f"--clusters must be in 1..{args.workers}, "
+                         f"got {args.clusters}")
     if args.latency < 0:
         raise UsageError(f"--latency must be >= 0, got {args.latency}")
     if args.budget < 1:
@@ -313,6 +317,10 @@ def cmd_sweep(args):
 # -------------------------------------------------------------- train
 
 def cmd_train(args):
+    if args.axis not in AXES:
+        raise UsageError(f"--axis must be one of {AXES}, got {args.axis!r}")
+    if args.folds < 2:
+        raise UsageError(f"--folds must be >= 2, got {args.folds}")
     cases = read_store(args.store, axis=args.axis)
     if not cases:
         raise DataError(f"store {args.store} has no cases for axis "
@@ -320,10 +328,11 @@ def cmd_train(args):
     dataset = Dataset(cases=cases, axis=args.axis)
     if args.filter:
         dataset = variance_filter(dataset)
+    # cross-validate first: a fold count the cases cannot fill writes
+    # no model
+    errors = cross_validate(dataset, k=args.folds, seed=args.seed)
     tree = induce_tree(dataset)
     save_tree(args.out, tree)
-
-    errors = cross_validate(dataset, k=args.folds, seed=args.seed)
     eval_path = args.out + ".eval.csv"
     with open(eval_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")

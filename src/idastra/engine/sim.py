@@ -2,14 +2,17 @@
 
 Virtual time advances in ticks; each worker performs at most one node
 expansion per tick, and workers are stepped round-robin by id.  A node
-is goal-tested only where its h is 0 (the contract in idastra.core).  A
-cluster moves through the phases pending (waiting for a threshold),
-distributing (a BreadthFirst lead splitting the top of the tree),
-searching, and done (it found a solution, or no threshold below the
-held cost is left for it).  A worker whose cluster is parked (pending
-or done) and has no message due is not stepped: the tick loop credits
-its idle tick directly.  Work messages (requests, donations, refusals)
-arrive message_latency_ticks after sending; coordination
+is goal-tested only where its h is 0 (the contract in idastra.core).
+Every pass starts with the root on the cluster lead's open list, and
+every worker takes its nodes from its own open list.  A cluster moves
+through the phases pending (waiting for a threshold), distributing (a
+BreadthFirst lead expanding the top of the tree level by level, until a
+level holds a node per member and is dealt out round-robin), searching,
+and done (it found a solution, or no threshold below the held cost is
+left for it).  A worker whose cluster is parked (pending or done) and
+has no message due is not stepped: the tick loop credits its idle tick
+directly.  Work messages (requests, donations, refusals) arrive
+message_latency_ticks after sending; coordination
 (threshold grants, pass reports, solution gating) is centralised in the
 coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
@@ -53,8 +56,8 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("cid", "members", "can_balance", "threshold", "epoch",
-                 "phase", "live_nodes", "pruned", "bf_level", "bf_next",
-                 "bf_cursor", "last_pass_expansions")
+                 "phase", "live_nodes", "pruned", "level_left",
+                 "last_pass_expansions")
 
     def __init__(self, cid, members, load_balancing):
         self.cid = cid
@@ -65,14 +68,23 @@ class _Cluster:
         self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
         self.pruned = False             # this pass pruned a child
-        self.bf_level = []
-        self.bf_next = []
-        self.bf_cursor = 0
+        self.level_left = 0             # distributing: level nodes unexpanded
         self.last_pass_expansions = [0] * len(members)
 
     def snapshot_pass(self):
         self.last_pass_expansions = [w.stats.nodes_expanded - w.pass_start
                                      for w in self.members]
+
+    def reset(self):
+        """End the running pass: its in-flight work messages go stale
+        and every member starts over with an empty list."""
+        self.epoch += 1
+        self.pruned = False
+        self.live_nodes = 0
+        for w in self.members:
+            w.open.clear()
+            w.outstanding = False
+            w.pass_start = w.stats.nodes_expanded
 
 
 class _Coordinator:
@@ -234,50 +246,31 @@ class _SimEngine:
     def _start_pass(self, cl, threshold):
         self.coord.claim(threshold)
         cl.threshold = threshold
-        cl.epoch += 1
-        cl.pruned = False
-        cl.live_nodes = 0
-        for w in cl.members:
-            w.open.clear()
-            w.outstanding = False
-            w.pass_start = w.stats.nodes_expanded
-        root = self.root
+        cl.reset()
+        cl.members[0].open.append(self.root)
         if self.config.distribution == "BreadthFirst":
-            if len(cl.members) == 1:
-                self._bf_assign(cl, [root])
-            else:
-                cl.bf_level = [root]
-                cl.bf_next = []
-                cl.bf_cursor = 0
-                cl.phase = "distributing"
+            self._split(cl)
         else:                           # KumarRao: lead starts, others beg
-            lead = cl.members[0]
-            lead.open.append(root)
             cl.live_nodes = 1
             cl.phase = "searching"
 
-    def _bf_assign(self, cl, frontier):
+    def _split(self, cl):
+        """A BreadthFirst lead's list at a level boundary: the pass is
+        complete if it is empty, it is dealt out round-robin once it
+        holds a node per member, and otherwise its level is expanded."""
+        frontier = cl.members[0].open
         k = len(cl.members)
-        for j, w in enumerate(cl.members):
-            w.open.extend(frontier[j::k])
-        cl.live_nodes = len(frontier)
-        cl.bf_level = []
-        cl.bf_next = []
-        cl.bf_cursor = 0
-        cl.phase = "searching"
-
-    def _bf_level_done(self, cl):
-        """Current level fully expanded: assign, descend, or finish."""
-        frontier = cl.bf_next
         if not frontier:
             self._pass_complete(cl)
-            return
-        if len(frontier) >= len(cl.members):
-            self._bf_assign(cl, frontier)
+        elif len(frontier) >= k:
+            frontier = list(frontier)
+            for j, w in enumerate(cl.members):
+                w.open = deque(frontier[j::k])
+            cl.live_nodes = len(frontier)
+            cl.phase = "searching"
         else:
-            cl.bf_level = frontier
-            cl.bf_next = []
-            cl.bf_cursor = 0
+            cl.level_left = len(frontier)
+            cl.phase = "distributing"
 
     def _grant_pending(self):
         hold = self.coord.holding_cost()
@@ -313,19 +306,15 @@ class _SimEngine:
         cl.snapshot_pass()
         self.coord.solutions.append((node[1], path_to(node), cl.cid))
         cl.phase = "done"
-        for w in cl.members:
-            w.open.clear()
-            w.outstanding = False
-        cl.live_nodes = 0
-        cl.epoch += 1                   # invalidate in-flight work messages
+        cl.reset()
         self.coord.reevaluate()
 
     # -- worker stepping --------------------------------------------------
 
     def _step(self, w):
-        """One tick of worker w: take due messages, then expand one node
-        (the distributing lead's next frontier node, or the head of a
-        searching worker's open list) or idle."""
+        """One tick of worker w: take due messages, then expand the head
+        of its open list or idle.  Only the lead holds nodes while its
+        cluster is distributing."""
         inbox = w.inbox
         if inbox and inbox[0][0] <= self.tick:
             self._deliver(w)
@@ -335,11 +324,8 @@ class _SimEngine:
         cl = w.cluster
         phase = cl.phase
         open_ = w.open
-        if phase == "searching" and open_:
+        if open_:
             node = open_.popleft()
-        elif phase == "distributing" and w is cl.members[0]:
-            node = cl.bf_level[cl.bf_cursor]
-            cl.bf_cursor += 1
         else:
             w.stats.idle_ticks += 1
             if phase == "searching" and cl.can_balance \
@@ -375,9 +361,10 @@ class _SimEngine:
                 kept.append((child, cg, ch, cop, node))
 
         if phase == "distributing":
-            cl.bf_next.extend(kept)
-            if cl.bf_cursor == len(cl.bf_level):
-                self._bf_level_done(cl)
+            open_.extend(kept)          # the next level, in order
+            cl.level_left -= 1
+            if not cl.level_left:
+                self._split(cl)
             return
         live = cl.live_nodes - 1 + len(kept)
         cl.live_nodes = live

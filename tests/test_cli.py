@@ -202,7 +202,9 @@ def _forbid_search(monkeypatch):
 
 BAD_RUN_FLAGS = ((["--latency", -1], "--latency must be >= 0"),
                  (["--workers", 0], "--workers must be >= 1"),
-                 (["--budget", 0], "--budget must be >= 1"))
+                 (["--budget", 0], "--budget must be >= 1"),
+                 (["--clusters", 0], "--clusters must be in 1..4"),
+                 (["--clusters", 5], "--clusters must be in 1..4"))
 
 
 def test_sweep_rejects_bad_run_flags_before_searching(run_cli, tmp_path,
@@ -339,6 +341,26 @@ def test_train_missing_axis_is_a_data_error(run_cli, tmp_path):
     assert code == 2
 
 
+def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):
+    _files, store = _sweep_store(run_cli, tmp_path)
+    missing = tmp_path / "missing.jsonl"
+    model = tmp_path / "m.tree"
+    # usage errors come before the store is read, so a missing store
+    # still exits 1; the store holds too few cases to fill 50 folds
+    for store_path, axis, folds, want in ((store, "clusters", 1, 1),
+                                          (missing, "clusters", 0, 1),
+                                          (store, "colour", 2, 1),
+                                          (missing, "colour", 2, 1),
+                                          (store, "clusters", 50, 2)):
+        code, _out, err = run_cli(["train", "--store", store_path,
+                                   "--axis", axis, "--folds", folds,
+                                   "--out", model])
+        assert code == want, (store_path, axis, folds)
+        assert "Traceback" not in err
+        assert not model.exists()
+        assert not os.path.exists(f"{model}.eval.csv")
+
+
 def test_advise_default_config_without_models(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)
     code, out, _err = run_cli(["advise", "--instances", files[0],
@@ -440,13 +462,16 @@ def test_solve_rejects_bad_run_flags_before_searching(run_cli, tmp_path,
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)
     _forbid_search(monkeypatch)
     records = tmp_path / "solve.csv"
+    # advise runs the same checks, minus the record file
     for flags, message in BAD_RUN_FLAGS:
-        code, out, err = run_cli(["solve", "--instances", files[0],
-                                  *flags, "--out", records])
-        assert code == 1, flags
-        assert message in err
-        assert out == ""
-        assert not records.exists()
+        for argv in (["advise", "--instances", files[0], *flags],
+                     ["solve", "--instances", files[0], *flags,
+                      "--out", records]):
+            code, out, err = run_cli(argv)
+            assert code == 1, argv
+            assert message in err
+            assert out == ""
+            assert not records.exists()
 
 
 def test_solve_with_a_toida_model(run_cli, tmp_path):

@@ -307,11 +307,16 @@ def test_simulation_is_deterministic():
 # Sim reports pinned as (spec, workers, latency, config token) ->
 # (makespan, first 16 hex digits of the sha256 of repr(report)), all at
 # seed 3.  The latency-1 "deep" P=4 and P=16 entries up to the Local one
-# were recorded before the threads driver began stepping the sim engine;
-# the rest before parked workers stopped being stepped.  At P=16 most
-# clusters wait for a threshold; on "dense" and "skewed", work requests
-# and donations are still in flight to clusters that finish or hold a
-# solution, so parked workers receive messages and answer with refusals.
+# were recorded before the threads driver began stepping the sim engine,
+# the rest up to the last "skewed" one before parked workers stopped
+# being stepped, and the BreadthFirst entries after it before the split
+# moved onto the lead's open list.  At P=16 most clusters wait for a
+# threshold; on "dense" and "skewed", work requests and donations are
+# still in flight to clusters that finish or hold a solution, so parked
+# workers receive messages and answer with refusals.  On "split" h is
+# the remaining depth (herror 0, and a nonzero density caps it there), so
+# every node's f is d: one cluster of 16 expands levels of 1, 3 and 9
+# nodes in the root pass and deals out the 27 of the next.
 _PINNED_SPECS = {
     "deep": _spec(d=7, g=0.7, b=3, imbalance=0.3, density=1e-9, herror=5,
                   seed=4),
@@ -319,6 +324,7 @@ _PINNED_SPECS = {
                    seed=1),
     "skewed": _spec(d=6, g=0.5, b=3, imbalance=0.6, density=1e-9, herror=4,
                     seed=1),
+    "split": _spec(d=7, g=0.9, b=3, density=1e-9, seed=2),
 }
 _PINNED_REPORTS = {
     ("deep", 4, 1, "KumarRao:1:on:Random:0.3:TailOfList:0:Fixed"):
@@ -369,6 +375,22 @@ _PINNED_REPORTS = {
         (53.0, "b01d1aaa03a179dd"),
     ("skewed", 16, 3, "KumarRao:4:on:Neighbor:0.3:TailOfList:0:Fixed"):
         (47.0, "2fbf5499ac681c87"),
+    ("deep", 4, 1, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Local"):
+        (569.0, "9d16e750496ae75b"),
+    ("deep", 16, 3, "BreadthFirst:4:on:Random:0.3:TailOfList:0:Local"):
+        (235.0, "70f6f74422ed4bd2"),
+    ("dense", 16, 0, "BreadthFirst:2:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (30.0, "0b1f60357ca138fc"),
+    ("dense", 16, 3, "BreadthFirst:4:on:Random:0.3:TailOfList:0:Fixed"):
+        (35.0, "ac2708099b3a818e"),
+    ("skewed", 16, 0, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (79.0, "cff55b119e8429b2"),
+    ("skewed", 16, 3, "BreadthFirst:2:on:Random:0.3:TailOfList:0:Local"):
+        (55.0, "89d4b3ce0e8db9ea"),
+    ("split", 16, 1, "BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed"):
+        (172.0, "f38f922e3a55143a"),
+    ("split", 16, 3, "BreadthFirst:1:on:Random:0.3:TailOfList:0:Local"):
+        (172.0, "bbe33ac742d97dd6"),
 }
 
 
@@ -380,6 +402,39 @@ def test_sim_reports_match_pinned_values():
         digest = hashlib.sha256(repr(report).encode()).hexdigest()[:16]
         assert (report.makespan, digest) == want, (name, workers, latency,
                                                    token)
+
+
+def test_breadth_first_split_deals_the_lead_list_round_robin():
+    problem = ArtificialProblem(_PINNED_SPECS["split"])
+    config = StrategyConfig(distribution="BreadthFirst", clusters=1)
+    engine = _SimEngine(problem, config, 16, 1, 0)
+    cl = engine.clusters[0]
+    lead, others = cl.members[0], cl.members[1:]
+    frontier = [problem.initial_state()]
+    for _ in range(3):
+        frontier = [child for state in frontier
+                    for child, _op, _cost, _h in problem.expand(state, -1, 0)]
+    assert len(frontier) == 27
+    engine._grant_pending()
+    # until the deal only the lead expands, one node a tick, and no
+    # worker sends a message
+    for tick in range(1 + 3 + 9):
+        assert cl.phase == "distributing"
+        engine.tick = tick
+        engine._step(lead)
+        assert lead.stats.nodes_expanded == tick + 1
+        if cl.phase != "distributing":
+            break
+        for w in others:
+            engine._step(w)
+    assert tick == 12 and cl.phase == "searching"
+    assert cl.live_nodes == 27
+    assert all(w.stats.nodes_expanded == 0 for w in others)
+    assert all(w.stats.messages_sent == 0 and not w.inbox
+               for w in engine.workers)
+    for j, w in enumerate(cl.members):
+        assert [(node[0], node[1]) for node in w.open] \
+            == [(state, 3) for state in frontier[j::16]], j
 
 
 def test_report_accounting_invariants():
@@ -591,3 +646,55 @@ def test_each_completed_pass_conserves_the_serial_pass(
         serial = cost_bounded_dfs(problem, root, threshold, config.ordering)
         assert serial.solution is None, threshold
         assert expanded == serial.nodes_expanded, threshold
+
+
+class _ShuffledTicks(_SimEngine):
+    """The sim engine with every worker stepped once a tick in a seeded
+    random order: the arbitrary interleavings threads mode exercises,
+    made reproducible (Burckhardt et al., "A Randomized Scheduler with
+    Probabilistic Guarantees of Finding Bugs", ASPLOS 2010)."""
+
+    def __init__(self, *args, order_seed):
+        super().__init__(*args)
+        self.step_order = random.Random(order_seed)
+
+    def _tick(self):
+        workers = self.workers[:]
+        self.step_order.shuffle(workers)
+        for w in workers:
+            self._step(w)
+            if self.coord.accepted is not None:
+                return
+
+
+@settings(max_examples=300, deadline=None)
+@given(instance=st.one_of(
+           st.builds(_spec, d=st.integers(3, 6), b=st.integers(2, 3),
+                     g=st.floats(0.0, 1.0), herror=st.integers(0, 4),
+                     density=st.sampled_from((0.0, 1e-9, 0.05)),
+                     imbalance=st.sampled_from((0.0, 0.6)),
+                     seed=st.integers(0, 99)),
+           st.sampled_from(((14, 46), (30, 2), (36, 3), (40, 5)))),
+       distribution=st.sampled_from(("KumarRao", "BreadthFirst")),
+       workers=st.sampled_from((4, 8)), clusters=st.sampled_from((1, 2, 4)),
+       latency=st.sampled_from((0, 1, 3)),
+       polling=st.sampled_from(("Neighbor", "Random")),
+       ordering=st.sampled_from(("Fixed", "Local")),
+       order_seed=st.integers(0, 2**32 - 1))
+def test_shuffled_step_order_keeps_cost_and_tokens(
+        instance, distribution, workers, clusters, latency, polling,
+        ordering, order_seed):
+    if isinstance(instance, ArtificialSpec):
+        problem = ArtificialProblem(instance)
+    else:
+        problem = PuzzleProblem(scramble(*instance))
+    config = DEFAULT_CONFIG.with_value("distribution", distribution) \
+        .with_value("clusters", str(clusters)) \
+        .with_value("polling", polling).with_value("ordering", ordering)
+    serial = serial_idastar(problem)
+    report = _ShuffledTicks(problem, config, workers, latency, 0, None,
+                            order_seed=order_seed).run()
+    assert report.solution_cost == serial.cost
+    assert report.tokens_balanced
+    assert report.total_expanded \
+        == sum(w.nodes_expanded for w in report.per_worker)
