@@ -18,6 +18,14 @@ multiply of hash_step is applied to the packed key and followed by
 & _LANES, and each product is taken of a masked value, so no bit of one
 lane ever reaches the other: an error-lane product stays below bit 128,
 and a right shift moves goal-lane bits no lower than the gap.
+
+synthetic_expand computes only what its children need.  A node at the
+tree's depth d is a leaf and returns at once.  With extra goals about
+(density > 0), every child of a node is the remaining depth away from a
+possible goal, so a child at depth d gets h 0 with no goal test and no
+error draw; its key is still the full two-lane step, since a child is
+the state its path gives.  With density 0, a child at depth d is a goal
+only where it ends the goal path.
 """
 
 _MASK = (1 << 64) - 1
@@ -156,11 +164,24 @@ def synthetic_expand(state, tables):
     hash_step of its parent's in both lanes and h as
     ArtificialProblem._h computes it: exactly the (state, op, cost, h)
     children ArtificialProblem.expand returns.
+
+    A node at depth d is a leaf and returns [] before any table lookup.
+    A child's h is its distance to the designated goal less its error
+    draw, clamped at 0.  The goal path's next step is the remaining depth
+    d - depth away and every other child further; when density > 0 any
+    depth-d node may be a goal, so every child's distance is capped at,
+    and so equals, the remaining depth.  A child at distance 0 gets h 0 with no
+    error draw, and no child is goal-tested: below depth d no distance is
+    0, and at depth d a distance of 0 is the goal path's end when
+    density is 0 (the only goal then) and every child when density > 0
+    (h 0 whether or not its goal stream makes it a goal).
     """
     path, shared, key = state
     on_path, off_path, goal_path, d, density_threshold, emod = tables
     depth = len(path)
-    if shared == depth < d:
+    if depth == d:
+        return []
+    if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices = on_path[depth]
         goal_next = goal_path[depth]
@@ -168,23 +189,22 @@ def synthetic_expand(state, tables):
         indices = off_path[depth]
         goal_next = -1
     depth += 1
-    at_leaf = depth == d
-    capped = density_threshold > 0
+    # distances to the designated goal, on and off the goal path
+    on = d - depth
+    off = on if density_threshold > 0 else depth + d - 2 * shared
     out = []
     for i in indices:
         z = (key + _STEP_ADD2[i]) & _LANES
         z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
         z = ((z ^ (z >> 27)) & _LANES) * _MIX2 & _LANES
         z ^= (z >> 31) & _LANES
-        c_shared = shared + 1 if i == goal_next else shared
-        if at_leaf and (c_shared == d or z >> 128 < density_threshold):
-            h = 0                   # a goal
+        if i == goal_next:
+            c_shared = shared + 1
+            h = on
         else:
-            # back out of the non-shared suffix, then down the goal path;
-            # with extra goals about, no further than the remaining depth
-            h = depth + d - 2 * c_shared
-            if capped and h > d - depth:
-                h = d - depth
+            c_shared = shared
+            h = off
+        if h:
             h -= (z & _MASK) % emod
             if h < 0:
                 h = 0

@@ -137,7 +137,8 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                 stats.record_leaf(sub, g, h)
             break
         raw = expand(state, op, h)
-        if arrange is not None:
+        # fewer than two children are in every order already
+        if arrange is not None and len(raw) > 1:
             raw = arrange(raw, parent is None)
         generated += len(raw)
         # push in reverse so the first child is popped first

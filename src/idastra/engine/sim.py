@@ -234,7 +234,7 @@ class _SimEngine:
         requester = self.workers[requester_wid]
         kept, batch = donate(donor.open, self.config.donation_fraction,
                              self.config.donate_from)
-        if batch and donor.cluster.phase == "searching":
+        if batch:
             donor.open = deque(kept)
             self.donated_sent += len(batch)
             self._send(donor, requester, "don", batch)
@@ -345,7 +345,7 @@ class _SimEngine:
             return
         raw = self._expand_node(state, op, h)
         arrange = self._arrange
-        if arrange is not None:
+        if arrange is not None and len(raw) > 1:
             raw = arrange(raw, parent is None)
         stats.nodes_generated += len(raw)
         pool_set = coord.pool_set

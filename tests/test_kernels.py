@@ -2,6 +2,7 @@
 anchors."""
 
 import random
+from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,3 +147,33 @@ def test_synthetic_expand_matches_states_built_from_scratch(
             if problem.is_goal(child):
                 assert h == 0
         state = data.draw(st.sampled_from(children))[0]
+
+
+def test_synthetic_expand_on_every_node_of_small_trees():
+    # the exhaustive companion of the test above: every node of full
+    # small trees, leaves included, against states built from scratch
+    for d, b, density, imbalance, herror in product(
+            range(1, 7), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
+            (0, 5)):
+        problem = ArtificialProblem(ArtificialSpec(
+            d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
+            density=density, herror=herror, seed=10 * d + b))
+        goals = 0
+        stack = [problem.initial_state()]
+        while stack:
+            state = stack.pop()
+            path = state[0]
+            children = problem.expand(state, -1, 0)
+            if len(path) == d:
+                assert children == []
+            for child, i, cost, h in children:
+                assert cost == 1
+                assert child == problem.state_at(path + bytes((i,)))
+                assert h == problem._h(len(child[0]), *child[1:]) \
+                    == problem.heuristic(child)
+                if problem.is_goal(child):
+                    assert h == 0
+                    goals += 1
+                stack.append(child)
+        # the designated goal path survives every depth limit
+        assert goals >= 1, (d, b, density, imbalance, herror)
