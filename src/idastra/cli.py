@@ -137,17 +137,27 @@ def _profile(problem, budget):
 
 
 def _append_records(path, rows):
-    need_header = not os.path.exists(path) or os.path.getsize(path) == 0
+    last = b""
+    if os.path.exists(path) and os.path.getsize(path):
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
                                 lineterminator="\n")
-        if need_header:
+        if not last:
             writer.writeheader()
+        elif last != b"\n":
+            # a write cut short left a partial last line: end it, so the
+            # new rows start on their own line and report skips the cut one
+            fh.write("\n")
         writer.writerows(rows)
 
 
 def _read_records(paths):
-    """(path, row) for every record in the files."""
+    """(path, row) for every record in the files.  A row whose field
+    count differs from the header's (a write cut short) is skipped with a
+    warning."""
     rows = []
     for path in paths:
         with open(path, newline="") as fh:
@@ -158,7 +168,12 @@ def _read_records(paths):
             if missing:
                 raise DataError(f"{path}: record file missing columns "
                                 f"{sorted(missing)}")
-            rows.extend((path, row) for row in reader)
+            for row in reader:
+                if None in row or None in row.values():
+                    _warn(f"{path}:{reader.line_num}: skipping cut record "
+                          "line")
+                    continue
+                rows.append((path, row))
     return rows
 
 
@@ -231,13 +246,15 @@ def cmd_gen(args):
 
 # -------------------------------------------------------------- sweep
 
-def _sweep_instance(args, iid, problem, grid, base, rows):
-    """Run every grid value on one instance, appending one record row per
-    run to rows.  Returns (features, mean makespan per grid value);
-    features is None when profiling solved the instance."""
+def _sweep_instance(args, iid, problem, grid, base):
+    """Run every grid value on one instance, appending each run's record
+    row to args.out as the run ends.  Returns (features, mean makespan
+    per grid value, failed runs); features is None when profiling solved
+    the instance."""
     trace, features = _profile(problem, args.budget)
     baselines = {}
     timings = {}
+    failed = 0
     for value in grid:
         approach = value if args.axis == "all" else f"{args.axis}={value}"
         per_value = []
@@ -252,12 +269,13 @@ def _sweep_instance(args, iid, problem, grid, base, rows):
             except IdastraError as exc:
                 row["status"] = type(exc).__name__
                 _warn(f"{iid} {approach} rep {rep}: {exc}")
+                failed += 1
             else:
                 per_value.append(report.makespan)
-            rows.append(row)
+            _append_records(args.out, [row])
         if per_value:
             timings[value] = statistics.fmean(per_value)
-    return features, timings
+    return features, timings, failed
 
 
 def cmd_sweep(args):
@@ -280,37 +298,31 @@ def cmd_sweep(args):
         if path:
             open(path, "a").close()
 
-    rows = []
-    cases = []
-    stall = None
-    try:
-        for iid, problem in instances:
-            features, timings = _sweep_instance(args, iid, problem, grid,
-                                                base, rows)
-            if features is None:
-                _warn(f"{iid}: solved during profiling, no training case")
-            elif len(timings) >= 2:
-                cases.append(label_cases(timings, features, args.axis,
-                                         arch))
-            else:
-                _warn(f"{iid}: fewer than 2 strategies succeeded, "
-                      "no training case")
-    except EngineStall as exc:
-        # write what completed before the stall, then report it
-        stall = exc
+    # each record and case is on disk as soon as its run or instance
+    # ends, so an exception loses none of what finished before it
+    failed = cases = dupes = 0
+    for iid, problem in instances:
+        features, timings, failures = _sweep_instance(args, iid, problem,
+                                                      grid, base)
+        failed += failures
+        if features is None:
+            _warn(f"{iid}: solved during profiling, no training case")
+        elif len(timings) < 2:
+            _warn(f"{iid}: fewer than 2 strategies succeeded, "
+                  "no training case")
+        elif args.store:
+            case = label_cases(timings, features, args.axis, arch)
+            dupes += append_cases(args.store, [case])[1]
+            cases += 1
 
-    failures = sum(row["status"] != "ok" for row in rows)
-    _append_records(args.out, rows)
-    print(f"appended {len(rows)} run record(s) to {args.out}"
-          + (f" ({failures} failed)" if failures else ""))
+    runs = len(instances) * len(grid) * args.reps
+    print(f"appended {runs} run record(s) to {args.out}"
+          + (f" ({failed} failed)" if failed else ""))
     if args.store:
-        written, dupes = append_cases(args.store, cases)
         if dupes:
             _warn(f"store already held {dupes} identical case line(s); "
                   "appended anyway")
-        print(f"appended {written} training case(s) to {args.store}")
-    if stall is not None:
-        raise stall
+        print(f"appended {cases} training case(s) to {args.store}")
     return 0
 
 

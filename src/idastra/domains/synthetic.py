@@ -143,15 +143,15 @@ class ArtificialProblem:
         self.depth_limit = tuple(
             math.ceil(d * (1.0 - spec.imbalance * i / (b - 1)))
             for i in range(b))
-        # surviving child indices per parent depth, for parents on and
-        # off the goal path; depth d has none
+        # surviving child indices per parent depth below d, for parents
+        # on and off the goal path (a depth-d node is a leaf)
         off_path = tuple(
             tuple(i for i in range(b) if k < self.depth_limit[i])
-            for k in range(d)) + ((),)
+            for k in range(d))
         on_path = tuple(
             tuple(i for i in range(b)
                   if k < self.depth_limit[i] or i == self.goal_path[k])
-            for k in range(d)) + ((),)
+            for k in range(d))
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1

@@ -637,6 +637,55 @@ def test_report_rejects_a_non_numeric_speedup(run_cli, tmp_path):
     assert str(records) in err and "inst_0007" in err and "'abc'" in err
 
 
+def _cut_last_line_in_speedup(path):
+    """Cut the file's last record inside its speedup field, as a write
+    cut short leaves it; returns the cut line's number."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    fields = lines[-1].split(",")
+    at = RECORD_FIELDS.index("speedup")
+    lines[-1] = ",".join(fields[:at] + [fields[at][:2]])
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines))
+    return len(lines)
+
+
+def test_report_skips_a_cut_record_line(run_cli, tmp_path):
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
+                                lineterminator="\n")
+        writer.writeheader()
+        for inst, speedup in (("inst_0000", "1.2"), ("inst_0001", "1.16106")):
+            writer.writerow(dict.fromkeys(RECORD_FIELDS, "0")
+                            | {"instance": inst, "approach": "clusters=2",
+                               "status": "ok", "speedup": speedup})
+    line = _cut_last_line_in_speedup(records)
+    code, out, err = run_cli(["report", records,
+                              "--out", tmp_path / "r.csv"])
+    assert code == 0
+    assert f"{records}:{line}: skipping cut record line" in err
+    # the cut row's "1." is not read as a speedup of 1
+    assert "clusters=2: mean speedup 1.2 (best)" in out
+
+
+def test_sweep_after_a_cut_line_keeps_its_rows(run_cli, tmp_path):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=2)
+    records = str(tmp_path / "records.csv")
+    sweep = ["sweep", "--axis", "clusters", "--grid", "1", "--workers", 4,
+             "--budget", 50, "--out", records]
+    code, _out, _err = run_cli([*sweep, "--instances", files[0]])
+    assert code == 0
+    line = _cut_last_line_in_speedup(records)
+    code, _out, _err = run_cli([*sweep, "--instances", files[1]])
+    assert code == 0
+    out_csv = str(tmp_path / "report.csv")
+    code, _out, err = run_cli(["report", records, "--out", out_csv])
+    assert code == 0
+    assert f"{records}:{line}: skipping cut record line" in err
+    assert [r["instance"] for r in _read_csv(out_csv)] == ["inst_0001"]
+
+
 # ------------------------------------------------------------- curves
 
 def test_curves_default_grid_has_101_rows(run_cli, tmp_path):
@@ -773,3 +822,31 @@ def test_sweep_keeps_completed_rows_on_stall(run_cli, tmp_path,
     assert all(r["status"] == "ok" for r in rows)
     with open(store) as fh:
         assert len([line for line in fh if line.strip()]) == 1
+
+
+def test_sweep_keeps_finished_instances_on_interrupt(run_cli, tmp_path,
+                                                     monkeypatch):
+    real = cli.run_parallel
+    seen = []
+
+    def interrupt_on_third_instance(problem, *args, **kwargs):
+        if problem not in seen:
+            seen.append(problem)
+        if len(seen) == 3:
+            raise KeyboardInterrupt
+        return real(problem, *args, **kwargs)
+
+    files = _gen(run_cli, str(tmp_path / "inst"), count=4)
+    monkeypatch.setattr(cli, "run_parallel", interrupt_on_third_instance)
+    records = str(tmp_path / "records.csv")
+    store = str(tmp_path / "cases.jsonl")
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["sweep", "--instances", *files, "--axis", "clusters",
+                  "--grid", "1,2", "--workers", "2", "--budget", "50",
+                  "--out", records, "--store", store])
+    rows = _read_csv(records)
+    assert [(r["instance"], r["approach"]) for r in rows] \
+        == [(f"inst_000{i}", f"clusters={c}") for i in (0, 1) for c in (1, 2)]
+    assert all(r["status"] == "ok" for r in rows)
+    with open(store) as fh:
+        assert len([line for line in fh if line.strip()]) == 2
