@@ -1,7 +1,10 @@
 """Pure-Python hot kernels.
 
-puzzle_expand and synthetic_expand return exactly the (state, op, cost,
-h) children a domain's expand hands the search loop.
+puzzle_expand and synthetic_expand are a domain's expand (see the
+protocol in idastra.core): each builds a child as a search node
+(state, g, h, op, parent) only where its f is within the threshold,
+passes every other child's f alone to prune, and walks its move or
+index table last operator first.
 
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
@@ -72,7 +75,7 @@ _SWAP = tuple(_swap_table(t) for t in range(16))
 
 
 def _move_table():
-    """Moves in operator order, indexed [blank][prev_op + 1].
+    """Moves last operator first, indexed [blank][prev_op + 1].
 
     Each entry is a tuple of (op, dest, dh) where dest is the blank's new
     cell and dh[t] the change in Manhattan distance when tile t slides
@@ -84,7 +87,7 @@ def _move_table():
         moves = [(op, blank + DELTA[op],
                   tuple(_MD[t][blank] - _MD[t][blank + DELTA[op]]
                         for t in range(16)))
-                 for op in range(4) if legal(blank, op)]
+                 for op in reversed(range(4)) if legal(blank, op)]
         table.append(tuple(
             tuple(m for m in moves if prev_op < 0 or m[0] != 3 - prev_op)
             for prev_op in range(-1, 4)))
@@ -104,24 +107,30 @@ def manhattan(tiles):
     return total
 
 
-def puzzle_expand(tiles, blank, h, prev_op):
-    """Expand a puzzle state.
+def puzzle_expand(node, threshold, push, prune):
+    """Expand a puzzle search node.
 
-    tiles: bytes(16); blank: index of the 0 tile; h: Manhattan distance of
-    tiles; prev_op: operator that produced this state (-1 at the root).
-    The operator reversing prev_op is skipped.  Returns a list of
-    ((tiles, blank), op, 1, h) tuples in operator order, the child state,
-    its operator, its cost and its Manhattan distance (maintained
-    incrementally): exactly the (state, op, cost, h) children a search
-    problem's expand returns.  Other orders are the ordering policy's job.
+    node is ((tiles, blank), g, h, prev_op, parent): tiles is bytes(16),
+    blank the index of the 0 tile, h the Manhattan distance of tiles
+    and prev_op the operator that produced the state (-1 at the root).
+    The operator reversing prev_op is skipped.  Each child costs 1 and
+    its h is maintained incrementally.  A child with f <= threshold is
+    passed to push as the node ((tiles, blank), g + 1, h, op, node); any
+    other child's f alone is passed to prune, and its tiles are never
+    built.  Children come last operator first.  Returns the move tuple
+    walked, whose length is the number of children generated.
     """
-    # a plain loop: for two or three children a comprehension's own
-    # call costs more than the appends it saves
-    out = []
-    for op, dest, dh in _MOVES[blank][prev_op + 1]:
+    (tiles, blank), g, h, prev_op, _parent = node
+    g += 1
+    moves = _MOVES[blank][prev_op + 1]
+    for op, dest, dh in moves:
         t = tiles[dest]
-        out.append(((tiles.translate(_SWAP[t]), dest), op, 1, h + dh[t]))
-    return out
+        ch = h + dh[t]
+        if g + ch > threshold:
+            prune(g + ch)
+        else:
+            push(((tiles.translate(_SWAP[t]), dest), g, ch, op, node))
+    return moves
 
 
 def hash_step(h, c):
@@ -151,21 +160,25 @@ _STEP_ADD2 = tuple((_GAMMA * (c + 1) & _MASK) * ((1 << 128) + 1)
 _BYTE = tuple(bytes((c,)) for c in range(256))
 
 
-def synthetic_expand(state, tables):
-    """Expand an artificial-tree node.
+def synthetic_expand(node, threshold, push, prune, tables):
+    """Expand an artificial-tree search node.
 
-    state is (path, shared, key): the node's child-index bytes, its
-    common-prefix length with the goal path and its packed error- and
-    goal-stream hash key.  tables is ArtificialProblem's (on_path,
-    off_path, goal_path, d, density_threshold, emod): the surviving
-    child indices per parent depth on and off the goal path, the goal
-    path, and the spec's d, density threshold and herror + 1.  Returns a
-    list of ((path, shared, key), i, 1, h) tuples, each child's key one
-    hash_step of its parent's in both lanes and h as
-    ArtificialProblem._h computes it: exactly the (state, op, cost, h)
-    children ArtificialProblem.expand returns.
+    node is ((path, shared, key), g, h, op, parent); its state holds the
+    node's child-index bytes, its common-prefix length with the goal
+    path and its packed error- and goal-stream hash key.  tables is
+    ArtificialProblem's (on_path, off_path, goal_path, d,
+    density_threshold, emod): the surviving child indices per parent
+    depth on and off the goal path, each last index first, the goal
+    path, and the spec's d, density threshold and herror + 1.  Each child
+    costs 1, its key is one hash_step of its parent's in both lanes and
+    its h is as ArtificialProblem._h computes it.  A child i with
+    f <= threshold is passed to push as the node
+    ((path + bytes((i,)), its shared, its key), g + 1, h, i, node); any
+    other child's f alone is passed to prune, and its path and state are
+    never built.  Children come last index first.  Returns the index tuple
+    walked, whose length is the number of children generated.
 
-    A node at depth d is a leaf and returns [] before any table lookup.
+    A node at depth d is a leaf and returns () before any table lookup.
     A child's h is its distance to the designated goal less its error
     draw, clamped at 0.  The goal path's next step is the remaining depth
     d - depth away and every other child further; when density > 0 any
@@ -176,11 +189,11 @@ def synthetic_expand(state, tables):
     density is 0 (the only goal then) and every child when density > 0
     (h 0 whether or not its goal stream makes it a goal).
     """
-    path, shared, key = state
+    (path, shared, key), g, _h, _op, _parent = node
     on_path, off_path, goal_path, d, density_threshold, emod = tables
     depth = len(path)
     if depth == d:
-        return []
+        return ()
     if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices = on_path[depth]
@@ -189,10 +202,10 @@ def synthetic_expand(state, tables):
         indices = off_path[depth]
         goal_next = -1
     depth += 1
+    g += 1
     # distances to the designated goal, on and off the goal path
     on = d - depth
     off = on if density_threshold > 0 else depth + d - 2 * shared
-    out = []
     for i in indices:
         z = (key + _STEP_ADD2[i]) & _LANES
         z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
@@ -208,5 +221,8 @@ def synthetic_expand(state, tables):
             h -= (z & _MASK) % emod
             if h < 0:
                 h = 0
-        out.append(((path + _BYTE[i], c_shared, z), i, 1, h))
-    return out
+        if g + h > threshold:
+            prune(g + h)
+        else:
+            push(((path + _BYTE[i], c_shared, z), g, h, i, node))
+    return indices

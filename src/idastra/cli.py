@@ -33,7 +33,7 @@ from idastra.features import (DEFAULT_BUDGET, extract_features,
 from idastra.learner import (Dataset, append_cases, classify,
                              cross_validate, induce_tree, label_cases,
                              load_tree, paired_t_test, read_store,
-                             save_tree, variance_filter)
+                             save_tree, store_lines, variance_filter)
 from idastra.learner.dtree import tree_depth, tree_leaves
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
@@ -297,6 +297,8 @@ def cmd_sweep(args):
     for path in (args.out, args.store):
         if path:
             open(path, "a").close()
+    # the store is read once; append_cases keeps this set up to date
+    stored = store_lines(args.store) if args.store else None
 
     # each record and case is on disk as soon as its run or instance
     # ends, so an exception loses none of what finished before it
@@ -312,7 +314,7 @@ def cmd_sweep(args):
                   "no training case")
         elif args.store:
             case = label_cases(timings, features, args.axis, arch)
-            dupes += append_cases(args.store, [case])[1]
+            dupes += append_cases(args.store, [case], stored)[1]
             cases += 1
 
     runs = len(instances) * len(grid) * args.reps

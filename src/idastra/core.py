@@ -1,21 +1,28 @@
 """Cost-bounded depth-first search and serial iterative deepening.
 
+A search node is the plain tuple (state, g, h, op, parent): op is the
+operator that produced it (-1 at the root), parent the parent node
+(None at the root), and f is g + h.  make_root builds the root.
+
 A search problem is any object with:
 
     initial_state() -> state
     initial_h() -> int
     is_goal(state) -> bool
-    expand(state, prev_op, h) -> list of (state, op, cost, h) tuples
+    expand(node, threshold, push, prune) -> the operators walked
 
-Expansion handles operator pruning (e.g. not undoing the parent move)
-internally; prev_op is -1 at the root.  Children come back in the
-problem's natural operator order and may be reordered by an ordering
-policy before being pushed.
+expand builds each child of node directly as a search node, with the
+child's g the node's g plus the operator's cost.  It calls push(child)
+for every child with f <= threshold, last operator first, and prune(f)
+for every other child, whose state it never builds.  It returns the
+tuple of operators (or move-table entries) it walked, which already
+exists: its length is the number of children generated.  Expansion
+handles operator pruning (e.g. not undoing the parent move) internally,
+reading the node's op (-1 at the root).  The children's natural order
+is their operator order; an ordering policy arranges the kept children,
+first operator first, before they are stacked.
 
-A search node is the plain tuple (state, g, h, op, parent): op is the
-operator that produced it (-1 at the root), parent the parent node
-(None at the root), and f is g + h.  make_root builds the root.  The
-serial pass and the parallel engine both stack these nodes, test one
+The serial pass and the parallel engine both stack these nodes, test one
 for the goal only where its h is 0, and rebuild a goal's path from its
 parents with path_to.  The goal gate relies on the heuristic's
 contract: h >= 0 everywhere and h == 0 at every goal.  Manhattan
@@ -104,11 +111,13 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     stops once nodes_expanded reaches it and reports truncated when
     work remained on the stack.  Statistics key a node's subtree by the
     operator of the root child it descends from: a depth-first pass
-    finishes one root child's subtree before it pops the next.
+    finishes one root child's subtree before it pops the next.  To
+    record the pruned children as leaves, a pass with statistics asks
+    expand for every child and filters them itself.
     """
     stats = PassStats() if collect_stats else None
     expanded = generated = 0
-    min_exceed = solution = None
+    solution = None
 
     _state, g, h, _op, _parent = root
     if g + h > threshold:
@@ -117,13 +126,15 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         return PassResult(threshold, None, g + h, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
+    bound = threshold if stats is None else sys.maxsize
     is_goal = problem.is_goal
     expand = problem.expand
     arrange = None if order is None else order.arrange
+    pruned = set()
+    prune = pruned.add
     sub = None
     stack = [root]
     pop = stack.pop
-    push = stack.append
     while stack and expanded < limit:
         node = pop()
         state, g, h, op, parent = node
@@ -136,34 +147,44 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
                 stats.record_expansion(sub, 0)
                 stats.record_leaf(sub, g, h)
             break
-        raw = expand(state, op, h)
-        # fewer than two children are in every order already
-        if arrange is not None and len(raw) > 1:
-            raw = arrange(raw, parent is None)
-        generated += len(raw)
-        # push in reverse so the first child is popped first
-        for child, cop, cost, ch in reversed(raw):
-            cg = g + cost
-            cf = cg + ch
-            if cf > threshold:
-                if min_exceed is None or cf < min_exceed:
-                    min_exceed = cf
-            else:
-                push((child, cg, ch, cop, node))
+        kids = []
+        n = len(expand(node, bound, kids.append, prune))
+        generated += n
         if stats is not None:
-            stats.record_expansion(sub, len(raw))
+            stats.record_expansion(sub, n)
             if parent is None:
-                stats.root_children = len(raw)
-            if not raw:
+                stats.root_children = n
+            if not n:
                 stats.record_leaf(sub, g, h)
-            for child, cop, cost, ch in raw:
-                cg = g + cost
+            kept = []
+            for kid in kids:
+                cg = kid[1]
+                ch = kid[2]
                 if cg + ch > threshold:
-                    stats.record_leaf(cop if sub is None else sub, cg, ch)
+                    prune(cg + ch)
+                    stats.record_leaf(kid[3] if sub is None else sub, cg, ch)
+                else:
+                    kept.append(kid)
+            kids = kept
+        # fewer than two children are in every order already
+        if arrange is not None and len(kids) > 1:
+            kids = arranged(arrange, kids, parent is None)
+        # last child first, so the first child is popped first
+        stack.extend(kids)
 
     # work left on the stack and no goal: the budget cut the pass short
-    return PassResult(threshold, solution, min_exceed, expanded, generated,
-                      solution is None and bool(stack), stats)
+    return PassResult(threshold, solution, min(pruned) if pruned else None,
+                      expanded, generated, solution is None and bool(stack),
+                      stats)
+
+
+def arranged(arrange, kids, at_root):
+    """Kept children as expand pushes them, last operator first, put in
+    an ordering policy's order and returned last child first: arrange
+    sees them first operator first."""
+    kids = arrange(kids[::-1], at_root)
+    kids.reverse()
+    return kids
 
 
 def next_threshold(result):

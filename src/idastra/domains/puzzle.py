@@ -7,6 +7,7 @@ op is 3 - op.
 """
 
 import random
+import sys
 
 from idastra._backend import kernels
 from idastra._kernels_py import GOAL_TILES, puzzle_expand
@@ -39,12 +40,13 @@ def scramble(depth, seed):
     The kernel is bound at import, not looked up on kernels, so a
     wrapper counting kernel calls sees the search's calls only."""
     rng = random.Random(seed)
-    state = (GOAL_TILES, 0)
-    prev = -1
+    node = ((GOAL_TILES, 0), 0, 0, -1, None)
     for _ in range(depth):
-        state, prev, _cost, _h = rng.choice(
-            puzzle_expand(*state, 0, prev))
-    return state
+        children = []
+        puzzle_expand(node, sys.maxsize, children.append, None)
+        # the kernel pushes last operator first
+        node = rng.choice(children[::-1])
+    return node[0]
 
 
 def parse_korf_set(text):
@@ -93,6 +95,5 @@ class PuzzleProblem:
     def heuristic(self, state):
         return kernels.manhattan(state[0])
 
-    def expand(self, state, prev_op, h):
-        tiles, blank = state
-        return kernels.puzzle_expand(tiles, blank, h, prev_op)
+    def expand(self, node, threshold, push, prune):
+        return kernels.puzzle_expand(node, threshold, push, prune)

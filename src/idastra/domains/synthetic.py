@@ -21,6 +21,7 @@ the whole path.
 """
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from idastra._backend import kernels
@@ -143,13 +144,14 @@ class ArtificialProblem:
         self.depth_limit = tuple(
             math.ceil(d * (1.0 - spec.imbalance * i / (b - 1)))
             for i in range(b))
-        # surviving child indices per parent depth below d, for parents
-        # on and off the goal path (a depth-d node is a leaf)
+        # surviving child indices per parent depth below d, last index
+        # first, for parents on and off the goal path (a depth-d node is
+        # a leaf)
         off_path = tuple(
-            tuple(i for i in range(b) if k < self.depth_limit[i])
+            tuple(i for i in reversed(range(b)) if k < self.depth_limit[i])
             for k in range(d))
         on_path = tuple(
-            tuple(i for i in range(b)
+            tuple(i for i in reversed(range(b))
                   if k < self.depth_limit[i] or i == self.goal_path[k])
             for k in range(d))
         self.density_threshold = int(spec.density * _TWO64)
@@ -203,18 +205,22 @@ class ArtificialProblem:
         return max(0, dist - (key & _LOW64) % self._emod)
 
     def child_indices(self, state):
-        return tuple(op for _child, op, _cost, _h
-                     in self.expand(state, -1, 0))
+        """The surviving child indices of state, in index order."""
+        return self.expand((state, 0, 0, -1, None), sys.maxsize, [].append,
+                           None)[::-1]
 
-    def expand(self, state, prev_op, h):
-        return kernels.synthetic_expand(state, self._tables)
+    def expand(self, node, threshold, push, prune):
+        return kernels.synthetic_expand(node, threshold, push, prune,
+                                        self._tables)
 
     def count_nodes(self):
         """Total tree size (root included); exponential, test-sized only."""
         total = 0
-        frontier = [self.initial_state()]
+        frontier = [(self.initial_state(), 0, 0, -1, None)]
         while frontier:
             total += len(frontier)
-            frontier = [child for state in frontier
-                        for child, _i, _c, _h in self.expand(state, -1, 0)]
+            below = []
+            for node in frontier:
+                self.expand(node, sys.maxsize, below.append, None)
+            frontier = below
         return total

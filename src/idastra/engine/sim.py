@@ -21,10 +21,9 @@ driver (engine/threads.py) steps this same engine on real threads.
 """
 
 import random
-from bisect import insort
 from collections import deque
 
-from idastra.core import make_root, path_to, serial_idastar
+from idastra.core import arranged, make_root, path_to, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
@@ -105,25 +104,29 @@ class _Coordinator:
     """
 
     def __init__(self):
-        self.pool = []                  # sorted candidate f values
+        # candidate f values; passes add to the set, and the sorted list
+        # catches up when it is read
         self.pool_set = set()
+        self.pool = []
         self.max_done = None            # highest completed empty pass
         self.claimed = set()
         self.granted_order = []
         self.solutions = []             # (cost, path, cid)
         self.accepted = None            # the best solution, once proven
 
-    def add_candidate(self, f):
-        if f not in self.pool_set:
-            self.pool_set.add(f)
-            insort(self.pool, f)
+    def sorted_pool(self):
+        """The candidates in increasing order.  Candidates are never
+        removed, so the list is stale exactly when it is shorter."""
+        if len(self.pool) != len(self.pool_set):
+            self.pool = sorted(self.pool_set)
+        return self.pool
 
     def claim(self, value):
         self.claimed.add(value)
         self.granted_order.append(value)
 
     def next_unclaimed(self, below=None):
-        for v in self.pool:
+        for v in self.sorted_pool():
             if below is not None and v >= below:
                 return None
             if v in self.claimed:
@@ -157,7 +160,7 @@ class _Coordinator:
         if not self.solutions or self.accepted is not None:
             return
         best = min(self.solutions, key=lambda s: (s[0], s[1]))
-        for v in self.pool:
+        for v in self.sorted_pool():
             if v >= best[0]:
                 break
             if self.max_done is None or v > self.max_done:
@@ -196,7 +199,9 @@ class _SimEngine:
         self.root = make_root(problem)
         _state, g, h, _op, _parent = self.root
         self.coord = _Coordinator()
-        self.coord.add_candidate(g + h)
+        # a pruned child's f is a candidate threshold
+        self._prune = self.coord.pool_set.add
+        self._prune(g + h)
         self.tick = 0
         self.donated_sent = 0
         self.donated_delivered = 0
@@ -333,7 +338,7 @@ class _SimEngine:
                 self._request_work(w)
             return
 
-        state, g, h, op, parent = node
+        state, g, h, _op, parent = node
         threshold = cl.threshold
         stats = w.stats
         stats.nodes_expanded += 1
@@ -343,25 +348,18 @@ class _SimEngine:
         if not h and self._is_goal(state):
             self._report_solution(cl, node)
             return
-        raw = self._expand_node(state, op, h)
-        arrange = self._arrange
-        if arrange is not None and len(raw) > 1:
-            raw = arrange(raw, parent is None)
-        stats.nodes_generated += len(raw)
-        pool_set = coord.pool_set
         kept = []
-        for child, cop, cost, ch in raw:
-            cg = g + cost
-            cf = cg + ch
-            if cf > threshold:
-                if cf not in pool_set:
-                    coord.add_candidate(cf)
-                cl.pruned = True
-            else:
-                kept.append((child, cg, ch, cop, node))
+        n = len(self._expand_node(node, threshold, kept.append, self._prune))
+        stats.nodes_generated += n
+        if len(kept) != n:
+            cl.pruned = True
+        # kept is last child first, as a stack pushes it
+        arrange = self._arrange
+        if arrange is not None and len(kept) > 1:
+            kept = arranged(arrange, kept, parent is None)
 
         if phase == "distributing":
-            open_.extend(kept)          # the next level, in order
+            open_.extend(reversed(kept))    # the next level, in order
             cl.level_left -= 1
             if not cl.level_left:
                 self._split(cl)
@@ -372,7 +370,7 @@ class _SimEngine:
             self._pass_complete(cl)
             return
         if kept:
-            open_.extendleft(reversed(kept))
+            open_.extendleft(kept)
         if cl.can_balance and anticipatory_check(
                 len(open_), self._trigger, w.outstanding):
             self._request_work(w)

@@ -1,6 +1,7 @@
 from idastra.learner.cases import (Dataset, TrainingCase, append_cases,
                                    coefficient_of_variation, label_cases,
-                                   read_store, variance_filter)
+                                   read_store, store_lines,
+                                   variance_filter)
 from idastra.learner.dtree import (Leaf, Split, classify, induce_tree,
                                    load_tree, save_tree, tree_to_text,
                                    tree_from_text)
@@ -14,6 +15,7 @@ __all__ = [
     "coefficient_of_variation",
     "label_cases",
     "read_store",
+    "store_lines",
     "variance_filter",
     "Leaf",
     "Split",

@@ -134,17 +134,27 @@ def variance_filter(dataset):
     return Dataset(cases=kept + dup, axis=dataset.axis)
 
 
-def append_cases(path, cases):
+def store_lines(path):
+    """The set of lines a JSON-lines store holds; empty when the store
+    cannot be read."""
+    try:
+        with open(path) as fh:
+            return set(line.rstrip("\n") for line in fh)
+    except OSError:
+        return set()
+
+
+def append_cases(path, cases, existing=None):
     """Append cases to a JSON-lines store; returns (written, duplicates).
 
     Lines already present are appended anyway (the caller may want
-    repeats) but reported so the operator notices reruns.
+    repeats) but reported so the operator notices reruns.  existing is
+    the store's store_lines, and gains every line appended: a caller
+    that appends many times reads the store once and passes the same
+    set each time.  Without it the store is read here.
     """
-    try:
-        with open(path) as fh:
-            existing = set(line.rstrip("\n") for line in fh)
-    except OSError:
-        existing = set()
+    if existing is None:
+        existing = store_lines(path)
     dupes = 0
     with open(path, "a") as fh:
         for case in cases:

@@ -13,8 +13,8 @@ from operator import itemgetter
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
 
 _INF = float("inf")
-# Local's (h, op) sort key for (state, op, cost, h) children
-_BY_H = itemgetter(3, 1)
+# Local's (h, op) sort key for (state, g, h, op, parent) child nodes
+_BY_H = itemgetter(2, 3)
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,18 @@ class OrderPolicy:
         return p is None or p == tuple(range(len(p)))
 
     def arrange(self, children, at_root):
-        """Return children (state, op, cost, h) in policy order; at_root
-        says whether they are the root's children."""
+        """Return child nodes (state, g, h, op, parent), given first
+        operator first, in policy order; at_root says whether they are
+        the root's children.  Every sort key ends in the operator, which
+        is unique among siblings, so arranging a subset of the children
+        orders it as the whole list orders it."""
         if self.kind == "Fixed":
             rank = self._rank
             if rank is None:
                 return children
             bound = len(rank)
             return sorted(children,
-                          key=lambda c: (rank.get(c[1], bound), c[1]))
+                          key=lambda c: (rank.get(c[3], bound), c[3]))
         if self.kind == "Local":
             return sorted(children, key=_BY_H)
         # Toida: learned scores steer only the top of the tree
@@ -73,7 +76,7 @@ class OrderPolicy:
             raise MissingScores("Toida ordering needs a score table")
         if at_root:
             return sorted(children,
-                          key=lambda c: (self.scores.get(c[1], _INF), c[1]))
+                          key=lambda c: (self.scores.get(c[3], _INF), c[3]))
         return sorted(children, key=_BY_H)
 
     def token(self):

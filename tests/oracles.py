@@ -8,6 +8,7 @@ the artificial space, and a table-free Manhattan distance.
 
 import heapq
 import math
+import sys
 from fractions import Fraction
 
 from idastra import _kernels_py
@@ -42,6 +43,16 @@ def apply_op_reference(tiles, op):
     return bytes(cells), dest
 
 
+def expand_all(problem, node):
+    """Every child node (state, g, h, op, parent) of a search node, first
+    operator first: expand at a threshold no f exceeds pushes them all,
+    last operator first."""
+    children = []
+    problem.expand(node, sys.maxsize, children.append, None)
+    children.reverse()
+    return children
+
+
 def astar_cost(problem, limit=2_000_000):
     """Optimal solution cost by best-first search; None if the space is
     exhausted, raises if the node limit trips (test sizing guard)."""
@@ -59,9 +70,8 @@ def astar_cost(problem, limit=2_000_000):
             continue
         if problem.is_goal(state):
             return g
-        for child, _op, cost, h in problem.expand(state, prev_op,
-                                                  f - g):
-            cg = g + cost
+        for child, cg, h, _op, _parent in expand_all(
+                problem, (state, g, f - g, prev_op, None)):
             if cg < best_g.get(child, math.inf):
                 best_g[child] = cg
                 counter += 1
@@ -87,14 +97,13 @@ def bounded_dfs_reference(problem, threshold, order=None):
         tally["expanded"] += 1
         if problem.is_goal(state):
             return (path, g)
-        children = problem.expand(state, prev_op, h)
+        children = expand_all(problem, (state, g, h, prev_op, None))
         if order is not None:
             children = order.arrange(children, not path)
         # a whole sibling list comes into existence when its parent is
         # expanded, even if the pass stops at a goal among them
         tally["generated"] += len(children)
-        for child, op, cost, ch in children:
-            cg = g + cost
+        for child, cg, ch, op, _parent in children:
             cf = cg + ch
             if cf > threshold:
                 me = tally["min_exceed"]

@@ -92,9 +92,9 @@ def test_recorder_round_counts_synthetic_calls(tracing):
     expand = plain.expand
     zero_h = []
 
-    def counting(state, prev_op, h):
-        zero_h.append(h == 0)
-        return expand(state, prev_op, h)
+    def counting(node, threshold, push, prune):
+        zero_h.append(node[2] == 0)
+        return expand(node, threshold, push, prune)
 
     plain.expand = counting
     core.serial_idastar(plain)

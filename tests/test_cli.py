@@ -128,6 +128,32 @@ def test_sweep_append_warns_on_store_dupes(run_cli, tmp_path):
     assert len(_read_csv(records)) == 4    # appended, not overwritten
 
 
+def test_sweep_reads_a_prefilled_store_once(run_cli, tmp_path, monkeypatch):
+    files = _gen(run_cli, str(tmp_path / "inst"), count=3)
+    records = str(tmp_path / "records.csv")
+    store = str(tmp_path / "cases.jsonl")
+    argv = ["sweep", "--instances", *files, "--axis", "polling",
+            "--grid", "Neighbor,Random", "--workers", 4, "--clusters", 4,
+            "--budget", 50, "--out", records, "--store", store]
+    assert run_cli(argv)[0] == 0
+    reads = []
+    real_open = open
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if str(file) == store and "r" in mode:
+            reads.append(mode)
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    code, out, err = run_cli(argv)
+    monkeypatch.undo()
+    assert code == 0
+    assert "appended 3 training case(s)" in out
+    # one read for the whole sweep, and every rerun case still counts
+    assert reads == ["r"]
+    assert "store already held 3 identical case line(s)" in err
+
+
 def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,
                                                        monkeypatch):
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)

@@ -10,7 +10,8 @@ from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.errors import SpaceExhausted
 from idastra.ordering import OrderPolicy
-from oracles import astar_cost, bounded_dfs_reference, ida_reference
+from oracles import (astar_cost, bounded_dfs_reference, expand_all,
+                     ida_reference)
 
 
 def _spec(**kw):
@@ -32,10 +33,17 @@ class NoGoalProblem:
     def is_goal(self, state):
         return False
 
-    def expand(self, state, prev_op, h):
+    def expand(self, node, threshold, push, prune):
+        state, g, _h, _op, _parent = node
         if len(state) >= 2:
-            return []
-        return [(state + (i,), i, 1, 0) for i in range(2)]
+            return ()
+        ops = (1, 0)                    # last operator first
+        for i in ops:
+            if g + 1 > threshold:
+                prune(g + 1)
+            else:
+                push((state + (i,), g + 1, 0, i, node))
+        return ops
 
 
 def test_pass_counts_match_reference_uniform_tree():
@@ -172,14 +180,14 @@ def test_serial_finds_leftmost_optimal_path():
     out = serial_idastar(problem)
     goals = []
 
-    def walk(state, prev_op, h):
-        if problem.is_goal(state):
-            goals.append(tuple(state[0]))
+    def walk(node):
+        if problem.is_goal(node[0]):
+            goals.append(tuple(node[0][0]))
             return
-        for child, op, _c, ch in problem.expand(state, prev_op, h):
-            walk(child, op, ch)
+        for child in expand_all(problem, node):
+            walk(child)
 
-    walk(problem.state_at(b""), -1, problem.initial_h())
+    walk(make_root(problem))
     assert tuple(out.path) == min(goals)
     assert out.cost == 4
 

@@ -2,12 +2,13 @@
 oracle and hand-derived values."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idastra.core import serial_idastar
+from idastra.core import make_root, serial_idastar
 from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, is_solvable,
                                     parse_korf_set, scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
@@ -16,7 +17,7 @@ from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
 from idastra.ordering import OrderPolicy
 from idastra import _kernels_py
 from oracles import (_TAG_ERROR, _TAG_GOAL, SpaceModel, astar_cost,
-                     goal_digits_reference, manhattan_reference,
+                     expand_all, goal_digits_reference, manhattan_reference,
                      uniform_tree_size)
 
 
@@ -97,9 +98,10 @@ def test_expanded_states_carry_keys_hashed_from_scratch():
         problem = ArtificialProblem(spec)
         model = SpaceModel(spec)
         seen = []
-        stack = [(problem.initial_state(), -1, problem.initial_h())]
+        stack = [make_root(problem)]
         while stack:
-            state, prev_op, h = stack.pop()
+            node = stack.pop()
+            state, _g, h, _op, _parent = node
             path = state[0]
             seen.append(tuple(path))
             assert state == (
@@ -109,10 +111,10 @@ def test_expanded_states_carry_keys_hashed_from_scratch():
             assert state == problem.state_at(path)
             assert h == problem.heuristic(state) == model.heuristic(path)
             assert problem.is_goal(state) == model.is_goal(path)
-            children = problem.expand(state, prev_op, h)
-            assert [child[0] for child, _i, _c, _h in children] \
+            children = expand_all(problem, node)
+            assert [child[0][0] for child in children] \
                 == [bytes(c) for c in model.children(tuple(path))]
-            stack.extend((child, op, ch) for child, op, _c, ch in children)
+            stack.extend(children)
         assert sorted(seen) == sorted(model.all_nodes())
 
 
@@ -156,15 +158,16 @@ def test_heuristic_meets_the_goal_gate_contract(d, b, g, herror, density,
     problem = ArtificialProblem(_spec(d=d, b=b, g=g, herror=herror,
                                       density=density, imbalance=imbalance,
                                       seed=seed))
-    frontier = [(problem.initial_state(), problem.initial_h())]
+    frontier = [make_root(problem)]
     while frontier:
-        state, h = frontier.pop()
+        node = frontier.pop()
+        state, _g, h, _op, _parent = node
         assert h >= 0
         if problem.is_goal(state):
             assert problem.heuristic(state) == 0
-        for child, _op, _cost, ch in problem.expand(state, -1, h):
-            assert ch == problem.heuristic(child)
-            frontier.append((child, ch))
+        for child in expand_all(problem, node):
+            assert child[2] == problem.heuristic(child[0])
+            frontier.append(child)
 
 
 def test_heuristic_depth_cap_only_with_density():
@@ -236,8 +239,7 @@ def test_manhattan_matches_reference_on_scrambles():
 def test_puzzle_goal_exactly_where_manhattan_is_zero(depth, seed):
     state = scramble(depth, seed)
     problem = PuzzleProblem(state)
-    for s in [state] + [child for child, _op, _cost, _h
-                        in _children(problem, state)]:
+    for s in [state] + [child[0] for child in _children(problem, state)]:
         assert problem.is_goal(s) == (_kernels_py.manhattan(s[0]) == 0)
 
 
@@ -250,21 +252,23 @@ def test_scramble_is_always_solvable_and_deterministic():
 
 
 def _children(problem, state, prev_op=-1):
-    return problem.expand(state, prev_op, problem.heuristic(state))
+    return expand_all(problem, (state, 0, problem.heuristic(state), prev_op,
+                                None))
 
 
 def test_apply_op_round_trip():
     # each child's own expansion leads back to the parent under 3 - op
     state = scramble(15, 3)
     problem = PuzzleProblem(state)
-    for child, op, _c, _h in _children(problem, state):
-        back = {o: s for s, o, _c, _h in _children(problem, child)}
+    for child, _g, _h, op, _p in _children(problem, state):
+        back = {o: s for s, _g, _h, o, _p in _children(problem, child)}
         assert back[3 - op] == state
 
 
 def test_successors_skip_reverse():
     state = scramble(20, 5)
-    for _s, op, _c, _h in _children(PuzzleProblem(state), state, prev_op=1):
+    for _s, _g, _h, op, _p in _children(PuzzleProblem(state), state,
+                                        prev_op=1):
         assert op != 2
 
 
@@ -320,6 +324,62 @@ def test_puzzle_fixed_order_changes_child_order_only():
     reverse = OrderPolicy.fixed((3, 2, 1, 0))
     children = _children(problem, state)
     reordered = reverse.arrange(children, True)
-    assert [c[1] for c in children] == sorted(c[1] for c in children)
+    assert [c[3] for c in children] == sorted(c[3] for c in children)
     assert reordered == children[::-1]
     assert serial_idastar(problem, reverse).cost == astar_cost(problem)
+
+
+# ------------------------------------------------------ expand contract
+
+def _check_expand_contract(problem, node):
+    """expand at thresholds around node's f against one call that keeps
+    every child."""
+    every = []
+    walked = problem.expand(node, sys.maxsize, every.append, None)
+    assert len(walked) == len(every)
+    ops = [child[3] for child in every]
+    assert ops == sorted(ops, reverse=True)      # last operator first
+    assert all(child[4] is node for child in every)
+    f = node[1] + node[2]
+    for threshold in range(f - 2, f + 4):
+        pushed, pruned = [], []
+        walked = problem.expand(node, threshold, pushed.append,
+                                pruned.append)
+        assert pushed == [c for c in every if c[1] + c[2] <= threshold]
+        assert pruned == [c[1] + c[2] for c in every
+                          if c[1] + c[2] > threshold]
+        assert len(walked) == len(pushed) + len(pruned)
+    return every
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(0, 40), seed=st.integers(0, 10**6),
+       data=st.data())
+def test_puzzle_expand_keeps_the_contract(depth, seed, data):
+    # nodes along a random walk from a scramble, reverse moves included
+    # through the prev_op each child carries
+    problem = PuzzleProblem(scramble(depth, seed))
+    node = make_root(problem)
+    for _ in range(data.draw(st.integers(0, 12))):
+        node = data.draw(st.sampled_from(_check_expand_contract(problem,
+                                                                node)))
+    _check_expand_contract(problem, node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), b=st.integers(2, 5), g=st.floats(0.0, 1.0),
+       herror=st.integers(0, 6), density=st.sampled_from((0.0, 1e-9, 1.0)),
+       imbalance=st.sampled_from((0.0, 0.6)), seed=st.integers(0, 999),
+       data=st.data())
+def test_synthetic_expand_keeps_the_contract(d, b, g, herror, density,
+                                             imbalance, seed, data):
+    # nodes along a random walk from the root down to a leaf
+    problem = ArtificialProblem(_spec(d=d, b=b, g=g, herror=herror,
+                                      density=density, imbalance=imbalance,
+                                      seed=seed))
+    node = make_root(problem)
+    while True:
+        children = _check_expand_contract(problem, node)
+        if not children:
+            break
+        node = data.draw(st.sampled_from(children))

@@ -23,7 +23,7 @@ from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.sim import _SimEngine
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
-from oracles import astar_cost
+from oracles import astar_cost, expand_all
 from test_core import NoGoalProblem
 
 
@@ -410,10 +410,10 @@ def test_breadth_first_split_deals_the_lead_list_round_robin():
     engine = _SimEngine(problem, config, 16, 1, 0)
     cl = engine.clusters[0]
     lead, others = cl.members[0], cl.members[1:]
-    frontier = [problem.initial_state()]
+    frontier = [make_root(problem)]
     for _ in range(3):
-        frontier = [child for state in frontier
-                    for child, _op, _cost, _h in problem.expand(state, -1, 0)]
+        frontier = [child for node in frontier
+                    for child in expand_all(problem, node)]
     assert len(frontier) == 27
     engine._grant_pending()
     # until the deal only the lead expands, one node a tick, and no
@@ -434,7 +434,7 @@ def test_breadth_first_split_deals_the_lead_list_round_robin():
                for w in engine.workers)
     for j, w in enumerate(cl.members):
         assert [(node[0], node[1]) for node in w.open] \
-            == [(state, 3) for state in frontier[j::16]], j
+            == [(child[0], 3) for child in frontier[j::16]], j
 
 
 def test_report_accounting_invariants():

@@ -2,15 +2,25 @@
 anchors."""
 
 import random
+import sys
 from itertools import product
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra import _kernels_py
+from idastra.core import make_root
 from idastra.domains.puzzle import scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
-from oracles import apply_op_reference, manhattan_reference
+from oracles import apply_op_reference, expand_all, manhattan_reference
+
+
+def _puzzle_children(tiles, blank, h, prev_op):
+    """Every child node of a puzzle state at g 0, first operator first."""
+    children = []
+    _kernels_py.puzzle_expand(((tiles, blank), 0, h, prev_op, None),
+                              sys.maxsize, children.append, None)
+    return children[::-1]
 
 
 def test_manhattan_matches_reference():
@@ -27,10 +37,9 @@ def test_manhattan_goal_is_zero():
 def test_expand_skips_reverse_operator():
     tiles, blank = scramble(10, 4)
     for prev in range(4):
-        children = _kernels_py.puzzle_expand(tiles, blank,
-                                             _kernels_py.manhattan(tiles),
-                                             prev)
-        assert all(op != 3 - prev for _state, op, _cost, _h in children)
+        children = _puzzle_children(tiles, blank,
+                                    _kernels_py.manhattan(tiles), prev)
+        assert all(op != 3 - prev for _state, _g, _h, op, _p in children)
 
 
 def test_expand_maintains_incremental_h():
@@ -38,7 +47,7 @@ def test_expand_maintains_incremental_h():
     for _ in range(100):
         tiles, blank = scramble(rng.randrange(0, 50), rng.randrange(10**9))
         h = _kernels_py.manhattan(tiles)
-        for (ct, cb), _op, cost, ch in _kernels_py.puzzle_expand(
+        for (ct, cb), cost, ch, _op, _p in _puzzle_children(
                 tiles, blank, h, -1):
             assert ch == manhattan_reference(ct)
             assert abs(ch - h) == 1    # one tile moved one step
@@ -53,11 +62,11 @@ def test_expand_children_match_apply_op():
         tiles, blank = scramble(rng.randrange(0, 60), rng.randrange(10**9))
         h = _kernels_py.manhattan(tiles)
         prev = rng.choice([-1, 0, 1, 2, 3])
-        children = _kernels_py.puzzle_expand(tiles, blank, h, prev)
+        children = _puzzle_children(tiles, blank, h, prev)
         expected = [op for op in range(4)
                     if op != 3 - prev and apply_op_reference(tiles, op)]
-        assert [op for _s, op, _c, _h in children] == expected
-        for (ct, cb), op, _cost, _h in children:
+        assert [op for _s, _g, _h, op, _p in children] == expected
+        for (ct, cb), _g, _h, op, _p in children:
             assert (ct, cb) == apply_op_reference(tiles, op)
 
 
@@ -111,8 +120,11 @@ def test_packed_step_advances_each_lane_alone(err, goal):
     for c in range(256):
         # one child, c, of the root of a depth-2 tree
         tables = (((c,), ()), ((c,), ()), bytes((c,)), 2, 0, 1)
-        [(child, _op, _cost, _h)] = _kernels_py.synthetic_expand(
-            (b"", 0, key), tables)
+        children = []
+        _kernels_py.synthetic_expand(((b"", 0, key), 0, 0, -1, None),
+                                     sys.maxsize, children.append, None,
+                                     tables)
+        [(child, _g, _h, _op, _parent)] = children
         stepped = child[2]
         assert stepped & _TOP == _kernels_py.hash_step(err, c)
         assert stepped >> 128 == _kernels_py.hash_step(goal, c)
@@ -132,21 +144,21 @@ def test_synthetic_expand_matches_states_built_from_scratch(
     problem = ArtificialProblem(ArtificialSpec(
         d=d, g=g, b=b, imbalance=imbalance, density=density,
         herror=herror, seed=seed))
-    state = problem.initial_state()
+    node = make_root(problem)
     while True:
-        children = problem.expand(state, -1, 0)
+        children = expand_all(problem, node)
         if not children:
             break
-        path = state[0]
-        for child, i, cost, h in children:
-            assert cost == 1
+        path = node[0][0]
+        for child, g, h, i, parent in children:
+            assert g == node[1] + 1 and parent is node
             assert child[0] == path + bytes((i,))
             assert child == problem.state_at(child[0])
             assert h == problem._h(len(child[0]), *child[1:]) \
                 == problem.heuristic(child)
             if problem.is_goal(child):
                 assert h == 0
-        state = data.draw(st.sampled_from(children))[0]
+        node = data.draw(st.sampled_from(children))
 
 
 def test_synthetic_expand_on_every_node_of_small_trees():
@@ -159,21 +171,21 @@ def test_synthetic_expand_on_every_node_of_small_trees():
             d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
             density=density, herror=herror, seed=10 * d + b))
         goals = 0
-        stack = [problem.initial_state()]
+        stack = [make_root(problem)]
         while stack:
-            state = stack.pop()
-            path = state[0]
-            children = problem.expand(state, -1, 0)
+            node = stack.pop()
+            path = node[0][0]
+            children = expand_all(problem, node)
             if len(path) == d:
                 assert children == []
-            for child, i, cost, h in children:
-                assert cost == 1
+            for child, g, h, i, _parent in children:
+                assert g == node[1] + 1
                 assert child == problem.state_at(path + bytes((i,)))
                 assert h == problem._h(len(child[0]), *child[1:]) \
                     == problem.heuristic(child)
                 if problem.is_goal(child):
                     assert h == 0
                     goals += 1
-                stack.append(child)
+            stack.extend(children)
         # the designated goal path survives every depth limit
         assert goals >= 1, (d, b, density, imbalance, herror)

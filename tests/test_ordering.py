@@ -4,19 +4,21 @@ root scores."""
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idastra.core import arranged
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
 from idastra.features import ShallowTrace
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
-# children are (state, op, cost, h) quads
-_KIDS = [("s0", 0, 1, 5), ("s1", 1, 1, 3), ("s2", 2, 1, 3), ("s3", 3, 1, 7)]
+# children are (state, g, h, op, parent) search nodes
+_KIDS = [("s0", 1, 5, 0, None), ("s1", 1, 3, 1, None), ("s2", 1, 3, 2, None),
+         ("s3", 1, 7, 3, None)]
 
 
 def _ops(arranged):
-    return [c[1] for c in arranged]
+    return [c[3] for c in arranged]
 
 
 def test_fixed_identity_preserves_input_order():
@@ -30,19 +32,20 @@ def test_fixed_permutation_ranks_operators():
     assert not policy.is_identity()
     assert _ops(policy.arrange(_KIDS, True)) == [3, 1, 0, 2]
     # unknown operators sort after ranked ones, by index
-    extra = _KIDS + [("s9", 9, 1, 0)]
+    extra = _KIDS + [("s9", 1, 0, 9, None)]
     assert _ops(policy.arrange(extra, True)) == [3, 1, 0, 2, 9]
 
 
 def test_fixed_rank_table_keeps_the_sort_rule():
     # the rule: ranked operators by rank, then unranked ones by index
-    lists = [_KIDS, _KIDS[::-1], _KIDS[1:3], [_KIDS[2], ("s9", 9, 1, 0),
-                                              _KIDS[0], ("s5", 5, 1, 2)]]
+    lists = [_KIDS, _KIDS[::-1], _KIDS[1:3],
+             [_KIDS[2], ("s9", 1, 0, 9, None), _KIDS[0],
+              ("s5", 1, 2, 5, None)]]
     for perm in itertools.permutations(range(4)):
         policy = OrderPolicy.fixed(perm)
         for kids in lists:
             want = sorted(kids, key=lambda c: (
-                perm.index(c[1]) if c[1] in perm else len(perm), c[1]))
+                perm.index(c[3]) if c[3] in perm else len(perm), c[3]))
             for at_root in (True, False):
                 assert policy.arrange(kids, at_root) == want, (perm, kids)
         assert policy == OrderPolicy.fixed(perm)
@@ -129,5 +132,35 @@ def test_scores_from_empty_trace_rejected():
 def test_trace_scores_steer_search_toward_best_subtree():
     scores = toida_scores_from_trace(_trace({0: 12, 1: 6, 2: 9}))
     policy = OrderPolicy.toida(scores)
-    kids = [("a", 0, 1, 1), ("b", 1, 1, 1), ("c", 2, 1, 1)]
+    kids = [("a", 1, 1, 0, None), ("b", 1, 1, 1, None),
+            ("c", 1, 1, 2, None)]
     assert _ops(policy.arrange(kids, True)) == [1, 2, 0]
+
+
+# identity Fixed returns its input unchanged, so only it shows which way
+# round the search hands children to arrange
+_POLICIES = [OrderPolicy.fixed(), OrderPolicy.local(),
+             OrderPolicy.toida({0: 9.0, 1: 2.0, 2: 2.0})] + [
+    OrderPolicy.fixed(perm) for perm in itertools.permutations(range(4))]
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=OrderPolicy.token)
+@settings(max_examples=30)
+@given(at_root=st.booleans(), ops=st.sets(st.integers(0, 3)),
+       hs=st.lists(st.integers(0, 4), min_size=4, max_size=4),
+       threshold=st.integers(0, 6))
+def test_arranging_kept_children_filters_the_full_arrangement(
+        policy, at_root, ops, hs, threshold):
+    # the search arranges only the children expand kept, which it gets
+    # last operator first; popped, they come in the order of the whole
+    # sibling list arranged first operator first, less the pruned ones
+    children = [("s%d" % op, 1, hs[op], op, None) for op in sorted(ops)]
+    kept = [c for c in reversed(children) if c[1] + c[2] <= threshold]
+    # the search skips arrange for fewer than two children
+    if len(kept) > 1:
+        kept = arranged(policy.arrange, kept, at_root)
+    want = [c for c in policy.arrange(children, at_root)
+            if c[1] + c[2] <= threshold]
+    assert kept[::-1] == want
+    if policy.is_identity():
+        assert _ops(want) == sorted(_ops(want))
