@@ -136,7 +136,10 @@ def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
     if model == "eq1":
         header = ["P", "b", "x", "d", "dts_eq1"]
         for dv in grid:
-            rows.append([fmt(P), fmt(b), fmt(x), fmt(int(dv)),
+            if dv != int(dv):
+                raise DomainError(f"eq1 depth d must be an integer, "
+                                  f"got {fmt(dv)}")
+            rows.append([fmt(P), fmt(b), fmt(x), fmt(dv),
                          fmt(dts_speedup_eq1(P, b, int(dv), x))])
     elif model == "eq2":
         header = ["a", "b", "pws_eq2"]

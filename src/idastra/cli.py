@@ -205,10 +205,9 @@ def _run_record(row, args, problem, trace, config, baselines):
     config = _attach_toida(config, trace)
     row["config"] = config.token()
     validate_config(config, args.workers)
-    order = None if config.ordering.is_identity() else config.ordering
-    key = None if order is None else order.token()
+    key = config.ordering.token()
     if key not in baselines:
-        baselines[key] = serial_idastar(problem, order=order)
+        baselines[key] = serial_idastar(problem, order=config.ordering)
     report = run_parallel(problem, config, args.workers, mode=args.mode,
                           latency=args.latency, seed=args.seed,
                           serial_outcome=baselines[key])

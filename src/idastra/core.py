@@ -19,8 +19,11 @@ tuple of operators (or move-table entries) it walked, which already
 exists: its length is the number of children generated.  Expansion
 handles operator pruning (e.g. not undoing the parent move) internally,
 reading the node's op (-1 at the root).  The children's natural order
-is their operator order; an ordering policy arranges the kept children,
-first operator first, before they are stacked.
+is their operator order: pushed last operator first, they pop first
+operator first.  An ordering policy's arrange takes the kept children
+as pushed and returns them in its own stack order.  Both loops skip it
+for fewer than two children and for an identity policy, whose order is
+the natural one.
 
 The serial pass and the parallel engine both stack these nodes, test one
 for the goal only where its h is 0, and rebuild a goal's path from its
@@ -129,7 +132,8 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     bound = threshold if stats is None else sys.maxsize
     is_goal = problem.is_goal
     expand = problem.expand
-    arrange = None if order is None else order.arrange
+    arrange = (None if order is None or order.is_identity()
+               else order.arrange)
     pruned = set()
     prune = pruned.add
     sub = None
@@ -168,7 +172,7 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
             kids = kept
         # fewer than two children are in every order already
         if arrange is not None and len(kids) > 1:
-            kids = arranged(arrange, kids, parent is None)
+            kids = arrange(kids, parent is None)
         # last child first, so the first child is popped first
         stack.extend(kids)
 
@@ -176,15 +180,6 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     return PassResult(threshold, solution, min(pruned) if pruned else None,
                       expanded, generated, solution is None and bool(stack),
                       stats)
-
-
-def arranged(arrange, kids, at_root):
-    """Kept children as expand pushes them, last operator first, put in
-    an ordering policy's order and returned last child first: arrange
-    sees them first operator first."""
-    kids = arrange(kids[::-1], at_root)
-    kids.reverse()
-    return kids
 
 
 def next_threshold(result):

@@ -23,11 +23,11 @@ driver (engine/threads.py) steps this same engine on real threads.
 import random
 from collections import deque
 
-from idastra.core import arranged, make_root, path_to, serial_idastar
+from idastra.core import make_root, path_to, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
-from idastra.errors import EngineStall, SpaceExhausted
+from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 
 _NO_PROGRESS_CAP = 20000
 # cluster phases whose workers have nothing to expand
@@ -172,14 +172,14 @@ class _SimEngine:
     def __init__(self, problem, config, workers, latency, seed,
                  serial_outcome=None):
         validate_config(config, workers)
+        if latency < 0:
+            raise InvalidConfig("message latency must be >= 0")
         self.problem = problem
         self.config = config
         self.P = workers
         self.latency = latency
-        self.order = (None if config.ordering.is_identity()
-                      else config.ordering)
         if serial_outcome is None:
-            serial_outcome = serial_idastar(problem, order=self.order)
+            serial_outcome = serial_idastar(problem, order=config.ordering)
         self.serial = serial_outcome
 
         self.workers = [_Worker(w, seed) for w in range(workers)]
@@ -194,7 +194,8 @@ class _SimEngine:
 
         self._is_goal = problem.is_goal
         self._expand_node = problem.expand
-        self._arrange = None if self.order is None else self.order.arrange
+        order = config.ordering
+        self._arrange = None if order.is_identity() else order.arrange
         self._trigger = config.anticipation_trigger
         self.root = make_root(problem)
         _state, g, h, _op, _parent = self.root
@@ -356,7 +357,7 @@ class _SimEngine:
         # kept is last child first, as a stack pushes it
         arrange = self._arrange
         if arrange is not None and len(kept) > 1:
-            kept = arranged(arrange, kept, parent is None)
+            kept = arrange(kept, parent is None)
 
         if phase == "distributing":
             open_.extend(reversed(kept))    # the next level, in order
@@ -379,8 +380,6 @@ class _SimEngine:
         members = [m.wid for m in w.cluster.members]
         target, w.flip = poll_target(w.position, members, w.flip, w.rng,
                                      self.config.polling)
-        if target is None:
-            return
         w.outstanding = True
         self._send(w, self.workers[target], "req", w.wid)
 

@@ -32,8 +32,7 @@ def run_threads(problem, config, workers, seed=0, serial_outcome=None):
     """Run the parallel engine on real threads (wall-clock timing)."""
     validate_config(config, workers)
     if serial_outcome is None:
-        order = None if config.ordering.is_identity() else config.ordering
-        serial_outcome = serial_idastar(problem, order=order)
+        serial_outcome = serial_idastar(problem, order=config.ordering)
     engine = _SimEngine(problem, config, workers, 0, seed, serial_outcome)
     lock = threading.Lock()
     stop = threading.Event()

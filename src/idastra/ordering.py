@@ -4,7 +4,8 @@ Fixed applies one operator permutation everywhere.  Local sorts children
 by heuristic value.  Toida sorts the root's children by scores learned
 from a profiling trace (smaller score first) and falls back to Local
 below the root.  All ties break on operator index so ordering is
-deterministic.
+deterministic.  A policy arranges siblings in the order the search
+stacks them, last child first, so its first child is popped first.
 """
 
 from dataclasses import dataclass, field
@@ -57,27 +58,29 @@ class OrderPolicy:
         return p is None or p == tuple(range(len(p)))
 
     def arrange(self, children, at_root):
-        """Return child nodes (state, g, h, op, parent), given first
-        operator first, in policy order; at_root says whether they are
-        the root's children.  Every sort key ends in the operator, which
-        is unique among siblings, so arranging a subset of the children
-        orders it as the whole list orders it."""
+        """Return child nodes (state, g, h, op, parent), given as expand
+        pushes them (last operator first), in stack order: the policy's
+        first child last, to be popped first.  at_root says whether they
+        are the root's children.  Every sort key ends in the operator,
+        which is unique among siblings, so arranging a subset of the
+        children orders it as the whole list orders it.  An identity
+        Fixed returns its input unchanged."""
         if self.kind == "Fixed":
             rank = self._rank
             if rank is None:
                 return children
             bound = len(rank)
-            return sorted(children,
+            return sorted(children, reverse=True,
                           key=lambda c: (rank.get(c[3], bound), c[3]))
         if self.kind == "Local":
-            return sorted(children, key=_BY_H)
+            return sorted(children, key=_BY_H, reverse=True)
         # Toida: learned scores steer only the top of the tree
         if self.scores is None:
             raise MissingScores("Toida ordering needs a score table")
         if at_root:
-            return sorted(children,
+            return sorted(children, reverse=True,
                           key=lambda c: (self.scores.get(c[3], _INF), c[3]))
-        return sorted(children, key=_BY_H)
+        return sorted(children, key=_BY_H, reverse=True)
 
     def token(self):
         """Short text form used in strategy configuration strings."""

@@ -99,7 +99,9 @@ def bounded_dfs_reference(problem, threshold, order=None):
             return (path, g)
         children = expand_all(problem, (state, g, h, prev_op, None))
         if order is not None:
-            children = order.arrange(children, not path)
+            # arrange takes and returns siblings in stack order, last
+            # child first; this walk takes them first operator first
+            children = order.arrange(children[::-1], not path)[::-1]
         # a whole sibling list comes into existence when its parent is
         # expanded, even if the pass stops at a goal among them
         tally["generated"] += len(children)

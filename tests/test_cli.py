@@ -736,6 +736,15 @@ def test_curves_eq1_integer_grid(run_cli, tmp_path):
     assert float(rows[2]["dts_eq1"]) == pytest.approx(10.0, rel=0.01)
 
 
+def test_curves_eq1_rejects_a_fractional_depth(run_cli, tmp_path):
+    out_csv = tmp_path / "eq1.csv"
+    code, _out, err = run_cli(["curves", "eq1", "--grid", "4.5",
+                               "--out", out_csv])
+    assert code == 1
+    assert "integer" in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("curve", ["eq1", "eq2", "fig5", "fig6"])
 def test_curves_run_at_their_default_grid(run_cli, tmp_path, curve):
     out_csv = str(tmp_path / f"{curve}.csv")

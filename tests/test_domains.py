@@ -323,9 +323,11 @@ def test_puzzle_fixed_order_changes_child_order_only():
     problem = PuzzleProblem(state)
     reverse = OrderPolicy.fixed((3, 2, 1, 0))
     children = _children(problem, state)
-    reordered = reverse.arrange(children, True)
     assert [c[3] for c in children] == sorted(c[3] for c in children)
-    assert reordered == children[::-1]
+    # arrange takes the children as pushed and returns them stacked: the
+    # last operator ends on top, to be popped first
+    reordered = reverse.arrange(children[::-1], True)
+    assert reordered == children
     assert serial_idastar(problem, reverse).cost == astar_cost(problem)
 
 

@@ -232,6 +232,13 @@ def test_execution_mode_validation():
                          latency=latency)
 
 
+def test_sim_rejects_negative_latency():
+    # run_sim checks it as run_parallel does, before any search
+    for problem in (ArtificialProblem(_spec()), NoGoalProblem()):
+        with pytest.raises(InvalidConfig):
+            run_sim(problem, DEFAULT_CONFIG, 2, latency=-1)
+
+
 # --------------------------------------------------- simulator behaviour
 
 def test_single_worker_matches_serial_exactly():

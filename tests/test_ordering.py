@@ -1,5 +1,7 @@
 """Child ordering policies: rank tables, token round trips, learned
-root scores."""
+root scores.  arrange takes siblings as expand pushes them, last
+operator first, and returns them in stack order, so the policy's first
+child comes last."""
 
 import itertools
 
@@ -7,24 +9,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idastra.core import arranged
+from idastra.core import serial_idastar
+from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
+from idastra.engine import DEFAULT_CONFIG, run_sim
 from idastra.errors import EmptyTrace, InvalidConfig, MissingScores
-from idastra.features import ShallowTrace
+from idastra.features import ShallowTrace, shallow_search
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
-# children are (state, g, h, op, parent) search nodes
-_KIDS = [("s0", 1, 5, 0, None), ("s1", 1, 3, 1, None), ("s2", 1, 3, 2, None),
-         ("s3", 1, 7, 3, None)]
+# children are (state, g, h, op, parent) search nodes, last operator
+# first as expand pushes them
+_KIDS = [("s3", 1, 7, 3, None), ("s2", 1, 3, 2, None), ("s1", 1, 3, 1, None),
+         ("s0", 1, 5, 0, None)]
 
 
-def _ops(arranged):
-    return [c[3] for c in arranged]
+def _ops(stacked):
+    """The operators of an arrangement in the order the search pops
+    them: the stack's last child first."""
+    return [c[3] for c in reversed(stacked)]
 
 
 def test_fixed_identity_preserves_input_order():
     policy = OrderPolicy.fixed()
     assert policy.is_identity()
     assert _ops(policy.arrange(_KIDS, True)) == [0, 1, 2, 3]
+    assert policy.arrange(_KIDS, True) is _KIDS
 
 
 def test_fixed_permutation_ranks_operators():
@@ -32,7 +40,7 @@ def test_fixed_permutation_ranks_operators():
     assert not policy.is_identity()
     assert _ops(policy.arrange(_KIDS, True)) == [3, 1, 0, 2]
     # unknown operators sort after ranked ones, by index
-    extra = _KIDS + [("s9", 1, 0, 9, None)]
+    extra = [("s9", 1, 0, 9, None)] + _KIDS
     assert _ops(policy.arrange(extra, True)) == [3, 1, 0, 2, 9]
 
 
@@ -46,6 +54,7 @@ def test_fixed_rank_table_keeps_the_sort_rule():
         for kids in lists:
             want = sorted(kids, key=lambda c: (
                 perm.index(c[3]) if c[3] in perm else len(perm), c[3]))
+            want.reverse()
             for at_root in (True, False):
                 assert policy.arrange(kids, at_root) == want, (perm, kids)
         assert policy == OrderPolicy.fixed(perm)
@@ -132,8 +141,8 @@ def test_scores_from_empty_trace_rejected():
 def test_trace_scores_steer_search_toward_best_subtree():
     scores = toida_scores_from_trace(_trace({0: 12, 1: 6, 2: 9}))
     policy = OrderPolicy.toida(scores)
-    kids = [("a", 1, 1, 0, None), ("b", 1, 1, 1, None),
-            ("c", 1, 1, 2, None)]
+    kids = [("c", 1, 1, 2, None), ("b", 1, 1, 1, None),
+            ("a", 1, 1, 0, None)]
     assert _ops(policy.arrange(kids, True)) == [1, 2, 0]
 
 
@@ -152,15 +161,38 @@ _POLICIES = [OrderPolicy.fixed(), OrderPolicy.local(),
 def test_arranging_kept_children_filters_the_full_arrangement(
         policy, at_root, ops, hs, threshold):
     # the search arranges only the children expand kept, which it gets
-    # last operator first; popped, they come in the order of the whole
-    # sibling list arranged first operator first, less the pruned ones
-    children = [("s%d" % op, 1, hs[op], op, None) for op in sorted(ops)]
-    kept = [c for c in reversed(children) if c[1] + c[2] <= threshold]
+    # last operator first; stacked, they are the whole sibling list
+    # arranged, less the pruned ones
+    children = [("s%d" % op, 1, hs[op], op, None)
+                for op in sorted(ops, reverse=True)]
+    kept = [c for c in children if c[1] + c[2] <= threshold]
     # the search skips arrange for fewer than two children
     if len(kept) > 1:
-        kept = arranged(policy.arrange, kept, at_root)
+        kept = policy.arrange(kept, at_root)
     want = [c for c in policy.arrange(children, at_root)
             if c[1] + c[2] <= threshold]
-    assert kept[::-1] == want
+    assert kept == want
     if policy.is_identity():
         assert _ops(want) == sorted(_ops(want))
+
+
+def test_search_loops_skip_identity_orders(monkeypatch):
+    # callers pass config.ordering as it is; an identity Fixed keeps the
+    # natural order, so every search loop skips arrange for it
+    seen = []
+    original = OrderPolicy.arrange
+
+    def recording(self, children, at_root):
+        seen.append(self.token())
+        return original(self, children, at_root)
+
+    monkeypatch.setattr(OrderPolicy, "arrange", recording)
+    problem = ArtificialProblem(ArtificialSpec(d=4, g=0.5, b=3,
+                                               imbalance=0.0, density=0.0,
+                                               herror=2, seed=0))
+    for token in ("Fixed", "Fixed:0123", "Fixed:1032"):
+        order = OrderPolicy.from_token(token)
+        serial_idastar(problem, order=order)
+        shallow_search(problem, budget=50, order=order)
+        run_sim(problem, DEFAULT_CONFIG.with_value("ordering", token), 4)
+    assert set(seen) == {"Fixed:1032"}
