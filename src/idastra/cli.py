@@ -34,6 +34,7 @@ from idastra.learner import (Dataset, append_cases, classify,
                              cross_validate, induce_tree, label_cases,
                              load_tree, paired_t_test, read_store,
                              save_tree, store_lines, variance_filter)
+from idastra.learner.cases import end_cut_line
 from idastra.learner.dtree import tree_depth, tree_leaves
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
@@ -137,20 +138,13 @@ def _profile(problem, budget):
 
 
 def _append_records(path, rows):
-    last = b""
-    if os.path.exists(path) and os.path.getsize(path):
-        with open(path, "rb") as fh:
-            fh.seek(-1, os.SEEK_END)
-            last = fh.read(1)
+    # report skips the cut line that end_cut_line ends
+    held = end_cut_line(path)
     with open(path, "a", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
                                 lineterminator="\n")
-        if not last:
+        if not held:
             writer.writeheader()
-        elif last != b"\n":
-            # a write cut short left a partial last line: end it, so the
-            # new rows start on their own line and report skips the cut one
-            fh.write("\n")
         writer.writerows(rows)
 
 

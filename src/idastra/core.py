@@ -65,6 +65,7 @@ class PassStats:
     dead-end expansion, or the goal.  Nodes left on the stack when a
     budget truncates the pass are not leaves.  Subtrees are keyed by the
     first operator on a node's path; `sub` is None for the root itself.
+    root_ops lists those keys, the root's children's operators, sorted.
     """
 
     subtree_expanded: dict = field(default_factory=dict)
@@ -72,7 +73,7 @@ class PassStats:
     subtree_min_leaf_h: dict = field(default_factory=dict)
     min_leaf_f: int | None = None
     fertile_expanded: int = 0
-    root_children: int = 0
+    root_ops: list = field(default_factory=list)
 
     def record_leaf(self, sub, g, h):
         f = g + h
@@ -157,7 +158,7 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         if stats is not None:
             stats.record_expansion(sub, n)
             if parent is None:
-                stats.root_children = n
+                stats.root_ops = sorted(kid[3] for kid in kids)
             if not n:
                 stats.record_leaf(sub, g, h)
             kept = []

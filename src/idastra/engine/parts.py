@@ -33,12 +33,13 @@ def donate(open_list, fraction, end):
 
 
 def poll_target(position, members, flip, rng, policy):
-    """Pick the worker to beg for work.
+    """Pick the cluster member to beg for work.
 
     position: index of the requester within members.  Neighbor polling
     alternates right then left on the cluster ring (flip carries the
     alternation state; returns the new value).  Random polling draws
-    uniformly from the other members.  Returns (target id or None, flip).
+    uniformly from the other members.  Returns (target member or None,
+    flip): an element of members itself, not an id.
     """
     k = len(members)
     if k < 2:

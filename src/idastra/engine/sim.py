@@ -11,10 +11,10 @@ level holds a node per member and is dealt out round-robin), searching,
 and done (it found a solution, or no threshold below the held cost is
 left for it).  A worker whose cluster is parked (pending or done) and
 has no message due is not stepped: the tick loop credits its idle tick
-directly.  Work messages (requests, donations, refusals) arrive
-message_latency_ticks after sending; coordination
-(threshold grants, pass reports, solution gating) is centralised in the
-coordinator and modelled as instantaneous.
+directly.  Work messages are requests and donations (an empty donation
+is a refusal) and arrive message_latency_ticks after sending;
+coordination (threshold grants, pass reports, solution gating) is
+centralised in the coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
 seed), so reports are bit-identical across repetitions.  The threads
 driver (engine/threads.py) steps this same engine on real threads.
@@ -55,7 +55,7 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("cid", "members", "can_balance", "threshold", "epoch",
-                 "phase", "live_nodes", "pruned", "level_left",
+                 "phase", "live_nodes", "level_left",
                  "last_pass_expansions")
 
     def __init__(self, cid, members, load_balancing):
@@ -66,7 +66,6 @@ class _Cluster:
         self.epoch = 0
         self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
-        self.pruned = False             # this pass pruned a child
         self.level_left = 0             # distributing: level nodes unexpanded
         self.last_pass_expansions = [0] * len(members)
 
@@ -78,7 +77,6 @@ class _Cluster:
         """End the running pass: its in-flight work messages go stale
         and every member starts over with an empty list."""
         self.epoch += 1
-        self.pruned = False
         self.live_nodes = 0
         for w in self.members:
             w.open.clear()
@@ -174,9 +172,7 @@ class _SimEngine:
         validate_config(config, workers)
         if latency < 0:
             raise InvalidConfig("message latency must be >= 0")
-        self.problem = problem
         self.config = config
-        self.P = workers
         self.latency = latency
         if serial_outcome is None:
             serial_outcome = serial_idastar(problem, order=config.ordering)
@@ -229,23 +225,18 @@ class _SimEngine:
                 continue
             if kind == "req":
                 self._answer_request(w, payload)
-            elif kind == "don":
+            else:                       # a donation; empty is a refusal
                 self.donated_delivered += len(payload)
                 w.open.extend(payload)
                 w.outstanding = False
-            else:                       # refusal
-                w.outstanding = False
 
-    def _answer_request(self, donor, requester_wid):
-        requester = self.workers[requester_wid]
+    def _answer_request(self, donor, requester):
         kept, batch = donate(donor.open, self.config.donation_fraction,
                              self.config.donate_from)
         if batch:
             donor.open = deque(kept)
             self.donated_sent += len(batch)
-            self._send(donor, requester, "don", batch)
-        else:
-            self._send(donor, requester, "ref", None)
+        self._send(donor, requester, "don", batch)
 
     # -- pass/threshold management ----------------------------------------
 
@@ -290,8 +281,12 @@ class _SimEngine:
 
     def _pass_complete(self, cl):
         cl.snapshot_pass()
-        if not cl.pruned and not self.coord.solutions:
-            # nothing exceeded the threshold: the whole space was swept
+        # every pruned f joins the pool, and a pass that pruned nothing
+        # swept the whole space, so no pass can prune above its
+        # threshold: this pass pruned nothing exactly when the pool's
+        # largest value is at most its threshold
+        if not self.coord.solutions \
+                and self.coord.sorted_pool()[-1] <= cl.threshold:
             self.space_exhausted = True
             return
         self.coord.mark_done(cl.threshold)
@@ -350,10 +345,8 @@ class _SimEngine:
             self._report_solution(cl, node)
             return
         kept = []
-        n = len(self._expand_node(node, threshold, kept.append, self._prune))
-        stats.nodes_generated += n
-        if len(kept) != n:
-            cl.pruned = True
+        stats.nodes_generated += len(
+            self._expand_node(node, threshold, kept.append, self._prune))
         # kept is last child first, as a stack pushes it
         arrange = self._arrange
         if arrange is not None and len(kept) > 1:
@@ -377,11 +370,10 @@ class _SimEngine:
             self._request_work(w)
 
     def _request_work(self, w):
-        members = [m.wid for m in w.cluster.members]
-        target, w.flip = poll_target(w.position, members, w.flip, w.rng,
-                                     self.config.polling)
+        target, w.flip = poll_target(w.position, w.cluster.members, w.flip,
+                                     w.rng, self.config.polling)
         w.outstanding = True
-        self._send(w, self.workers[target], "req", w.wid)
+        self._send(w, target, "req", w)
 
     # -- main loop ----------------------------------------------------------
 
@@ -396,8 +388,8 @@ class _SimEngine:
         for cl in self.clusters:
             if cl.phase in _PARKED:
                 # a parked worker's step only drops stale messages, takes
-                # a refusal or refuses a request: it changes no phase and
-                # accepts no solution
+                # an empty donation or refuses a request: it changes no
+                # phase and accepts no solution
                 for w in cl.members:
                     inbox = w.inbox
                     if inbox and inbox[0][0] <= tick:
@@ -442,7 +434,7 @@ class _SimEngine:
         balanced = (self.donated_sent
                     == self.donated_delivered + self.donated_dropped)
         finder = self.clusters[cid]
-        final_pass = [0] * self.P
+        final_pass = [0] * len(self.workers)
         for pos, w in enumerate(finder.members):
             final_pass[w.wid] = finder.last_pass_expansions[pos]
         max_per_worker = max(w.stats.nodes_expanded for w in self.workers)
@@ -454,7 +446,7 @@ class _SimEngine:
             serial_equivalent_nodes=self.serial.total_expanded,
             speedup=speedup,
             mode=mode,
-            workers=self.P,
+            workers=len(self.workers),
             clusters=self.config.clusters,
             thresholds_granted=list(self.coord.granted_order),
             final_pass_expansions=final_pass,

@@ -19,7 +19,7 @@ DEFAULT_BUDGET = 200000
 class ShallowTrace:
     iterations: list                 # {threshold, nodes_expanded, complete}
     root_h: int
-    root_children: int
+    root_ops: list                   # the root's children's operators, sorted
     subtree_expanded: dict
     subtree_min_leaf_f: dict
     subtree_min_leaf_h: dict
@@ -29,6 +29,10 @@ class ShallowTrace:
     fertile_expanded: int
     truncated: bool
     goal_found: tuple | None         # (path, cost)
+
+    @property
+    def root_children(self):
+        return len(self.root_ops)
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,8 @@ def shallow_search(problem, budget=DEFAULT_BUDGET, order=None):
                     for p in passes],
         # the root's g is 0, so the first threshold is its h
         root_h=passes[0].threshold,
-        root_children=max(p.stats.root_children for p in passes),
+        # every pass expands the root first, with the same children
+        root_ops=passes[0].stats.root_ops,
         subtree_expanded=stats.subtree_expanded,
         subtree_min_leaf_f=stats.subtree_min_leaf_f,
         subtree_min_leaf_h=stats.subtree_min_leaf_h,
@@ -105,19 +110,20 @@ def extract_features(trace):
     else:
         herror = float(max(0, trace.min_leaf_f - trace.root_h))
 
-    k = trace.root_children
-    imb = _imbalance(trace, k)
-    loc = _location(trace, k)
+    imb = _imbalance(trace)
+    loc = _location(trace)
     hbf = _heuristic_branching(trace, b)
     return ProblemFeatures(b=b, herror=herror, imb=imb, loc=loc, hbf=hbf)
 
 
-def _imbalance(trace, k):
+def _imbalance(trace):
     """Population coefficient of variation of root-subtree expansion
-    counts, scaled by its maximum sqrt(k-1) and clamped to [0, 1]."""
+    counts, the root's k children taken in operator order, scaled by its
+    maximum sqrt(k-1) and clamped to [0, 1]."""
+    counts = [trace.subtree_expanded.get(op, 0) for op in trace.root_ops]
+    k = len(counts)
     if k < 2:
         return 0.0
-    counts = [trace.subtree_expanded.get(i, 0) for i in range(k)]
     mean = sum(counts) / k
     if mean == 0:
         return 0.0
@@ -126,20 +132,16 @@ def _imbalance(trace, k):
     return min(1.0, max(0.0, cov / math.sqrt(k - 1)))
 
 
-def _location(trace, k):
+def _location(trace):
     """Centre of the root subtree holding the most promising leaf
-    (lowest min leaf h), as a fraction of the root's children."""
-    if k < 1:
+    (lowest min leaf h), as a fraction of the root's children taken in
+    operator order; the first such subtree on a tie."""
+    min_h = trace.subtree_min_leaf_h
+    leaves = [(min_h[op], i) for i, op in enumerate(trace.root_ops)
+              if op in min_h]
+    if not leaves:
         return 0.5
-    best = None
-    best_h = None
-    for i in range(k):
-        h = trace.subtree_min_leaf_h.get(i)
-        if h is not None and (best_h is None or h < best_h):
-            best, best_h = i, h
-    if best is None:
-        return 0.5
-    return (best + 0.5) / k
+    return (min(leaves)[1] + 0.5) / len(trace.root_ops)
 
 
 def _heuristic_branching(trace, fallback):

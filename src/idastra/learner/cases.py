@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import statistics
 from dataclasses import dataclass
 
@@ -144,6 +145,20 @@ def store_lines(path):
         return set()
 
 
+def end_cut_line(path):
+    """Before an append: end a last line that a write cut short, so the
+    new lines start on their own line and a reader meets the cut one
+    alone.  Creates a missing file; returns whether the file held
+    anything."""
+    with open(path, "ab+") as fh:
+        if not fh.tell():
+            return False
+        fh.seek(-1, os.SEEK_END)
+        if fh.read(1) != b"\n":
+            fh.write(b"\n")
+        return True
+
+
 def append_cases(path, cases, existing=None):
     """Append cases to a JSON-lines store; returns (written, duplicates).
 
@@ -156,6 +171,7 @@ def append_cases(path, cases, existing=None):
     if existing is None:
         existing = store_lines(path)
     dupes = 0
+    end_cut_line(path)
     with open(path, "a") as fh:
         for case in cases:
             line = case.to_json()
@@ -167,14 +183,18 @@ def append_cases(path, cases, existing=None):
 
 
 def read_store(path, axis=None):
-    """Load TrainingCases, optionally filtered to one axis."""
+    """Load TrainingCases, optionally filtered to one axis.  A bad line
+    raises DataError naming the path and the line number."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     cases = []
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        case = TrainingCase.from_json(line)
+        try:
+            case = TrainingCase.from_json(line)
+        except DataError as exc:
+            raise DataError(f"{path}:{n}: {exc}") from None
         if axis is None or case.axis == axis:
             cases.append(case)
     return cases

@@ -14,6 +14,7 @@ from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import StrategyConfig, run_parallel
 from idastra.features import shallow_search
+from idastra.learner import TrainingCase
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
 EASY_PUZZLES = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -365,6 +366,32 @@ def test_train_missing_axis_is_a_data_error(run_cli, tmp_path):
                                 "--axis", "polling",
                                 "--out", str(tmp_path / "p.tree")])
     assert code == 2
+
+
+def test_train_names_the_store_line_an_interrupted_sweep_cut(run_cli,
+                                                              tmp_path):
+    files, store = _sweep_store(run_cli, tmp_path)
+    with open(store, "rb") as fh:
+        data = fh.read()
+    cut = data[:-40].count(b"\n") + 1      # the line the cut falls in
+    with open(store, "wb") as fh:
+        fh.write(data[:-40])
+    code, _out, _err = run_cli(["sweep", "--instances", files[0],
+                                "--axis", "clusters", "--grid", "1,4",
+                                "--workers", 4, "--budget", 50,
+                                "--out", str(tmp_path / "records.csv"),
+                                "--store", store])
+    assert code == 0
+    with open(store) as fh:
+        lines = fh.read().splitlines()
+    # the new case starts its own line, after the cut one
+    assert len(lines) == cut + 1
+    assert TrainingCase.from_json(lines[-1]).axis == "clusters"
+    code, _out, err = run_cli(["train", "--store", store,
+                               "--axis", "clusters", "--folds", 2,
+                               "--out", str(tmp_path / "m.tree")])
+    assert code == 2
+    assert f"error: {store}:{cut}: bad store line" in err
 
 
 def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):

@@ -511,12 +511,23 @@ def test_threads_mode_finds_optimal_cost():
 
 
 def test_engine_failures_raise_in_both_modes(monkeypatch):
-    # a serial search of a goalless space raises, so pass a stand-in
+    # a serial search of a goalless space raises, so pass a stand-in.  A
+    # pass is exhausted when the candidate pool holds nothing above its
+    # threshold, whichever cluster's passes filled the pool.  Threads
+    # deliver at the next step whatever the latency, so they run once
     baseline = SearchOutcome((), 0, [], 1, 0)
-    for mode in ("sim", "threads"):
-        with pytest.raises(SpaceExhausted):
-            run_parallel(NoGoalProblem(), DEFAULT_CONFIG, 2, mode=mode,
-                         serial_outcome=baseline)
+    runs = [("sim", latency) for latency in (0, 1, 3)] + [("threads", 0)]
+    for (mode, latency), (workers, clusters), distribution in product(
+            runs, ((2, 1), (4, 2), (4, 4)), ("BreadthFirst", "KumarRao")):
+        config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
+            .with_value("distribution", distribution)
+        try:
+            run_parallel(NoGoalProblem(), config, workers, mode=mode,
+                         latency=latency, serial_outcome=baseline)
+        except SpaceExhausted:
+            continue
+        pytest.fail(f"no SpaceExhausted: {mode} P{workers} "
+                    f"clusters {clusters} {distribution} latency {latency}")
     # about 95k serial expansions: far more than two threads finish
     # before a zero timeout stops them
     monkeypatch.setattr(threads, "TIMEOUT", 0)

@@ -111,7 +111,7 @@ def test_imbalance_formula_against_trace():
     spec = _spec(d=5, b=3, g=0.0, imbalance=0.6, herror=8, seed=4)
     trace = _trace(ArtificialProblem(spec), 100000)
     k = trace.root_children
-    counts = [trace.subtree_expanded.get(i, 0) for i in range(k)]
+    counts = [trace.subtree_expanded.get(op, 0) for op in trace.root_ops]
     mean = sum(counts) / k
     cov = math.sqrt(sum((c - mean) ** 2 for c in counts) / k) / mean
     expected = min(1.0, cov / math.sqrt(k - 1))
@@ -136,7 +136,7 @@ def test_location_tracks_goal_position():
 def test_location_default_when_no_leaf_h():
     trace = ShallowTrace(iterations=[{"threshold": 1, "nodes_expanded": 1,
                                       "complete": True}],
-                         root_h=1, root_children=2, subtree_expanded={},
+                         root_h=1, root_ops=[0, 1], subtree_expanded={},
                          subtree_min_leaf_f={}, subtree_min_leaf_h={},
                          min_leaf_f=None, total_expanded=1,
                          total_generated=2, fertile_expanded=1,
@@ -167,7 +167,7 @@ def test_hbf_falls_back_to_b_with_single_iteration():
 
 
 def test_degenerate_trace_rejected():
-    empty = ShallowTrace(iterations=[], root_h=0, root_children=0,
+    empty = ShallowTrace(iterations=[], root_h=0, root_ops=[],
                          subtree_expanded={}, subtree_min_leaf_f={},
                          subtree_min_leaf_h={}, min_leaf_f=None,
                          total_expanded=0,
@@ -217,8 +217,24 @@ def test_trace_counts_match_space_size():
     assert trace.root_children == 2
 
 
+def test_root_subtree_features_walk_the_root_operators():
+    # the blank starts in cell 0, so the root's operators are 2 and 3,
+    # not 0 and 1: imb and loc must read subtrees 2 and 3
+    trace = shallow_search(PuzzleProblem(scramble(30, 12)), budget=3000)
+    assert trace.root_ops == [2, 3] and trace.root_children == 2
+    assert trace.subtree_expanded == {2: 212, 3: 458}
+    assert trace.subtree_min_leaf_h == {2: 11, 3: 5}
+    features = extract_features(trace)
+    # cov of (212, 458) over sqrt(k - 1) = 1; the best leaf h is in the
+    # second of two subtrees
+    assert features.imb == pytest.approx(123 / 335)
+    assert features.loc == 0.75
+
+
 # Traces and features recorded before the cost-bounded pass moved to a
-# shared path list; every budget truncates a pass midway.
+# shared path list; every budget truncates a pass midway.  The (60, 11)
+# imb was re-pinned once imb read the root's operators (0, 1 and 3)
+# instead of subtrees 0..k-1.
 _PINNED = [
     (("puzzle", (40, 3)), None, 3000, {
         "iterations": [(30, 13, True), (32, 449, True), (34, 2538, False)],
@@ -250,7 +266,7 @@ _PINNED = [
         "subtree_min_leaf_h": {3: 18, 1: 5, 0: 15},
         "min_leaf_f": 32,
         "totals": (4000, 8294, 4000),
-        "features": (2.0735, 8.0, 0.9381941874331418, 0.5,
+        "features": (2.0735, 8.0, 0.8448741713213792, 0.5,
                      7.0528873931953555)}),
     (("artificial", dict(d=9, g=0.5, b=3, imbalance=0.0, density=1e-9,
                          herror=5, seed=3)), None, 2500, {

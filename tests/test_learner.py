@@ -158,6 +158,23 @@ def test_store_append_and_dup_detection(tmp_path):
     assert read_store(store, axis="polling") == []
 
 
+def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path):
+    # a write cut short leaves a partial last line; the next append must
+    # not glue its first case onto it
+    store = tmp_path / "cases.jsonl"
+    a, b, c = _case("1", b=2.0), _case("4", b=3.0), _case("16", b=5.0)
+    append_cases(store, [a, b])
+    store.write_bytes(store.read_bytes()[:-40])
+    assert append_cases(store, [c]) == (1, 0)
+    lines = store.read_text().splitlines()
+    assert len(lines) == 3
+    assert TrainingCase.from_json(lines[0]) == a
+    assert TrainingCase.from_json(lines[2]) == c
+    # the cut line itself stays unreadable, and the error says where
+    with pytest.raises(DataError, match=f"^{store}:2: bad store line"):
+        read_store(store)
+
+
 def test_dataset_requires_one_axis():
     with pytest.raises(DataError):
         Dataset([_case("1"), _case("Random", axis="polling")], "clusters")

@@ -121,7 +121,7 @@ def test_fixed_token_round_trips_any_permutation(perm):
 
 
 def _trace(min_leaf_f):
-    return ShallowTrace(iterations=[], root_h=0, root_children=len(min_leaf_f),
+    return ShallowTrace(iterations=[], root_h=0, root_ops=sorted(min_leaf_f),
                         subtree_expanded={}, subtree_min_leaf_f=min_leaf_f,
                         subtree_min_leaf_h={}, min_leaf_f=None,
                         total_expanded=0, total_generated=0,
