@@ -11,26 +11,29 @@ A search problem is any object with:
     is_goal(state) -> bool
     expand(node, threshold, push, prune) -> the operators walked
 
-expand builds each child of node directly as a search node, with the
-child's g the node's g plus the operator's cost.  It calls push(child)
-for every child with f <= threshold, last operator first, and prune(f)
-for every other child, whose state it never builds.  It returns the
-tuple of operators (or move-table entries) it walked, which already
-exists: its length is the number of children generated.  Expansion
-handles operator pruning (e.g. not undoing the parent move) internally,
-reading the node's op (-1 at the root).  The children's natural order
-is their operator order: pushed last operator first, they pop first
-operator first.  An ordering policy's arrange takes the kept children
-as pushed and returns them in its own stack order.  Both loops skip it
-for fewer than two children and for an identity policy, whose order is
-the natural one.
+expand builds each child of node directly as a search node.  It calls
+push(child) for every child with f <= threshold, last operator first,
+and prune(f) for every other child, whose state it never builds.  It
+returns the tuple of operators (or move-table entries) it walked, which
+already exists: its length is the number of children generated.
+Expansion handles operator pruning (e.g. not undoing the parent move)
+internally, reading the node's op (-1 at the root).  The children's
+natural order is their operator order: pushed last operator first, they
+pop first operator first.  The serial pass hands expand its stack's
+append as push, so kept children go straight onto the stack.  An
+ordering policy's arrange takes the kept children as pushed and returns
+them in its own stack order; the serial pass rewrites only the tail the
+expansion pushed.  Both loops skip it for fewer than two children and
+for an identity policy, whose order is the natural one.
 
 The serial pass and the parallel engine both stack these nodes, test one
 for the goal only where its h is 0, and rebuild a goal's path from its
-parents with path_to.  The goal gate relies on the heuristic's
-contract: h >= 0 everywhere and h == 0 at every goal.  Manhattan
-distance meets it, and so do the artificial trees, which give a goal
-h 0 and clamp every other h at 0.
+parents with path_to.  Two contracts hold in every domain.  The goal
+gate relies on the heuristic's: h >= 0 everywhere and h == 0 at every
+goal.  Manhattan distance meets it, and so do the artificial trees,
+which give a goal h 0 and clamp every other h at 0.  And every operator
+costs 1, so a child's g is its parent's g plus 1: a profiling pass
+relies on it to read a pruned child's g and h from its f alone.
 
 Iterative deepening exists once, as _deepen's stream of passes:
 serial_idastar runs it to the goal, and features.shallow_search runs it
@@ -66,6 +69,11 @@ class PassStats:
     budget truncates the pass are not leaves.  Subtrees are keyed by the
     first operator on a node's path; `sub` is None for the root itself.
     root_ops lists those keys, the root's children's operators, sorted.
+
+    During the pass, sub and g are the subtree key and the g of the node
+    being expanded, and pruned is the pass's set of pruned f values.
+    prune is the pass's prune sink below the root: every operator costs
+    1, so a child pruned at f is a leaf at g + 1 with h f - g - 1.
     """
 
     subtree_expanded: dict = field(default_factory=dict)
@@ -74,6 +82,9 @@ class PassStats:
     min_leaf_f: int | None = None
     fertile_expanded: int = 0
     root_ops: list = field(default_factory=list)
+    sub: int | None = field(default=None, repr=False, compare=False)
+    g: int = field(default=0, repr=False, compare=False)
+    pruned: set = field(default_factory=set, repr=False, compare=False)
 
     def record_leaf(self, sub, g, h):
         f = g + h
@@ -90,6 +101,47 @@ class PassStats:
             self.subtree_expanded[sub] = self.subtree_expanded.get(sub, 0) + 1
         if n_children:
             self.fertile_expanded += 1
+
+    def prune(self, f):
+        self.pruned.add(f)
+        g = self.g + 1
+        self.record_leaf(self.sub, g, f - g)
+
+    def _enter(self, node):
+        """Make node the one being disposed of: take its g, and its
+        operator as the subtree key when its parent is the root."""
+        _state, self.g, _h, op, parent = node
+        if parent is not None and parent[4] is None:
+            self.sub = op
+
+    def expand(self, expand, node, threshold, push):
+        """Expand node as the pass does, recording its expansion and its
+        pruned children as leaves; returns the number of children
+        generated.  prune gets no operator, so the root alone asks expand
+        for every child and keys each pruned one by its own operator."""
+        self._enter(node)
+        if node[4] is None:
+            kids = []
+            n = len(expand(node, sys.maxsize, kids.append, None))
+            self.root_ops = sorted(kid[3] for kid in kids)
+            for kid in kids:
+                _state, cg, ch, op, _parent = kid
+                if cg + ch > threshold:
+                    self.pruned.add(cg + ch)
+                    self.record_leaf(op, cg, ch)
+                else:
+                    push(kid)
+        else:
+            n = len(expand(node, threshold, push, self.prune))
+        self.record_expansion(self.sub, n)
+        if not n:
+            self.record_leaf(self.sub, node[1], node[2])
+        return n
+
+    def record_goal(self, node):
+        self._enter(node)
+        self.record_expansion(self.sub, 0)
+        self.record_leaf(self.sub, node[1], node[2])
 
 
 @dataclass(slots=True)
@@ -108,18 +160,21 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     """One depth-first pass from make_root's node expanding only nodes
     with f <= threshold.
 
-    The stack holds search nodes, root first.  Children over the
-    threshold are recorded (their minimum f feeds the next threshold)
-    but never pushed.  A popped node with h 0 is goal-tested, so
-    finding the goal counts as expanding it.  With a budget, the pass
-    stops once nodes_expanded reaches it and reports truncated when
-    work remained on the stack.  Statistics key a node's subtree by the
-    operator of the root child it descends from: a depth-first pass
-    finishes one root child's subtree before it pops the next.  To
-    record the pruned children as leaves, a pass with statistics asks
-    expand for every child and filters them itself.
+    The stack holds search nodes, root first, and expand pushes each
+    kept child straight onto it; an ordering rearranges only the tail
+    the expansion pushed.  Children over the threshold are recorded
+    (their minimum f feeds the next threshold) but never pushed.  A
+    popped node with h 0 is goal-tested, so finding the goal counts as
+    expanding it.  With a budget, the pass stops once nodes_expanded
+    reaches it and reports truncated when work remained on the stack.
+    With statistics, PassStats.expand expands each node, and its prune
+    sink records the pruned children as leaves.  Statistics key a
+    node's subtree by the operator of the root child it descends from:
+    a depth-first pass finishes one root child's subtree before it pops
+    the next.
     """
-    stats = PassStats() if collect_stats else None
+    pruned = set()
+    stats = PassStats(pruned=pruned) if collect_stats else None
     expanded = generated = 0
     solution = None
 
@@ -130,52 +185,30 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         return PassResult(threshold, None, g + h, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
-    bound = threshold if stats is None else sys.maxsize
     is_goal = problem.is_goal
     expand = problem.expand
     arrange = (None if order is None or order.is_identity()
                else order.arrange)
-    pruned = set()
     prune = pruned.add
-    sub = None
     stack = [root]
     pop = stack.pop
+    push = stack.append
     while stack and expanded < limit:
         node = pop()
-        state, g, h, op, parent = node
-        if parent is root:
-            sub = op
         expanded += 1
-        if not h and is_goal(state):
-            solution = (path_to(node), g)
+        if not node[2] and is_goal(node[0]):
+            solution = (path_to(node), node[1])
             if stats is not None:
-                stats.record_expansion(sub, 0)
-                stats.record_leaf(sub, g, h)
+                stats.record_goal(node)
             break
-        kids = []
-        n = len(expand(node, bound, kids.append, prune))
-        generated += n
-        if stats is not None:
-            stats.record_expansion(sub, n)
-            if parent is None:
-                stats.root_ops = sorted(kid[3] for kid in kids)
-            if not n:
-                stats.record_leaf(sub, g, h)
-            kept = []
-            for kid in kids:
-                cg = kid[1]
-                ch = kid[2]
-                if cg + ch > threshold:
-                    prune(cg + ch)
-                    stats.record_leaf(kid[3] if sub is None else sub, cg, ch)
-                else:
-                    kept.append(kid)
-            kids = kept
+        base = len(stack)
+        if stats is None:
+            generated += len(expand(node, threshold, push, prune))
+        else:
+            generated += stats.expand(expand, node, threshold, push)
         # fewer than two children are in every order already
-        if arrange is not None and len(kids) > 1:
-            kids = arrange(kids, parent is None)
-        # last child first, so the first child is popped first
-        stack.extend(kids)
+        if arrange is not None and len(stack) - base > 1:
+            stack[base:] = arrange(stack[base:], node[4] is None)
 
     # work left on the stack and no goal: the budget cut the pass short
     return PassResult(threshold, solution, min(pruned) if pruned else None,

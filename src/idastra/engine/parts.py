@@ -11,20 +11,15 @@ def donate(open_list, fraction, end):
     """Split an open list into (kept, donated).
 
     Donates ceil(fraction * n) nodes from the chosen end ("HeadOfList" =
-    deep nodes, "TailOfList" = near-root nodes), but a donor with two or
-    more nodes always keeps at least one; the only way to give away a
-    last node is fraction = 1 with exactly one node.  An empty donation
-    means refusal (the requester re-polls).
+    deep nodes, "TailOfList" = near-root nodes), but a donor always keeps
+    at least one node, even at fraction 1: a last node given away could
+    pass between two members forever, since a worker answers requests
+    before it expands.  So a donor with one node refuses.  An empty
+    donation means refusal (the requester re-polls).
     """
     n = len(open_list)
-    if n == 0 or fraction <= 0.0:
-        return list(open_list), []
-    want = math.ceil(fraction * n)
-    if n == 1:
-        want = 1 if fraction >= 1.0 else 0
-    else:
-        want = min(want, n - 1)
-    if want == 0:
+    want = min(math.ceil(fraction * n), n - 1)
+    if want <= 0:
         return list(open_list), []
     items = list(open_list)
     if end == "HeadOfList":

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import statistics
+import sys
 from dataclasses import dataclass
 
 from idastra.engine.config import AXIS_TABLE, DEFAULT_CONFIG
@@ -53,6 +54,11 @@ class TrainingCase:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"bad store line: {exc}") from None
+        return TrainingCase.from_dict(obj)
+
+    @staticmethod
+    def from_dict(obj):
+        """The case a store line's decoded JSON holds."""
         try:
             f = obj["features"]
             return TrainingCase(
@@ -65,6 +71,8 @@ class TrainingCase:
             )
         except KeyError as exc:
             raise DataError(f"store line missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataError(f"bad store line: {exc}") from None
 
 
 @dataclass
@@ -183,8 +191,12 @@ def append_cases(path, cases, existing=None):
 
 
 def read_store(path, axis=None):
-    """Load TrainingCases, optionally filtered to one axis.  A bad line
-    raises DataError naming the path and the line number."""
+    """Load TrainingCases, optionally filtered to one axis.
+
+    A line that is not complete JSON was cut short by an interrupted
+    sweep: it is skipped with a warning naming the path and the line
+    number.  A complete line with bad fields raises DataError naming
+    them."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     cases = []
@@ -192,7 +204,13 @@ def read_store(path, axis=None):
         if not line.strip():
             continue
         try:
-            case = TrainingCase.from_json(line)
+            obj = json.loads(line)
+        except json.JSONDecodeError:
+            print(f"warning: {path}:{n}: skipping cut store line",
+                  file=sys.stderr)
+            continue
+        try:
+            case = TrainingCase.from_dict(obj)
         except DataError as exc:
             raise DataError(f"{path}:{n}: {exc}") from None
         if axis is None or case.axis == axis:

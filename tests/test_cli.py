@@ -270,6 +270,26 @@ def test_sweep_runs_toida_ordering(run_cli, tmp_path):
         assert int(toida[0]["cost"]) == want
 
 
+def test_sweep_at_donation_fraction_one_finishes(run_cli, tmp_path):
+    # at fraction 1 two workers once passed a last node back and forth
+    # until the engine declared a stall
+    out_dir = str(tmp_path / "inst")
+    code, _out, _err = run_cli(["gen", "--out", out_dir, "--count", 1,
+                                "--d", 8, "--b", 3, "--herror", 4,
+                                "--density", 0])
+    assert code == 0
+    records = str(tmp_path / "records.csv")
+    code, _out, err = run_cli(["sweep", "--instances",
+                               os.path.join(out_dir, "inst_0000.spec"),
+                               "--axis", "fraction", "--grid", "0.3,1.0",
+                               "--workers", 2, "--budget", 20,
+                               "--out", records])
+    assert code == 0, err
+    rows = _read_csv(records)
+    assert [r["approach"] for r in rows] == ["fraction=0.3", "fraction=1.0"]
+    assert all(r["status"] == "ok" for r in rows)
+
+
 def _unbaselined_speedup(problem, token, trace, workers):
     """The speedup run_parallel reports when it runs its own serial
     search, as the CLI prints it."""
@@ -387,11 +407,13 @@ def test_train_names_the_store_line_an_interrupted_sweep_cut(run_cli,
     # the new case starts its own line, after the cut one
     assert len(lines) == cut + 1
     assert TrainingCase.from_json(lines[-1]).axis == "clusters"
-    code, _out, err = run_cli(["train", "--store", store,
-                               "--axis", "clusters", "--folds", 2,
-                               "--out", str(tmp_path / "m.tree")])
-    assert code == 2
-    assert f"error: {store}:{cut}: bad store line" in err
+    code, out, err = run_cli(["train", "--store", store,
+                              "--axis", "clusters", "--folds", 2,
+                              "--out", str(tmp_path / "m.tree")])
+    assert code == 0
+    assert f"warning: {store}:{cut}: skipping cut store line" in err
+    # every case but the cut one is read
+    assert f"cases: {cut} " in out
 
 
 def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):

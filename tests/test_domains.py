@@ -385,3 +385,28 @@ def test_synthetic_expand_keeps_the_contract(d, b, g, herror, density,
         if not children:
             break
         node = data.draw(st.sampled_from(children))
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=st.sampled_from(("puzzle", "synthetic")),
+       seed=st.integers(0, 999), data=st.data())
+def test_every_operator_costs_one(domain, seed, data):
+    # a profiling pass reads a pruned child's g and h from its f alone
+    if domain == "puzzle":
+        problem = PuzzleProblem(scramble(data.draw(st.integers(0, 40)),
+                                         seed))
+    else:
+        problem = ArtificialProblem(_spec(
+            d=data.draw(st.integers(1, 8)), b=data.draw(st.integers(2, 5)),
+            g=data.draw(st.floats(0.0, 1.0)),
+            herror=data.draw(st.integers(0, 6)),
+            density=data.draw(st.sampled_from((0.0, 1e-9, 1.0))),
+            seed=seed))
+    node = make_root(problem)
+    for _ in range(data.draw(st.integers(0, 12))):
+        children = []
+        problem.expand(node, sys.maxsize, children.append, None)
+        assert all(child[1] == node[1] + 1 for child in children)
+        if not children:
+            break
+        node = data.draw(st.sampled_from(children))

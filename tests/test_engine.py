@@ -59,7 +59,8 @@ def test_donate_everything_keeps_one():
 
 
 def test_donate_single_node():
-    assert donate([5], 1.0, "HeadOfList") == ([], [5])
+    # a last node is never given away, even at fraction 1
+    assert donate([5], 1.0, "HeadOfList") == ([5], [])
     assert donate([5], 0.99, "HeadOfList") == ([5], [])
 
 
@@ -77,8 +78,7 @@ def test_donate_conserves_and_orders(n, fraction, end):
         assert given + kept == items
     else:
         assert kept + given == items
-    if n >= 2:
-        assert len(kept) >= 1          # never beggared below one node
+    assert len(kept) >= 1              # never beggared below one node
 
 
 # ----------------------------------------------------- polling targets
@@ -277,6 +277,18 @@ def test_costs_optimal_across_strategy_space():
         for axes in grid:
             report = _run(problem, workers=4, **axes)
             assert report.solution_cost == want, (spec, axes)
+
+
+@pytest.mark.parametrize("distribution", ["BreadthFirst", "KumarRao"])
+def test_fraction_one_at_two_workers_finishes(distribution):
+    # two members once passed a last node back and forth at fraction 1,
+    # each answering the other's request before expanding it
+    problem = ArtificialProblem(_spec(d=8, b=3, herror=4, g=0.5))
+    config = StrategyConfig(distribution=distribution,
+                            donation_fraction=1.0)
+    report = run_sim(problem, config, 2)
+    assert report.solution_cost == serial_idastar(problem).cost
+    assert report.tokens_balanced
 
 
 def test_returned_path_is_a_real_optimal_goal():

@@ -158,7 +158,8 @@ def test_store_append_and_dup_detection(tmp_path):
     assert read_store(store, axis="polling") == []
 
 
-def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path):
+def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path,
+                                                           capsys):
     # a write cut short leaves a partial last line; the next append must
     # not glue its first case onto it
     store = tmp_path / "cases.jsonl"
@@ -170,8 +171,23 @@ def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path):
     assert len(lines) == 3
     assert TrainingCase.from_json(lines[0]) == a
     assert TrainingCase.from_json(lines[2]) == c
-    # the cut line itself stays unreadable, and the error says where
-    with pytest.raises(DataError, match=f"^{store}:2: bad store line"):
+    # the cut line itself is skipped, and the warning says where
+    assert read_store(store) == [a, c]
+    assert (capsys.readouterr().err
+            == f"warning: {store}:2: skipping cut store line\n")
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"architecture": "sim-P4"}, "store line missing field 'features'"),
+    ({"features": 3}, "bad store line"),
+])
+def test_a_complete_store_line_with_bad_fields_is_an_error(tmp_path,
+                                                          fields, message):
+    store = tmp_path / "cases.jsonl"
+    append_cases(store, [_case("1")])
+    with open(store, "a") as fh:
+        fh.write(json.dumps(fields) + "\n")
+    with pytest.raises(DataError, match=f"^{store}:2: {message}"):
         read_store(store)
 
 
