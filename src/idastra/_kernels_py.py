@@ -1,10 +1,10 @@
 """Pure-Python hot kernels.
 
 puzzle_expand and synthetic_expand are a domain's expand (see the
-protocol in idastra.core): each builds a child as a search node
-(state, g, h, op, parent) only where its f is within the threshold,
-passes every other child's f alone to prune, and walks its move or
-index table last operator first.
+protocol in idastra.core): each returns GOAL at a goal, and otherwise
+builds a child as a search node (state, g, h, op, parent) only where
+its f is within the threshold, passes every other child's f alone to
+prune, and walks its move or index table last operator first.
 
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
@@ -23,13 +23,15 @@ lane ever reaches the other: an error-lane product stays below bit 128,
 and a right shift moves goal-lane bits no lower than the gap.
 
 synthetic_expand computes only what its children need.  A node at the
-tree's depth d is a leaf and returns at once.  With extra goals about
-(density > 0), every child of a node is the remaining depth away from a
-possible goal, so a child at depth d gets h 0 with no goal test and no
-error draw; its key is still the full two-lane step, since a child is
-the state its path gives.  With density 0, a child at depth d is a goal
-only where it ends the goal path.
+tree's depth d is a leaf: it returns GOAL or () at once.  With extra
+goals about (density > 0), every child of a node is the remaining depth
+away from a possible goal, so a child at depth d gets h 0 with no goal
+test and no error draw; its key is still the full two-lane step, since
+a child is the state its path gives.  With density 0, a child at depth d
+is a goal only where it ends the goal path.
 """
+
+from idastra.core import GOAL
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -113,14 +115,17 @@ def puzzle_expand(node, threshold, push, prune):
     node is ((tiles, blank), g, h, prev_op, parent): tiles is bytes(16),
     blank the index of the 0 tile, h the Manhattan distance of tiles
     and prev_op the operator that produced the state (-1 at the root).
-    The operator reversing prev_op is skipped.  Each child costs 1 and
-    its h is maintained incrementally.  A child with f <= threshold is
-    passed to push as the node ((tiles, blank), g + 1, h, op, node); any
-    other child's f alone is passed to prune, and its tiles are never
-    built.  Children come last operator first.  Returns the move tuple
-    walked, whose length is the number of children generated.
+    At the goal tiles, the only tiles with h 0, it returns GOAL.  The
+    operator reversing prev_op is skipped.  Each child costs 1 and its h
+    is maintained incrementally.  A child with f <= threshold is passed
+    to push as the node ((tiles, blank), g + 1, h, op, node); any other
+    child's f alone is passed to prune, and its tiles are never built.
+    Children come last operator first.  Returns the move tuple walked,
+    whose length is the number of children generated.
     """
     (tiles, blank), g, h, prev_op, _parent = node
+    if not h and tiles == GOAL_TILES:
+        return GOAL
     g += 1
     moves = _MOVES[blank][prev_op + 1]
     for op, dest, dh in moves:
@@ -178,22 +183,28 @@ def synthetic_expand(node, threshold, push, prune, tables):
     never built.  Children come last index first.  Returns the index tuple
     walked, whose length is the number of children generated.
 
-    A node at depth d is a leaf and returns () before any table lookup.
-    A child's h is its distance to the designated goal less its error
-    draw, clamped at 0.  The goal path's next step is the remaining depth
-    d - depth away and every other child further; when density > 0 any
-    depth-d node may be a goal, so every child's distance is capped at,
-    and so equals, the remaining depth.  A child at distance 0 gets h 0 with no
-    error draw, and no child is goal-tested: below depth d no distance is
-    0, and at depth d a distance of 0 is the goal path's end when
-    density is 0 (the only goal then) and every child when density > 0
-    (h 0 whether or not its goal stream makes it a goal).
+    A node at depth d is a leaf.  It is the goal where it ends the goal
+    path or its goal stream falls below the density threshold, as
+    ArtificialProblem.is_goal tests, and returns GOAL there and ()
+    elsewhere, before any index table is read.  A child's h is its
+    distance to the designated goal less its error draw, clamped at 0.
+    The goal path's next step is the remaining depth d - depth away and
+    every other child further; when density > 0 any depth-d node may be
+    a goal, so every child's distance is capped at, and so equals, the
+    remaining depth.  A child at distance 0 gets h 0 with no error draw,
+    and no child is goal-tested as it is built: below depth d no
+    distance is 0, and at depth d a distance of 0 is the goal path's end
+    when density is 0 (the only goal then) and every child when
+    density > 0 (h 0 whether or not its goal stream makes it a goal).
     """
     (path, shared, key), g, _h, _op, _parent = node
-    on_path, off_path, goal_path, d, density_threshold, emod = tables
     depth = len(path)
-    if depth == d:
+    if depth == tables[3]:
+        # a leaf: d and the density threshold are all its goal test reads
+        if shared == depth or key >> 128 < tables[4]:
+            return GOAL
         return ()
+    on_path, off_path, goal_path, d, density_threshold, emod = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices = on_path[depth]

@@ -8,29 +8,34 @@ A search problem is any object with:
 
     initial_state() -> state
     initial_h() -> int
-    is_goal(state) -> bool
-    expand(node, threshold, push, prune) -> the operators walked
+    expand(node, threshold, push, prune) -> GOAL or the operators walked
 
-expand builds each child of node directly as a search node.  It calls
-push(child) for every child with f <= threshold, last operator first,
-and prune(f) for every other child, whose state it never builds.  It
-returns the tuple of operators (or move-table entries) it walked, which
-already exists: its length is the number of children generated.
-Expansion handles operator pruning (e.g. not undoing the parent move)
-internally, reading the node's op (-1 at the root).  The children's
-natural order is their operator order: pushed last operator first, they
-pop first operator first.  The serial pass hands expand its stack's
-append as push, so kept children go straight onto the stack.  An
-ordering policy's arrange takes the kept children as pushed and returns
-them in its own stack order; the serial pass rewrites only the tail the
-expansion pushed.  Both loops skip it for fewer than two children and
-for an identity policy, whose order is the natural one.
+expand first goal-tests node itself: at a goal it returns the sentinel
+GOAL, an empty tuple, and pushes and prunes nothing, at every
+threshold.  Otherwise it builds each child of node directly as a search
+node.  It calls push(child) for every child with f <= threshold, last
+operator first, and prune(f) for every other child, whose state it
+never builds.  It returns the tuple of operators (or move-table
+entries) it walked, which already exists: its length is the number of
+children generated.  The domains also offer is_goal(state) as a plain
+predicate; no search loop calls it.  Expansion handles operator pruning
+(e.g. not undoing the parent move) internally, reading the node's op
+(-1 at the root).  The children's natural order is their operator
+order: pushed last operator first, they pop first operator first.  The
+serial pass hands expand its stack's append as push, and a sim worker
+its open list's appendleft, so kept children go straight onto the
+stack or the list.  An ordering policy's arrange takes the kept
+children as pushed and returns them in its own stack order; the serial
+pass rewrites only the tail the expansion pushed, and a worker only the
+head.  Both loops skip it for fewer than two children and for an
+identity policy, whose order is the natural one.
 
-The serial pass and the parallel engine both stack these nodes, test one
-for the goal only where its h is 0, and rebuild a goal's path from its
-parents with path_to.  Two contracts hold in every domain.  The goal
-gate relies on the heuristic's: h >= 0 everywhere and h == 0 at every
-goal.  Manhattan distance meets it, and so do the artificial trees,
+The serial pass and the parallel engine both stack these nodes, learn
+that one is the goal from its expansion (expand returns GOAL), and
+rebuild a goal's path from its parents with path_to.  Two contracts hold
+in every domain.  The goal gate relies on the heuristic's: h >= 0
+everywhere and h == 0 at every goal, so expand need test only a node
+with h 0.  Manhattan distance meets it, and so do the artificial trees,
 which give a goal h 0 and clamp every other h at 0.  And every operator
 costs 1, so a child's g is its parent's g plus 1: a profiling pass
 relies on it to read a pruned child's g and h from its f alone.
@@ -45,6 +50,20 @@ import time
 from dataclasses import dataclass, field
 
 from idastra.errors import SpaceExhausted
+
+
+class _Goal(tuple):
+    """The type of GOAL: an empty tuple, so a caller that takes len() of
+    whatever expand returns counts a goal's expansion as childless."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "GOAL"
+
+
+# what expand returns at a goal; callers test it with `is`
+GOAL = _Goal()
 
 
 def make_root(problem):
@@ -116,13 +135,14 @@ class PassStats:
 
     def expand(self, expand, node, threshold, push):
         """Expand node as the pass does, recording its expansion and its
-        pruned children as leaves; returns the number of children
-        generated.  prune gets no operator, so the root alone asks expand
-        for every child and keys each pruned one by its own operator."""
+        pruned children as leaves; returns what expand returned, and
+        records nothing for GOAL (the pass calls record_goal).  prune
+        gets no operator, so the root alone asks expand for every child
+        and keys each pruned one by its own operator."""
         self._enter(node)
         if node[4] is None:
             kids = []
-            n = len(expand(node, sys.maxsize, kids.append, None))
+            ops = expand(node, sys.maxsize, kids.append, None)
             self.root_ops = sorted(kid[3] for kid in kids)
             for kid in kids:
                 _state, cg, ch, op, _parent = kid
@@ -132,14 +152,16 @@ class PassStats:
                 else:
                     push(kid)
         else:
-            n = len(expand(node, threshold, push, self.prune))
-        self.record_expansion(self.sub, n)
-        if not n:
+            ops = expand(node, threshold, push, self.prune)
+        if ops is GOAL:
+            return ops
+        self.record_expansion(self.sub, len(ops))
+        if not ops:
             self.record_leaf(self.sub, node[1], node[2])
-        return n
+        return ops
 
     def record_goal(self, node):
-        self._enter(node)
+        """Record the goal, the node expand was last given."""
         self.record_expansion(self.sub, 0)
         self.record_leaf(self.sub, node[1], node[2])
 
@@ -163,10 +185,11 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     The stack holds search nodes, root first, and expand pushes each
     kept child straight onto it; an ordering rearranges only the tail
     the expansion pushed.  Children over the threshold are recorded
-    (their minimum f feeds the next threshold) but never pushed.  A
-    popped node with h 0 is goal-tested, so finding the goal counts as
-    expanding it.  With a budget, the pass stops once nodes_expanded
-    reaches it and reports truncated when work remained on the stack.
+    (their minimum f feeds the next threshold) but never pushed.  Every
+    popped node is expanded, and expand returns GOAL at the goal, so
+    finding the goal counts as expanding it.  With a budget, the pass
+    stops once nodes_expanded reaches it and reports truncated when work
+    remained on the stack.
     With statistics, PassStats.expand expands each node, and its prune
     sink records the pruned children as leaves.  Statistics key a
     node's subtree by the operator of the root child it descends from:
@@ -185,7 +208,6 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         return PassResult(threshold, None, g + h, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
-    is_goal = problem.is_goal
     expand = problem.expand
     arrange = (None if order is None or order.is_identity()
                else order.arrange)
@@ -196,16 +218,17 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     while stack and expanded < limit:
         node = pop()
         expanded += 1
-        if not node[2] and is_goal(node[0]):
+        base = len(stack)
+        if stats is None:
+            ops = expand(node, threshold, push, prune)
+        else:
+            ops = stats.expand(expand, node, threshold, push)
+        if ops is GOAL:
             solution = (path_to(node), node[1])
             if stats is not None:
                 stats.record_goal(node)
             break
-        base = len(stack)
-        if stats is None:
-            generated += len(expand(node, threshold, push, prune))
-        else:
-            generated += stats.expand(expand, node, threshold, push)
+        generated += len(ops)
         # fewer than two children are in every order already
         if arrange is not None and len(stack) - base > 1:
             stack[base:] = arrange(stack[base:], node[4] is None)

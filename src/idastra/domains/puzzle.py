@@ -7,10 +7,9 @@ op is 3 - op.
 """
 
 import random
-import sys
 
 from idastra._backend import kernels
-from idastra._kernels_py import GOAL_TILES, puzzle_expand
+from idastra._kernels_py import _MOVES, _SWAP, GOAL_TILES
 from idastra.errors import MalformedLine, UnsolvableInstance
 
 
@@ -35,18 +34,18 @@ def is_solvable(tiles):
 
 def scramble(depth, seed):
     """Random walk from the goal without immediate backtracking: each
-    step picks one of the moves puzzle_expand yields, in operator order.
-
-    The kernel is bound at import, not looked up on kernels, so a
-    wrapper counting kernel calls sees the search's calls only."""
+    step picks one of the legal moves that do not undo the last one, in
+    operator order, from the kernels' move table.  The walk calls no
+    kernel, so a wrapper counting kernel calls sees the search's calls
+    only."""
     rng = random.Random(seed)
-    node = ((GOAL_TILES, 0), 0, 0, -1, None)
+    tiles, blank, prev_op = GOAL_TILES, 0, -1
     for _ in range(depth):
-        children = []
-        puzzle_expand(node, sys.maxsize, children.append, None)
-        # the kernel pushes last operator first
-        node = rng.choice(children[::-1])
-    return node[0]
+        # the table lists moves last operator first
+        op, dest, _dh = rng.choice(_MOVES[blank][prev_op + 1][::-1])
+        tiles = tiles.translate(_SWAP[tiles[dest]])
+        blank, prev_op = dest, op
+    return (tiles, blank)
 
 
 def parse_korf_set(text):
@@ -90,6 +89,7 @@ class PuzzleProblem:
         return kernels.manhattan(self.start[0])
 
     def is_goal(self, state):
+        """The goal test expand makes of its own node, as a predicate."""
         return state[0] == GOAL_TILES
 
     def heuristic(self, state):

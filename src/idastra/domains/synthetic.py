@@ -180,6 +180,7 @@ class ArtificialProblem:
         return self.heuristic(self.initial_state())
 
     def is_goal(self, state):
+        """The goal test expand makes of its own node, as a predicate."""
         path, shared, key = state
         d = self._d
         return len(path) == d and (shared == d

@@ -2,9 +2,10 @@
 
 Virtual time advances in ticks; each worker performs at most one node
 expansion per tick, and workers are stepped round-robin by id.  A node
-is goal-tested only where its h is 0 (the contract in idastra.core).
-Every pass starts with the root on the cluster lead's open list, and
-every worker takes its nodes from its own open list.  A cluster moves
+is the goal where its expansion returns GOAL (the protocol in
+idastra.core).  Every pass starts with the root on the cluster lead's
+open list, and every worker takes its nodes from the head of its own
+open list, where its expansions push their children.  A cluster moves
 through the phases pending (waiting for a threshold), distributing (a
 BreadthFirst lead expanding the top of the tree level by level, until a
 level holds a node per member and is dealt out round-robin), searching,
@@ -23,7 +24,7 @@ driver (engine/threads.py) steps this same engine on real threads.
 import random
 from collections import deque
 
-from idastra.core import make_root, path_to, serial_idastar
+from idastra.core import GOAL, make_root, path_to, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
 from idastra.engine.parts import anticipatory_check, donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
@@ -35,14 +36,17 @@ _PARKED = frozenset(("pending", "done"))
 
 
 class _Worker:
-    __slots__ = ("wid", "cluster", "open", "inbox", "stats", "outstanding",
-                 "flip", "rng", "pass_start", "position")
+    __slots__ = ("wid", "cluster", "open", "push", "inbox", "stats",
+                 "outstanding", "flip", "rng", "pass_start", "position")
 
     def __init__(self, wid, seed):
         self.wid = wid
         self.cluster = None
         self.position = 0               # index within the cluster
+        # the open list is only ever mutated in place, so expand's push
+        # sink, bound once, stays valid
         self.open = deque()
+        self.push = self.open.appendleft
         self.inbox = deque()            # (due_tick, epoch, kind, payload)
         self.stats = WorkerStats()
         self.outstanding = False
@@ -187,8 +191,11 @@ class _SimEngine:
                 w.cluster = cl
                 w.position = pos
             self.clusters.append(cl)
+        # the clusters never granted a threshold, in cluster order, and
+        # the pool's size when a grant last found no candidate
+        self.pending = deque(self.clusters)
+        self.pool_when_refused = None
 
-        self._is_goal = problem.is_goal
         self._expand_node = problem.expand
         order = config.ordering
         self._arrange = None if order.is_identity() else order.arrange
@@ -205,7 +212,6 @@ class _SimEngine:
         self.donated_dropped = 0
         self.over_threshold = 0
         self.last_progress = 0
-        self.space_exhausted = False
 
     # -- messaging ------------------------------------------------------
 
@@ -234,7 +240,8 @@ class _SimEngine:
         kept, batch = donate(donor.open, self.config.donation_fraction,
                              self.config.donate_from)
         if batch:
-            donor.open = deque(kept)
+            donor.open.clear()
+            donor.open.extend(kept)
             self.donated_sent += len(batch)
         self._send(donor, requester, "don", batch)
 
@@ -262,7 +269,8 @@ class _SimEngine:
         elif len(frontier) >= k:
             frontier = list(frontier)
             for j, w in enumerate(cl.members):
-                w.open = deque(frontier[j::k])
+                w.open.clear()
+                w.open.extend(frontier[j::k])
             cl.live_nodes = len(frontier)
             cl.phase = "searching"
         else:
@@ -270,14 +278,24 @@ class _SimEngine:
             cl.phase = "distributing"
 
     def _grant_pending(self):
+        """Grant the never-granted clusters thresholds, in cluster order.
+        A cluster is pending only until its first grant, so the pending
+        ones are the tail of the cluster list that self.pending holds.
+        Claims, completed passes and held solutions only rule candidates
+        out, so once no candidate is left a new one can come only with a
+        new pool value: until then the pending clusters go unasked."""
+        pending = self.pending
+        pool = self.coord.pool_set
+        if not pending or len(pool) == self.pool_when_refused:
+            return
         hold = self.coord.holding_cost()
-        for cl in self.clusters:
-            if cl.phase != "pending":
-                continue
+        while pending:
             v = self.coord.next_unclaimed(below=hold)
             if v is None:
-                return              # nor is there one for a later cluster
-            self._start_pass(cl, v)
+                # nor is there one for a later cluster
+                self.pool_when_refused = len(pool)
+                return
+            self._start_pass(pending.popleft(), v)
 
     def _pass_complete(self, cl):
         cl.snapshot_pass()
@@ -287,8 +305,8 @@ class _SimEngine:
         # largest value is at most its threshold
         if not self.coord.solutions \
                 and self.coord.sorted_pool()[-1] <= cl.threshold:
-            self.space_exhausted = True
-            return
+            raise SpaceExhausted(
+                "a pass completed without pruning or solving")
         self.coord.mark_done(cl.threshold)
         self.coord.reevaluate()
         if self.coord.accepted is not None:
@@ -314,57 +332,59 @@ class _SimEngine:
 
     def _step(self, w):
         """One tick of worker w: take due messages, then expand the head
-        of its open list or idle.  Only the lead holds nodes while its
-        cluster is distributing."""
+        of its open list or idle.  Expansion pushes the kept children
+        onto the head, where they end up first operator first.  Only the
+        lead holds nodes while its cluster is distributing, and it moves
+        each expansion's children to the tail, as the next level."""
         inbox = w.inbox
         if inbox and inbox[0][0] <= self.tick:
             self._deliver(w)
-        coord = self.coord
-        if coord.accepted is not None or self.space_exhausted:
-            return
         cl = w.cluster
-        phase = cl.phase
         open_ = w.open
         if open_:
             node = open_.popleft()
         else:
             w.stats.idle_ticks += 1
-            if phase == "searching" and cl.can_balance \
+            if cl.phase == "searching" and cl.can_balance \
                     and not w.outstanding:
                 self._request_work(w)
             return
 
-        state, g, h, _op, parent = node
+        _state, g, h, _op, parent = node
         threshold = cl.threshold
         stats = w.stats
         stats.nodes_expanded += 1
         self.last_progress = self.tick
         if g + h > threshold:
             self.over_threshold += 1
-        if not h and self._is_goal(state):
+        base = len(open_)
+        ops = self._expand_node(node, threshold, w.push, self._prune)
+        if ops is GOAL:
             self._report_solution(cl, node)
             return
-        kept = []
-        stats.nodes_generated += len(
-            self._expand_node(node, threshold, kept.append, self._prune))
-        # kept is last child first, as a stack pushes it
+        stats.nodes_generated += len(ops)
+        born = len(open_) - base
         arrange = self._arrange
-        if arrange is not None and len(kept) > 1:
-            kept = arrange(kept, parent is None)
+        if arrange is not None and born > 1:
+            # arrange takes the children in push order, the reverse of
+            # the head's, and returns a stack order, which extendleft
+            # reverses back onto the head
+            popleft = open_.popleft
+            kids = [popleft() for _ in range(born)]
+            kids.reverse()
+            open_.extendleft(arrange(kids, parent is None))
 
-        if phase == "distributing":
-            open_.extend(reversed(kept))    # the next level, in order
+        if cl.phase == "distributing":
+            open_.rotate(-born)             # the next level, in order
             cl.level_left -= 1
             if not cl.level_left:
                 self._split(cl)
             return
-        live = cl.live_nodes - 1 + len(kept)
+        live = cl.live_nodes - 1 + born
         cl.live_nodes = live
         if live == 0:
             self._pass_complete(cl)
             return
-        if kept:
-            open_.extendleft(kept)
         if cl.can_balance and anticipatory_check(
                 len(open_), self._trigger, w.outstanding):
             self._request_work(w)
@@ -407,9 +427,6 @@ class _SimEngine:
         while True:
             self._grant_pending()
             self._tick()
-            if self.space_exhausted:
-                raise SpaceExhausted(
-                    "a pass completed without pruning or solving")
             if self.coord.accepted is not None:
                 break
             self.tick += 1

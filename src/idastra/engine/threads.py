@@ -8,9 +8,12 @@ search's wall time over this run's.  Under the GIL the mode shows the
 protocol against a genuinely concurrent schedule, not parallel speed.
 
 Lock discipline: one engine lock.  A worker thread holds it for each
-grant-and-step (`_grant_pending` then `_step` of its own worker), and
-nothing else touches engine state until every worker thread is joined;
-only then does the calling thread read the engine to build the report.
+check-grant-and-step: it reads `coord.accepted` and stops if a solution
+is accepted, and otherwise runs `_grant_pending` then `_step` of its own
+worker.  Nothing else touches engine state until every worker thread is
+joined; only then does the calling thread read the engine to build the
+report.  A step that exhausts the space raises SpaceExhausted in its
+worker thread, which stops the run and re-raises it in the caller.
 Messages are delivered at the recipient's next step (latency 0):
 run_parallel's `latency` (the CLI's `--latency`) applies to "sim" only.
 """
@@ -21,7 +24,7 @@ import time
 from idastra.core import serial_idastar
 from idastra.engine.config import validate_config
 from idastra.engine.sim import _SimEngine
-from idastra.errors import EngineStall, SpaceExhausted
+from idastra.errors import EngineStall
 
 _IDLE_SLEEP = 0.0002
 # seconds a run may take before it is declared stalled
@@ -42,13 +45,14 @@ def run_threads(problem, config, workers, seed=0, serial_outcome=None):
         try:
             while not stop.is_set():
                 with lock:
+                    # _step would expand on past an acceptance
+                    if engine.coord.accepted is not None:
+                        stop.set()
+                        return
                     before = w.stats.nodes_expanded
                     engine._grant_pending()
                     engine._step(w)
                     busy = w.stats.nodes_expanded != before
-                    if engine.coord.accepted is not None \
-                            or engine.space_exhausted:
-                        stop.set()
                 if not busy:
                     time.sleep(_IDLE_SLEEP)
         except Exception as exc:        # surface worker crashes to the caller
@@ -69,8 +73,6 @@ def run_threads(problem, config, workers, seed=0, serial_outcome=None):
     wall = max(time.perf_counter() - start, 1e-9)
     if failed:
         raise failed[0]
-    if engine.space_exhausted:
-        raise SpaceExhausted("a pass completed without pruning or solving")
     if engine.coord.accepted is None:
         raise EngineStall(f"no acceptance within {TIMEOUT}s")
     return engine._finish(wall, serial_outcome.wall_s / wall, "threads")

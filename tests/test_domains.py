@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idastra.core import make_root, serial_idastar
+from idastra.core import GOAL, make_root, serial_idastar
 from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, is_solvable,
                                     parse_korf_set, scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
@@ -335,9 +335,12 @@ def test_puzzle_fixed_order_changes_child_order_only():
 
 def _check_expand_contract(problem, node):
     """expand at thresholds around node's f against one call that keeps
-    every child."""
+    every child.  expand returns GOAL exactly where is_goal holds, and a
+    goal pushes and prunes nothing at every threshold."""
+    goal = problem.is_goal(node[0])
     every = []
     walked = problem.expand(node, sys.maxsize, every.append, None)
+    assert (walked is GOAL) == goal
     assert len(walked) == len(every)
     ops = [child[3] for child in every]
     assert ops == sorted(ops, reverse=True)      # last operator first
@@ -347,6 +350,7 @@ def _check_expand_contract(problem, node):
         pushed, pruned = [], []
         walked = problem.expand(node, threshold, pushed.append,
                                 pruned.append)
+        assert (walked is GOAL) == goal
         assert pushed == [c for c in every if c[1] + c[2] <= threshold]
         assert pruned == [c[1] + c[2] for c in every
                           if c[1] + c[2] > threshold]
@@ -363,8 +367,10 @@ def test_puzzle_expand_keeps_the_contract(depth, seed, data):
     problem = PuzzleProblem(scramble(depth, seed))
     node = make_root(problem)
     for _ in range(data.draw(st.integers(0, 12))):
-        node = data.draw(st.sampled_from(_check_expand_contract(problem,
-                                                                node)))
+        children = _check_expand_contract(problem, node)
+        if not children:
+            return                      # the goal tiles: no children
+        node = data.draw(st.sampled_from(children))
     _check_expand_contract(problem, node)
 
 

@@ -456,6 +456,56 @@ def test_breadth_first_split_deals_the_lead_list_round_robin():
             == [(child[0], 3) for child in frontier[j::16]], j
 
 
+def _pushed(problem, node, threshold):
+    """node's kept children at threshold, as expand pushes them."""
+    pushed = []
+    problem.expand(node, threshold, pushed.append, [].append)
+    return pushed
+
+
+def test_a_local_step_leaves_its_children_arranged_at_the_head():
+    # expand pushes straight onto the head of the worker's open list, and
+    # a Local order rewrites just the children it pushed: the worker pops
+    # them in arrange's stack order read from the top, ahead of the rest
+    problem = PuzzleProblem(scramble(20, 1))
+    local = OrderPolicy.local()
+    config = StrategyConfig(distribution="KumarRao", ordering=local)
+    engine = _SimEngine(problem, config, 1, 1, 0)
+    cl = engine.clusters[0]
+    w = cl.members[0]
+    engine._grant_pending()
+    cl.threshold = 80                   # keeps every child
+    engine._step(w)
+    level = local.arrange(_pushed(problem, engine.root, 80), True)[::-1]
+    assert list(w.open) == level
+    engine._step(w)
+    below = local.arrange(_pushed(problem, level[0], 80), False)[::-1]
+    assert list(w.open) == below + level[1:]
+    # Local moved a child at both levels
+    for nodes in (level, below):
+        ops = [child[3] for child in nodes]
+        assert ops != sorted(ops)
+    assert cl.live_nodes == len(w.open)
+
+
+def test_a_distributing_step_puts_the_next_level_at_the_tail():
+    problem = ArtificialProblem(_PINNED_SPECS["split"])
+    config = StrategyConfig(distribution="BreadthFirst", clusters=1)
+    engine = _SimEngine(problem, config, 16, 1, 0)
+    cl = engine.clusters[0]
+    lead = cl.members[0]
+    engine._grant_pending()
+    engine._step(lead)
+    level = _pushed(problem, engine.root, cl.threshold)[::-1]
+    assert list(lead.open) == level and cl.phase == "distributing"
+    engine._step(lead)
+    below = _pushed(problem, level[0], cl.threshold)[::-1]
+    assert [child[3] for child in below] == sorted(
+        child[3] for child in below)
+    assert list(lead.open) == level[1:] + below
+    assert cl.phase == "distributing" and cl.level_left == 2
+
+
 def test_report_accounting_invariants():
     spec = _spec(d=5, b=3, herror=4, seed=2)
     problem = ArtificialProblem(spec)

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra import _kernels_py
-from idastra.core import make_root
-from idastra.domains.puzzle import scramble
+from idastra.core import GOAL, make_root
+from idastra.domains.puzzle import GOAL_TILES, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from oracles import apply_op_reference, expand_all, manhattan_reference
 
@@ -62,6 +62,12 @@ def test_expand_children_match_apply_op():
         tiles, blank = scramble(rng.randrange(0, 60), rng.randrange(10**9))
         h = _kernels_py.manhattan(tiles)
         prev = rng.choice([-1, 0, 1, 2, 3])
+        if tiles == GOAL_TILES:
+            # expand goal-tests its own node: the goal tiles have none
+            assert _kernels_py.puzzle_expand(
+                ((tiles, blank), 0, h, prev, None), sys.maxsize, None,
+                None) is GOAL
+            continue
         children = _puzzle_children(tiles, blank, h, prev)
         expected = [op for op in range(4)
                     if op != 3 - prev and apply_op_reference(tiles, op)]
