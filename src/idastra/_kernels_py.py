@@ -11,24 +11,34 @@ draws depend on them bit for bit), so its arithmetic is done on 64-bit
 masked integers.  It is a left fold of hash_step, so a child's hash is
 one step of its parent's.
 
-synthetic_expand steps both of a node's hash streams at once.  A
-synthetic state packs its two path_hash values into one key, the error
-stream in bits 0-63 and the goal stream in bits 128-191
-(err | goal << 128).  _LANES masks those two 64-bit lanes.  Bits 64-127
-are a gap: the error lane's carries and the high halves of its products
-land there, the goal lane's above bit 191.  Every add, shift and
-multiply of hash_step is applied to the packed key and followed by
-& _LANES, and each product is taken of a masked value, so no bit of one
-lane ever reaches the other: an error-lane product stays below bit 128,
-and a right shift moves goal-lane bits no lower than the gap.
+synthetic_expand steps all of a node's children's hash streams in one
+pass.  A synthetic state packs its two path_hash values into one key,
+the error stream in bits 0-63 and the goal stream in bits 128-191
+(err | goal << 128); _LANES masks those two 64-bit lanes.  The pass
+works on one integer with a 256-bit slot per child: child j, counted in
+walk order, has bits 256j to 256j+255, laid out as a key is, its error
+lane at 256j and its goal lane at 256j+128.  key * spread + add copies
+the parent key into every slot and adds each child's step constant, and
+hash_step's three mixing rounds then run once over all slots, with the
+all-slot mask lanes in place of _LANES (synthetic_slots builds spread,
+add and lanes for an index tuple).  Child j's key is then z & _LANES
+after j shifts of z by 256.
+
+No bit of one lane reaches another.  The 64 bits above each lane are a
+gap.  Every value multiplied or added is masked to the lanes first, so
+a lane's sum or product stays below 2^128 and fits the lane and its gap;
+a right shift by 27 to 31 moves a lane's bits no lower than the gap
+below it.  Each add, shift and multiply is followed by & lanes, which
+clears the gaps, save the last shift, whose gap bits the & _LANES that
+takes a key out of its slot clears.
 
 synthetic_expand computes only what its children need.  A node at the
 tree's depth d is a leaf: it returns GOAL or () at once.  With extra
 goals about (density > 0), every child of a node is the remaining depth
 away from a possible goal, so a child at depth d gets h 0 with no goal
-test and no error draw; its key is still the full two-lane step, since
-a child is the state its path gives.  With density 0, a child at depth d
-is a goal only where it ends the goal path.
+test and no error draw; its key is still stepped, since a child is the
+state its path gives.  With density 0, a child at depth d is a goal
+only where it ends the goal path.
 """
 
 from idastra.core import GOAL
@@ -158,11 +168,29 @@ def path_hash(seed, tag, path):
 
 # both lanes of a packed key (see the module docstring)
 _LANES = _MASK | _MASK << 128
+# bits per child in a packed pass
+_SLOT = 256
 # hash_step's additive constant per byte, in both lanes, and each byte as
 # a bytes object
 _STEP_ADD2 = tuple((_GAMMA * (c + 1) & _MASK) * ((1 << 128) + 1)
                    for c in range(256))
 _BYTE = tuple(bytes((c,)) for c in range(256))
+
+
+def synthetic_slots(indices):
+    """synthetic_expand's table entry for a node whose surviving child
+    indices, last index first, are the tuple indices: (indices, spread,
+    add, lanes).  Child j of indices has slot j of a packed pass (see the
+    module docstring); key * spread holds key in every slot, add holds
+    child j's hash_step constant in both lanes of slot j, and lanes masks
+    both lanes of every slot."""
+    spread = add = lanes = 0
+    for j, i in enumerate(indices):
+        shift = _SLOT * j
+        spread |= 1 << shift
+        add |= _STEP_ADD2[i] << shift
+        lanes |= _LANES << shift
+    return indices, spread, add, lanes
 
 
 def synthetic_expand(node, threshold, push, prune, tables):
@@ -172,11 +200,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
     node's child-index bytes, its common-prefix length with the goal
     path and its packed error- and goal-stream hash key.  tables is
     ArtificialProblem's (on_path, off_path, goal_path, d,
-    density_threshold, emod): the surviving child indices per parent
-    depth on and off the goal path, each last index first, the goal
-    path, and the spec's d, density threshold and herror + 1.  Each child
-    costs 1, its key is one hash_step of its parent's in both lanes and
-    its h is as ArtificialProblem._h computes it.  A child i with
+    density_threshold, emod): per parent depth on and off the goal
+    path, synthetic_slots' entry (indices, spread, add, lanes) for the
+    surviving child indices, last index first; the goal path; and the
+    spec's d, density threshold and herror + 1.  Each child costs 1, its
+    key is one hash_step of its parent's in both lanes, taken for all
+    children at once in one packed pass, and its h is as
+    ArtificialProblem._h computes it.  A child i with
     f <= threshold is passed to push as the node
     ((path + bytes((i,)), its shared, its key), g + 1, h, i, node); any
     other child's f alone is passed to prune, and its path and state are
@@ -207,21 +237,24 @@ def synthetic_expand(node, threshold, push, prune, tables):
     on_path, off_path, goal_path, d, density_threshold, emod = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
-        indices = on_path[depth]
+        indices, spread, add, lanes = on_path[depth]
         goal_next = goal_path[depth]
     else:
-        indices = off_path[depth]
+        indices, spread, add, lanes = off_path[depth]
         goal_next = -1
     depth += 1
     g += 1
     # distances to the designated goal, on and off the goal path
     on = d - depth
     off = on if density_threshold > 0 else depth + d - 2 * shared
+    # every child's key in one pass, child j's in slot j
+    z = (key * spread + add) & lanes
+    z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+    z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+    z ^= z >> 31
     for i in indices:
-        z = (key + _STEP_ADD2[i]) & _LANES
-        z = ((z ^ (z >> 30)) & _LANES) * _MIX1 & _LANES
-        z = ((z ^ (z >> 27)) & _LANES) * _MIX2 & _LANES
-        z ^= (z >> 31) & _LANES
+        ckey = z & _LANES
+        z >>= _SLOT
         if i == goal_next:
             c_shared = shared + 1
             h = on
@@ -229,11 +262,11 @@ def synthetic_expand(node, threshold, push, prune, tables):
             c_shared = shared
             h = off
         if h:
-            h -= (z & _MASK) % emod
+            h -= (ckey & _MASK) % emod
             if h < 0:
                 h = 0
         if g + h > threshold:
             prune(g + h)
         else:
-            push(((path + _BYTE[i], c_shared, z), g, h, i, node))
+            push(((path + _BYTE[i], c_shared, ckey), g, h, i, node))
     return indices

@@ -226,12 +226,13 @@ def cmd_gen(args):
             grids[name] = [cast(v) for v in text.split(",")]
         except ValueError:
             raise UsageError(f"--{name}: cannot parse {text!r}") from None
+    # every spec is checked before any is written
+    specs = [ArtificialSpec(
+        seed=args.seed + i,
+        **{name: grid[i % len(grid)] for name, grid in grids.items()},
+    ).validate() for i in range(args.count)]
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.count):
-        spec = ArtificialSpec(
-            seed=args.seed + i,
-            **{name: grid[i % len(grid)] for name, grid in grids.items()},
-        ).validate()
+    for i, spec in enumerate(specs):
         spec.to_file(os.path.join(args.out, f"inst_{i:04d}.spec"))
     print(f"wrote {args.count} instance file(s) to {args.out}")
     return 0

@@ -16,12 +16,11 @@ bits 0-63 and the goal stream in bits 128-191:
 path_hash(seed, 1, path) | path_hash(seed, 2, path) << 128.  Every field
 is a function of the path, so the path alone still identifies the node;
 the other two are carried so that a child's heuristic and goal test
-cost one two-lane hash step (see idastra._kernels_py), not a rehash of
-the whole path.
+cost its share of one packed hash pass over its parent's children (see
+idastra._kernels_py), not a rehash of the whole path.
 """
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from idastra._backend import kernels
@@ -46,8 +45,9 @@ class ArtificialSpec:
     def validate(self):
         if self.d < 1:
             raise DataError(f"d must be >= 1, got {self.d}")
-        if self.b < 2:
-            raise DataError(f"b must be >= 2, got {self.b}")
+        # a child index is one byte of a path
+        if not 2 <= self.b <= 256:
+            raise DataError(f"b must be in [2, 256], got {self.b}")
         if not 0.0 <= self.g <= 1.0:
             raise DataError(f"g must be in [0, 1], got {self.g}")
         if not 0.0 <= self.imbalance <= 1.0:
@@ -129,8 +129,9 @@ class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
     A state's key packs path_hash(seed, tag, path) for the error and goal
-    streams (err | goal << 128); expand's kernel steps both lanes of it
-    once per child and computes the child's h as _h does.
+    streams (err | goal << 128); expand's kernel steps it for all of a
+    node's children in one packed pass and computes each child's h as _h
+    does.
     """
 
     def __init__(self, spec):
@@ -146,7 +147,8 @@ class ArtificialProblem:
             for i in range(b))
         # surviving child indices per parent depth below d, last index
         # first, for parents on and off the goal path (a depth-d node is
-        # a leaf)
+        # a leaf); synthetic_expand reads each as synthetic_slots' entry,
+        # shared by every depth with equal indices
         off_path = tuple(
             tuple(i for i in reversed(range(b)) if k < self.depth_limit[i])
             for k in range(d))
@@ -157,9 +159,12 @@ class ArtificialProblem:
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
+        slots = {t: kernels.synthetic_slots(t)
+                 for t in {*on_path, *off_path}}
         # everything synthetic_expand reads besides the state
-        self._tables = (on_path, off_path, self.goal_path, d,
-                        self.density_threshold, self._emod)
+        self._tables = (tuple(slots[t] for t in on_path),
+                        tuple(slots[t] for t in off_path), self.goal_path,
+                        d, self.density_threshold, self._emod)
 
     def state_at(self, path):
         """The state of the node at path, its key hashed from scratch."""
@@ -205,23 +210,6 @@ class ArtificialProblem:
         # herror = 0 makes _emod 1 and the error 0
         return max(0, dist - (key & _LOW64) % self._emod)
 
-    def child_indices(self, state):
-        """The surviving child indices of state, in index order."""
-        return self.expand((state, 0, 0, -1, None), sys.maxsize, [].append,
-                           None)[::-1]
-
     def expand(self, node, threshold, push, prune):
         return kernels.synthetic_expand(node, threshold, push, prune,
                                         self._tables)
-
-    def count_nodes(self):
-        """Total tree size (root included); exponential, test-sized only."""
-        total = 0
-        frontier = [(self.initial_state(), 0, 0, -1, None)]
-        while frontier:
-            total += len(frontier)
-            below = []
-            for node in frontier:
-                self.expand(node, sys.maxsize, below.append, None)
-            frontier = below
-        return total

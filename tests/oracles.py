@@ -147,6 +147,25 @@ def ida_reference(problem, order=None):
 
 # ------------------------------------------------- artificial space
 
+def child_indices(problem, state):
+    """The surviving child indices of an artificial problem's state, in
+    index order."""
+    return [op for _s, _g, _h, op, _p in
+            expand_all(problem, (state, 0, 0, -1, None))]
+
+
+def count_nodes(problem):
+    """Nodes of an artificial problem's tree, root included, counted
+    through expand; exponential, so test-sized trees only."""
+    total = 0
+    frontier = [(problem.initial_state(), 0, 0, -1, None)]
+    while frontier:
+        total += len(frontier)
+        frontier = [child for node in frontier
+                    for child in expand_all(problem, node)]
+    return total
+
+
 def goal_digits_reference(g, b, d):
     """First d base-b digits of the fraction g (g = 1 -> all b-1)."""
     if g >= 1.0:

@@ -71,6 +71,19 @@ def test_gen_rejects_bad_values(run_cli, tmp_path):
     assert code == 1                       # usage error
 
 
+def test_gen_rejects_b_over_256_and_writes_nothing(run_cli, tmp_path):
+    # a child index is one byte of a path; every spec is checked before
+    # the first is written
+    for count, b in ((1, "300"), (2, "3,300")):
+        out_dir = tmp_path / f"inst{count}"
+        code, out, err = run_cli(["gen", "--out", out_dir, "--count", count,
+                                  "--b", b])
+        assert code == 2
+        assert "b must be in [2, 256], got 300" in err
+        assert out == ""
+        assert not out_dir.exists()
+
+
 def test_gen_count_must_be_positive(run_cli, tmp_path):
     code, _out, _err = run_cli(["gen", "--out", str(tmp_path / "z"),
                                 "--count", 0])
@@ -530,6 +543,19 @@ def test_solve_appends_optimal_record(run_cli, tmp_path):
     assert rows[0]["approach"] == "advised"
     assert int(rows[0]["cost"]) == want
     assert rows[0]["status"] == "ok"
+
+
+def test_solve_rejects_a_spec_with_b_over_256(run_cli, tmp_path):
+    spec = tmp_path / "wide.spec"
+    spec.write_text("d = 2\ng = 0.5\nb = 300\nimbalance = 0.0\n"
+                    "density = 0.0\nherror = 0\nseed = 1\n")
+    records = tmp_path / "solve.csv"
+    code, out, err = run_cli(["solve", "--instances", spec, "--budget", 50,
+                              "--workers", 2, "--out", records])
+    assert code == 2
+    assert "b must be in [2, 256], got 300" in err
+    assert out == ""
+    assert not records.exists()
 
 
 def test_solve_rejects_bad_run_flags_before_searching(run_cli, tmp_path,

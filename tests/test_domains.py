@@ -17,7 +17,8 @@ from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
 from idastra.ordering import OrderPolicy
 from idastra import _kernels_py
 from oracles import (_TAG_ERROR, _TAG_GOAL, SpaceModel, astar_cost,
-                     expand_all, goal_digits_reference, manhattan_reference,
+                     child_indices, count_nodes, expand_all,
+                     goal_digits_reference, manhattan_reference,
                      uniform_tree_size)
 
 
@@ -53,7 +54,7 @@ def test_depth_limits_formula():
 
 def test_zero_imbalance_keeps_full_tree():
     problem = ArtificialProblem(_spec(d=3, b=3, imbalance=0.0))
-    assert problem.count_nodes() == uniform_tree_size(3, 3) == 40
+    assert count_nodes(problem) == uniform_tree_size(3, 3) == 40
 
 
 def test_goal_path_exempt_from_depth_limits():
@@ -61,7 +62,7 @@ def test_goal_path_exempt_from_depth_limits():
     problem = ArtificialProblem(_spec(d=5, b=3, g=1.0, imbalance=1.0))
     path = b""
     for _ in range(5):
-        children = problem.child_indices(problem.state_at(path))
+        children = child_indices(problem, problem.state_at(path))
         assert 2 in children
         path = path + bytes([2])
     assert problem.is_goal(problem.state_at(path))
@@ -75,10 +76,10 @@ def test_enumeration_matches_space_model():
         problem = ArtificialProblem(spec)
         model = SpaceModel(spec)
         nodes = model.all_nodes()
-        assert problem.count_nodes() == len(nodes)
+        assert count_nodes(problem) == len(nodes)
         for path in nodes:
             state = problem.state_at(path)
-            assert tuple(problem.child_indices(state)) == tuple(
+            assert tuple(child_indices(problem, state)) == tuple(
                 i for _p, i, _c in
                 [(c, c[-1], 1) for c in model.children(path)])
             assert problem.heuristic(state) == model.heuristic(path)
@@ -191,6 +192,9 @@ def test_spec_round_trip_and_validation():
         _spec(d=0).validate()
     with pytest.raises(DataError):
         _spec(b=1).validate()
+    with pytest.raises(DataError):
+        _spec(b=257).validate()
+    _spec(d=1, b=256).validate()
     with pytest.raises(DataError):
         _spec(imbalance=1.2).validate()
     with pytest.raises(DataError):

@@ -120,21 +120,26 @@ _TOP = (1 << 64) - 1
 @example(err=0, goal=0)
 @given(err=st.integers(0, _TOP), goal=st.integers(0, _TOP))
 def test_packed_step_advances_each_lane_alone(err, goal):
-    # one two-lane step of synthetic_expand is hash_step in each lane; a
-    # lane mask left out lets carries or shifted bits cross between them
+    # synthetic_expand's packed pass is hash_step in each lane of every
+    # child's slot; a lane mask left out lets carries or shifted bits
+    # cross between lanes or slots
     key = err | goal << 128
-    for c in range(256):
-        # one child, c, of the root of a depth-2 tree
-        tables = (((c,), ()), ((c,), ()), bytes((c,)), 2, 0, 1)
+    walks = [(c,) for c in range(256)] + [tuple(reversed(range(256)))]
+    for indices in walks:
+        # the children of the root of a depth-1 tree
+        entry = _kernels_py.synthetic_slots(indices)
+        tables = ((entry,), (entry,), bytes(indices[:1]), 1, 0, 1)
         children = []
         _kernels_py.synthetic_expand(((b"", 0, key), 0, 0, -1, None),
                                      sys.maxsize, children.append, None,
                                      tables)
-        [(child, _g, _h, _op, _parent)] = children
-        stepped = child[2]
-        assert stepped & _TOP == _kernels_py.hash_step(err, c)
-        assert stepped >> 128 == _kernels_py.hash_step(goal, c)
-        assert stepped >> 64 & _TOP == 0      # the gap stays clear
+        assert tuple(op for _s, _g, _h, op, _p in children) == indices
+        for (_path, _shared, stepped), _g, _h, c, _parent in children:
+            assert stepped & _TOP == _kernels_py.hash_step(err, c)
+            assert stepped >> 128 & _TOP == _kernels_py.hash_step(goal, c)
+            # both gaps stay clear
+            assert stepped >> 64 & _TOP == 0
+            assert stepped >> 192 == 0
 
 
 @settings(max_examples=80, deadline=None)
