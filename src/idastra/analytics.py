@@ -124,7 +124,8 @@ def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
     model: eq1 sweeps d; eq2 sweeps goal position a; fig5 sweeps
     goal_pos through the ideal DTS simulator; fig6 sweeps goal_pos
     through both the simulator and Eq. 2.  Returns (header, rows) with
-    every value formatted to 6 significant digits.
+    every value formatted to 6 significant digits.  A grid value, or a
+    model's value at it, outside a float's range is a DomainError.
     """
     if model not in _MODELS:
         raise DomainError(f"unknown model {model!r}; pick one of {_MODELS}")
@@ -133,32 +134,37 @@ def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
         return f"{float(v):.6g}"
 
     rows = []
-    if model == "eq1":
-        header = ["P", "b", "x", "d", "dts_eq1"]
-        for dv in grid:
-            if dv != int(dv):
-                raise DomainError(f"eq1 depth d must be an integer, "
-                                  f"got {fmt(dv)}")
-            rows.append([fmt(P), fmt(b), fmt(x), fmt(dv),
-                         fmt(dts_speedup_eq1(P, b, int(dv), x))])
-    elif model == "eq2":
-        header = ["a", "b", "pws_eq2"]
-        for a in grid:
-            rows.append([fmt(a), fmt(b), fmt(pws_speedup_eq2(a, b))])
-    elif model == "fig5":
-        header = ["goal_pos", "P", "b", "d", "dts_sim", "superlinear"]
-        for a in grid:
-            s = simulate_ideal_dts(P, b, d, a, balance, ratio)
-            rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s),
-                         "1" if s > P else "0"])
-    else:
-        header = ["goal_pos", "P", "b", "d", "dts_sim", "pws_eq2",
-                  "superlinear"]
-        for a in grid:
-            s = simulate_ideal_dts(P, b, d, a, balance, ratio)
-            pws = float("inf") if a == 0 else pws_speedup_eq2(a, b)
-            rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s), fmt(pws),
-                         "1" if s > P else "0"])
+    try:
+        if model == "eq1":
+            header = ["P", "b", "x", "d", "dts_eq1"]
+            for dv in grid:
+                if dv != int(dv):
+                    raise DomainError(f"eq1 depth d must be an integer, "
+                                      f"got {fmt(dv)}")
+                rows.append([fmt(P), fmt(b), fmt(x), fmt(dv),
+                             fmt(dts_speedup_eq1(P, b, int(dv), x))])
+        elif model == "eq2":
+            header = ["a", "b", "pws_eq2"]
+            for a in grid:
+                rows.append([fmt(a), fmt(b), fmt(pws_speedup_eq2(a, b))])
+        elif model == "fig5":
+            header = ["goal_pos", "P", "b", "d", "dts_sim", "superlinear"]
+            for a in grid:
+                s = simulate_ideal_dts(P, b, d, a, balance, ratio)
+                rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s),
+                             "1" if s > P else "0"])
+        else:
+            header = ["goal_pos", "P", "b", "d", "dts_sim", "pws_eq2",
+                      "superlinear"]
+            for a in grid:
+                s = simulate_ideal_dts(P, b, d, a, balance, ratio)
+                pws = float("inf") if a == 0 else pws_speedup_eq2(a, b)
+                rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s),
+                             fmt(pws), "1" if s > P else "0"])
+    except OverflowError as exc:
+        # every earlier grid value made a row
+        raise DomainError(f"{model}: grid value {len(rows) + 1} is out of "
+                          f"float range: {exc}") from None
     return header, rows
 
 

@@ -692,8 +692,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError) as exc:
-        # an unreadable input or unwritable output path is a data error
+    except (DataError, OSError, UnicodeDecodeError) as exc:
+        # an unreadable or undecodable input, or an unwritable output
+        # path, is a data error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IdastraError as exc:

@@ -32,13 +32,16 @@ identity policy, whose order is the natural one.
 
 The serial pass and the parallel engine both stack these nodes, learn
 that one is the goal from its expansion (expand returns GOAL), and
-rebuild a goal's path from its parents with path_to.  Two contracts hold
-in every domain.  The goal gate relies on the heuristic's: h >= 0
-everywhere and h == 0 at every goal, so expand need test only a node
-with h 0.  Manhattan distance meets it, and so do the artificial trees,
-which give a goal h 0 and clamp every other h at 0.  And every operator
-costs 1, so a child's g is its parent's g plus 1: a profiling pass
-relies on it to read a pruned child's g and h from its f alone.
+rebuild a goal's path from its parents with path_to.  The serial pass's
+loop has one body, whose expand is the domain's or PassStats' wrapper
+with its signature, which records the goal as a childless expansion.
+Two contracts hold in every domain.  The goal gate relies on the
+heuristic's: h >= 0 everywhere and h == 0 at every goal, so expand need
+test only a node with h 0.  Manhattan distance meets it, and so do the
+artificial trees, which give a goal h 0 and clamp every other h at 0.
+And every operator costs 1, so a child's g is its parent's g plus 1: a
+profiling pass relies on it to read a pruned child's g and h from its f
+alone.
 
 Iterative deepening exists once, as _deepen's stream of passes:
 serial_idastar runs it to the goal, and features.shallow_search runs it
@@ -83,16 +86,18 @@ def path_to(node):
 class PassStats:
     """Leaf and subtree bookkeeping for one cost-bounded pass.
 
-    A leaf is a node the pass actually disposed of: a pruned child, a
-    dead-end expansion, or the goal.  Nodes left on the stack when a
-    budget truncates the pass are not leaves.  Subtrees are keyed by the
-    first operator on a node's path; `sub` is None for the root itself.
-    root_ops lists those keys, the root's children's operators, sorted.
+    A leaf is a node the pass actually disposed of: a pruned child, or
+    a childless expansion, the goal's included.  Nodes left on the stack
+    when a budget truncates the pass are not leaves.  Subtrees are keyed
+    by the first operator on a node's path; `sub` is None for the root
+    itself.  root_ops lists those keys, the root's children's operators,
+    sorted.
 
-    During the pass, sub and g are the subtree key and the g of the node
-    being expanded, and pruned is the pass's set of pruned f values.
-    prune is the pass's prune sink below the root: every operator costs
-    1, so a child pruned at f is a leaf at g + 1 with h f - g - 1.
+    expand wraps domain_expand.  During the pass, sub and g are the
+    subtree key and the g of the node being expanded, and pruned is the
+    pass's set of pruned f values.  prune is the pass's prune sink below
+    the root: every operator costs 1, so a child pruned at f is a leaf
+    at g + 1 with h f - g - 1.
     """
 
     subtree_expanded: dict = field(default_factory=dict)
@@ -101,6 +106,7 @@ class PassStats:
     min_leaf_f: int | None = None
     fertile_expanded: int = 0
     root_ops: list = field(default_factory=list)
+    domain_expand: object = field(default=None, repr=False, compare=False)
     sub: int | None = field(default=None, repr=False, compare=False)
     g: int = field(default=0, repr=False, compare=False)
     pruned: set = field(default_factory=set, repr=False, compare=False)
@@ -133,16 +139,17 @@ class PassStats:
         if parent is not None and parent[4] is None:
             self.sub = op
 
-    def expand(self, expand, node, threshold, push):
-        """Expand node as the pass does, recording its expansion and its
-        pruned children as leaves; returns what expand returned, and
-        records nothing for GOAL (the pass calls record_goal).  prune
-        gets no operator, so the root alone asks expand for every child
-        and keys each pruned one by its own operator."""
+    def expand(self, node, threshold, push, prune):
+        """The domain's expand, recording node's expansion and its
+        pruned children as leaves (prune is this object's).  A childless
+        node is a leaf too, and GOAL is an empty tuple, so the goal is
+        recorded as a childless expansion.  prune gets no operator, so
+        the root alone asks the domain for every child and keys each
+        pruned one by its own operator."""
         self._enter(node)
         if node[4] is None:
             kids = []
-            ops = expand(node, sys.maxsize, kids.append, None)
+            ops = self.domain_expand(node, sys.maxsize, kids.append, None)
             self.root_ops = sorted(kid[3] for kid in kids)
             for kid in kids:
                 _state, cg, ch, op, _parent = kid
@@ -152,18 +159,11 @@ class PassStats:
                 else:
                     push(kid)
         else:
-            ops = expand(node, threshold, push, self.prune)
-        if ops is GOAL:
-            return ops
+            ops = self.domain_expand(node, threshold, push, prune)
         self.record_expansion(self.sub, len(ops))
         if not ops:
             self.record_leaf(self.sub, node[1], node[2])
         return ops
-
-    def record_goal(self, node):
-        """Record the goal, the node expand was last given."""
-        self.record_expansion(self.sub, 0)
-        self.record_leaf(self.sub, node[1], node[2])
 
 
 @dataclass(slots=True)
@@ -190,14 +190,17 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     finding the goal counts as expanding it.  With a budget, the pass
     stops once nodes_expanded reaches it and reports truncated when work
     remained on the stack.
-    With statistics, PassStats.expand expands each node, and its prune
-    sink records the pruned children as leaves.  Statistics key a
-    node's subtree by the operator of the root child it descends from:
-    a depth-first pass finishes one root child's subtree before it pops
-    the next.
+    The loop has one body.  With statistics, its expand and prune are
+    PassStats', the first wrapping the domain's expand; they record
+    every expansion and leaf.  Statistics key a node's subtree by the
+    operator of the root child it descends from: a depth-first pass
+    finishes one root child's subtree before it pops the next.
     """
     pruned = set()
-    stats = PassStats(pruned=pruned) if collect_stats else None
+    expand, prune, stats = problem.expand, pruned.add, None
+    if collect_stats:
+        stats = PassStats(pruned=pruned, domain_expand=expand)
+        expand, prune = stats.expand, stats.prune
     expanded = generated = 0
     solution = None
 
@@ -208,10 +211,8 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         return PassResult(threshold, None, g + h, 0, 0, False, stats)
 
     limit = sys.maxsize if budget is None else budget
-    expand = problem.expand
     arrange = (None if order is None or order.is_identity()
                else order.arrange)
-    prune = pruned.add
     stack = [root]
     pop = stack.pop
     push = stack.append
@@ -219,14 +220,9 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
         node = pop()
         expanded += 1
         base = len(stack)
-        if stats is None:
-            ops = expand(node, threshold, push, prune)
-        else:
-            ops = stats.expand(expand, node, threshold, push)
+        ops = expand(node, threshold, push, prune)
         if ops is GOAL:
             solution = (path_to(node), node[1])
-            if stats is not None:
-                stats.record_goal(node)
             break
         generated += len(ops)
         # fewer than two children are in every order already

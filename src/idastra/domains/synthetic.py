@@ -196,11 +196,11 @@ class ArtificialProblem:
         return self._h(len(path), shared, key)
 
     def _h(self, depth, shared, key):
-        """The heuristic of the node these fields describe."""
+        """The heuristic of the node these fields describe.  It is 0 at
+        every goal without a goal test: the designated goal's distance
+        is 0, and an extra goal exists only with density > 0, which caps
+        every depth-d distance at 0."""
         d = self._d
-        if depth == d and (shared == d
-                           or key >> 128 < self.density_threshold):
-            return 0                # is_goal's test
         # exact distance to the designated goal: back out of the
         # non-shared suffix, then down the rest of the goal path
         dist = (depth - shared) + (d - shared)

@@ -59,8 +59,7 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("cid", "members", "can_balance", "threshold", "epoch",
-                 "phase", "live_nodes", "level_left",
-                 "last_pass_expansions")
+                 "phase", "live_nodes", "level_left")
 
     def __init__(self, cid, members, load_balancing):
         self.cid = cid
@@ -71,11 +70,6 @@ class _Cluster:
         self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
         self.level_left = 0             # distributing: level nodes unexpanded
-        self.last_pass_expansions = [0] * len(members)
-
-    def snapshot_pass(self):
-        self.last_pass_expansions = [w.stats.nodes_expanded - w.pass_start
-                                     for w in self.members]
 
     def reset(self):
         """End the running pass: its in-flight work messages go stale
@@ -113,7 +107,7 @@ class _Coordinator:
         self.max_done = None            # highest completed empty pass
         self.claimed = set()
         self.granted_order = []
-        self.solutions = []             # (cost, path, cid)
+        self.solutions = []             # (cost, path, cid, final_pass)
         self.accepted = None            # the best solution, once proven
 
     def sorted_pool(self):
@@ -298,7 +292,6 @@ class _SimEngine:
             self._start_pass(pending.popleft(), v)
 
     def _pass_complete(self, cl):
-        cl.snapshot_pass()
         # every pruned f joins the pool, and a pass that pruned nothing
         # swept the whole space, so no pass can prune above its
         # threshold: this pass pruned nothing exactly when the pool's
@@ -322,8 +315,13 @@ class _SimEngine:
         self._start_pass(cl, v)
 
     def _report_solution(self, cl, node):
-        cl.snapshot_pass()
-        self.coord.solutions.append((node[1], path_to(node), cl.cid))
+        # a cluster is done once it reports, so this is its one report:
+        # each worker's expansions in this, the finder's final pass
+        final_pass = [0] * len(self.workers)
+        for w in cl.members:
+            final_pass[w.wid] = w.stats.nodes_expanded - w.pass_start
+        self.coord.solutions.append((node[1], path_to(node), cl.cid,
+                                     final_pass))
         cl.phase = "done"
         cl.reset()
         self.coord.reevaluate()
@@ -441,8 +439,9 @@ class _SimEngine:
 
     def _finish(self, makespan, speedup, mode):
         """Build the report once a solution is accepted; the driver
-        supplies its clock's makespan and the speedup it implies."""
-        cost, path, cid = self.coord.accepted
+        supplies its clock's makespan and the speedup it implies.  The
+        accepted solution holds its finder's final-pass expansions."""
+        cost, path, _cid, final_pass = self.coord.accepted
         # undelivered donations count as returned work
         for w in self.workers:
             for _due, _epoch, kind, payload in w.inbox:
@@ -450,10 +449,6 @@ class _SimEngine:
                     self.donated_dropped += len(payload)
         balanced = (self.donated_sent
                     == self.donated_delivered + self.donated_dropped)
-        finder = self.clusters[cid]
-        final_pass = [0] * len(self.workers)
-        for pos, w in enumerate(finder.members):
-            final_pass[w.wid] = finder.last_pass_expansions[pos]
         max_per_worker = max(w.stats.nodes_expanded for w in self.workers)
         return EngineReport(
             solution_path=path,

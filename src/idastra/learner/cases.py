@@ -49,14 +49,6 @@ class TrainingCase:
         }, sort_keys=False)
 
     @staticmethod
-    def from_json(line):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad store line: {exc}") from None
-        return TrainingCase.from_dict(obj)
-
-    @staticmethod
     def from_dict(obj):
         """The case a store line's decoded JSON holds."""
         try:

@@ -193,3 +193,6 @@ def test_curve_table_formatting_and_errors():
     with pytest.raises(DomainError):
         curve_table("fig7", [0.5])
     assert curve_table("fig5", [])[1] == []
+    # eq2's value at a tiny goal position overflows a float
+    with pytest.raises(DomainError, match="grid value 2 is out of float"):
+        curve_table("eq2", [Fraction(1, 2), Fraction(1, 10 ** 400)])

@@ -3,6 +3,7 @@ solve, report, curves."""
 
 import csv
 import dataclasses
+import json
 import os
 
 import pytest
@@ -419,7 +420,7 @@ def test_train_names_the_store_line_an_interrupted_sweep_cut(run_cli,
         lines = fh.read().splitlines()
     # the new case starts its own line, after the cut one
     assert len(lines) == cut + 1
-    assert TrainingCase.from_json(lines[-1]).axis == "clusters"
+    assert TrainingCase.from_dict(json.loads(lines[-1])).axis == "clusters"
     code, out, err = run_cli(["train", "--store", store,
                               "--axis", "clusters", "--folds", 2,
                               "--out", str(tmp_path / "m.tree")])
@@ -837,6 +838,20 @@ def test_curves_bad_grid_is_usage_error(run_cli, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize("curve, grid", [("eq1", "1e400"),
+                                         ("eq2", "1e-400"),
+                                         ("fig6", "1e-400")])
+def test_curves_overflow_is_one_error_line(run_cli, tmp_path, curve, grid):
+    out_csv = tmp_path / f"{curve}.csv"
+    code, _out, err = run_cli(["curves", curve, "--grid", grid,
+                               "--out", out_csv])
+    assert code == 1
+    assert err.splitlines() == [
+        f"error: {curve}: grid value 1 is out of float range: "
+        "integer division result too large for a float"]
+    assert not out_csv.exists()
+
+
 # ----------------------------------------------------------- plumbing
 
 def test_help_and_bad_flag_exit_codes(run_cli):
@@ -876,6 +891,31 @@ def test_unreadable_or_unwritable_path_is_a_data_error(run_cli, tmp_path):
         assert "Traceback" not in err, argv
         assert err.splitlines()[-1].startswith(
             "error: [Errno 2] No such file or directory"), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["advise", "--instances", "{bad}.dat"],
+    ["advise", "--instances", "{bad}.spec"],
+    ["advise", "--instances", "{spec}", "--model", "clusters={bad}.dat"],
+    ["train", "--store", "{bad}.dat", "--axis", "clusters",
+     "--out", "{tmp}/c.tree"],
+    ["report", "{bad}.dat", "--out", "{tmp}/report.csv"],
+    ["sweep", "--instances", "{spec}", "--axis", "clusters", "--grid", "1",
+     "--budget", "50", "--out", "{tmp}/records.csv",
+     "--store", "{bad}.dat"],
+], ids=["advise-puzzle", "advise-spec", "advise-model", "train", "report",
+        "sweep-store"])
+def test_undecodable_input_is_a_data_error(run_cli, tmp_path, argv):
+    # bytes 0x80-0xff are not UTF-8 (none starts a character)
+    for ext in (".dat", ".spec"):
+        (tmp_path / f"bad{ext}").write_bytes(bytes(range(128, 256)))
+    spec = _gen(run_cli, str(tmp_path / "inst"), count=1)[0]
+    code, _out, err = run_cli([a.format(bad=tmp_path / "bad", spec=spec,
+                                        tmp=tmp_path) for a in argv])
+    assert code == 2
+    assert err.splitlines() == [
+        "error: 'utf-8' codec can't decode byte 0x80 in position 0: "
+        "invalid start byte"]
 
 
 def test_threads_mode_warns(run_cli, tmp_path):

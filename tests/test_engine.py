@@ -520,6 +520,12 @@ def test_report_accounting_invariants():
         assert report.speedup \
             == report.serial_equivalent_nodes / report.makespan
         assert len(report.final_pass_expansions) == report.workers
+        # the final pass is the finder's: one cluster's block of workers
+        finders = [block for block
+                   in plan_clusters(report.workers, report.clusters)
+                   if any(report.final_pass_expansions[w] for w in block)]
+        assert len(finders) == 1
+        assert sum(report.final_pass_expansions) <= report.total_expanded
         # grants are chronological and never repeat a threshold
         assert report.thresholds_granted
         assert len(set(report.thresholds_granted)) \

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from idastra.core import PassStats, cost_bounded_dfs, make_root
 from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.errors import DataError, DegenerateTrace, InsufficientData
@@ -47,6 +48,22 @@ def test_stop_at_goal_reports_solution():
     assert cost == 3
     assert problem.is_goal(problem.state_at(path))
     assert not trace.truncated
+
+
+def test_goal_at_the_root_is_one_childless_expansion():
+    # the root is the goal: its expansion is the whole search, recorded
+    # as a childless one (a leaf at f 0) in no root child's subtree
+    problem = PuzzleProblem(scramble(0, 1))
+    res = cost_bounded_dfs(problem, make_root(problem), 0,
+                           collect_stats=True)
+    assert (res.solution, res.nodes_expanded, res.nodes_generated) \
+        == (((), 0), 1, 0)
+    # root_ops [] and no subtree entries, as PassStats compares them
+    assert res.stats == PassStats(min_leaf_f=0)
+    trace = _trace(problem, 10)
+    assert (trace.total_expanded, trace.min_leaf_f, trace.root_ops,
+            trace.goal_found) == (1, 0, [], ((), 0))
+    assert (trace.fertile_expanded, trace.subtree_expanded) == (0, {})
 
 
 def test_blind_uniform_tree_measures_exact_branching():

@@ -133,13 +133,11 @@ def test_variance_filter_is_stable_on_ties():
 
 def test_case_json_round_trip():
     case = _case("4", timings={"1": 3.5, "4": 1.25})
-    again = TrainingCase.from_json(case.to_json())
+    again = TrainingCase.from_dict(json.loads(case.to_json()))
     assert again == case
+    missing = {"features": case.features.as_dict()}
     with pytest.raises(DataError):
-        TrainingCase.from_json("{not json")
-    missing = json.dumps({"features": case.features.as_dict()})
-    with pytest.raises(DataError):
-        TrainingCase.from_json(missing)
+        TrainingCase.from_dict(missing)
 
 
 def test_store_append_and_dup_detection(tmp_path):
@@ -169,8 +167,8 @@ def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path,
     assert append_cases(store, [c]) == (1, 0)
     lines = store.read_text().splitlines()
     assert len(lines) == 3
-    assert TrainingCase.from_json(lines[0]) == a
-    assert TrainingCase.from_json(lines[2]) == c
+    assert TrainingCase.from_dict(json.loads(lines[0])) == a
+    assert TrainingCase.from_dict(json.loads(lines[2])) == c
     # the cut line itself is skipped, and the warning says where
     assert read_store(store) == [a, c]
     assert (capsys.readouterr().err
