@@ -40,6 +40,14 @@ def dts_speedup_eq1(P, b, d, x):
     _check_params(P, b, d, x)
     if x >= d:
         raise DomainError(f"distribution depth x={x} must be < d={d}")
+    # s = A + e, where A = P + 1/(2 b^x) is the large-d limit and
+    # 0 <= e = P (1 - b^-x) / (b^(d-x) - 1) < 2^-54 / b^x once
+    # d - x >= x + 55 + P.bit_length() (P an integer, as the CLI
+    # passes).  A has denominator 2 b^x and every rounding midpoint at
+    # or above A >= 1 one dividing 2^53, so a midpoint other than A lies
+    # at least 2^-53 / b^x away: from that depth on s rounds to the same
+    # float, and the exact sum stops there
+    d = min(d, 2 * x + 55 + P.bit_length())
     s = (Fraction(P) * Fraction(_geom(b, 1, d), _geom(b, x + 1, d))
          + Fraction(1, 2 * b ** x))
     return float(s)

@@ -13,6 +13,7 @@ that cannot be read or written), 3 engine stall.
 import argparse
 import csv
 import dataclasses
+import io
 import os
 import statistics
 import sys
@@ -27,7 +28,7 @@ from idastra.engine import (AXES, DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, run_parallel,
                             validate_config)
 from idastra.errors import (DataError, DegenerateInput, EngineStall,
-                            IdastraError, UsageError)
+                            IdastraError, UsageError, read_text)
 from idastra.features import (DEFAULT_BUDGET, extract_features,
                               shallow_search)
 from idastra.learner import (Dataset, append_cases, classify,
@@ -78,8 +79,7 @@ def _load_instances(paths):
             spec = ArtificialSpec.from_file(path)
             instances.append((stem, ArtificialProblem(spec)))
         else:
-            with open(path) as fh:
-                states = parse_korf_set(fh.read())
+            states = parse_korf_set(read_text(path))
             if not states:
                 raise DataError(f"no instances in {path}")
             for i, state in enumerate(states, start=1):
@@ -154,20 +154,19 @@ def _read_records(paths):
     warning."""
     rows = []
     for path in paths:
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+        reader = csv.DictReader(io.StringIO(read_text(path, newline=""),
+                                            newline=""))
+        if reader.fieldnames is None:
+            continue
+        missing = set(RECORD_FIELDS) - set(reader.fieldnames)
+        if missing:
+            raise DataError(f"{path}: record file missing columns "
+                            f"{sorted(missing)}")
+        for row in reader:
+            if None in row or None in row.values():
+                _warn(f"{path}:{reader.line_num}: skipping cut record line")
                 continue
-            missing = set(RECORD_FIELDS) - set(reader.fieldnames)
-            if missing:
-                raise DataError(f"{path}: record file missing columns "
-                                f"{sorted(missing)}")
-            for row in reader:
-                if None in row or None in row.values():
-                    _warn(f"{path}:{reader.line_num}: skipping cut record "
-                          "line")
-                    continue
-                rows.append((path, row))
+            rows.append((path, row))
     return rows
 
 
@@ -692,7 +691,7 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError) as exc:
         # an unreadable or undecodable input, or an unwritable output
         # path, is a data error
         print(f"error: {exc}", file=sys.stderr)

@@ -14,22 +14,16 @@ from idastra.errors import MalformedLine, UnsolvableInstance
 
 
 def _parities(tiles):
-    """(inversion parity, blank taxicab parity) of a tile permutation."""
+    """(inversion parity, blank taxicab parity) of a tile permutation.
+
+    Every blank move is a transposition and changes the blank's taxicab
+    parity, so the two are equal exactly for the states that reach the
+    blank-first goal.
+    """
     inversions = sum(1 for i in range(16) for j in range(i + 1, 16)
                      if tiles[i] > tiles[j])
     blank = tiles.index(0)
     return inversions % 2, (blank // 4 + blank % 4) % 2
-
-
-def is_solvable(tiles):
-    """Parity test against the blank-first goal.
-
-    Every blank move is a transposition and changes the blank's taxicab
-    parity, so (permutation parity == blank displacement parity) is
-    invariant and holds at the goal.
-    """
-    inversion_parity, blank_parity = _parities(tiles)
-    return inversion_parity == blank_parity
 
 
 def scramble(depth, seed):

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from idastra._backend import kernels
-from idastra.errors import DataError
+from idastra.errors import DataError, read_text
 
 _TAG_ERROR = 1
 _TAG_GOAL = 2
@@ -98,8 +98,7 @@ class ArtificialSpec:
     @staticmethod
     def from_file(path):
         try:
-            with open(path) as fh:
-                text = fh.read()
+            text = read_text(path)
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from None
         return ArtificialSpec.from_text(text)

@@ -14,8 +14,8 @@ left for it).  A worker whose cluster is parked (pending or done) and
 has no message due is not stepped: the tick loop credits its idle tick
 directly.  Work messages are requests and donations (an empty donation
 is a refusal) and arrive message_latency_ticks after sending;
-coordination (threshold grants, pass reports, solution gating) is
-centralised in the coordinator and modelled as instantaneous.
+coordination (threshold grants, pass reports, the held best solution)
+is centralised in the coordinator and modelled as instantaneous.
 The whole run is a pure function of (problem, config, workers, latency,
 seed), so reports are bit-identical across repetitions.  The threads
 driver (engine/threads.py) steps this same engine on real threads.
@@ -58,11 +58,10 @@ class _Worker:
 
 
 class _Cluster:
-    __slots__ = ("cid", "members", "can_balance", "threshold", "epoch",
-                 "phase", "live_nodes", "level_left")
+    __slots__ = ("members", "can_balance", "threshold", "epoch", "phase",
+                 "live_nodes", "level_left")
 
-    def __init__(self, cid, members, load_balancing):
-        self.cid = cid
+    def __init__(self, members, load_balancing):
         self.members = members
         self.can_balance = load_balancing and len(members) > 1
         self.threshold = None
@@ -85,83 +84,62 @@ class _Cluster:
 class _Coordinator:
     """Threshold pool, grants, and the optimality gate.
 
-    Candidate thresholds are the root's f, the pool's first candidate,
-    and the pruned f values every running pass reports.  Every grant,
-    the first included, is the smallest candidate not yet claimed; with
-    no unclaimed candidate a finishing cluster extrapolates by the mean
-    granted increment.  A found solution is held until every candidate
-    value below its cost has been searched to completion, which keeps
-    the accepted cost optimal even when earlier grants raced ahead of
-    candidate discovery (admissibility puts a pruned witness below any
-    cheaper goal in the pool).  The root's f is the gate's base case:
-    no goal costs less, so a goal found in a deeper window waits until
-    the root pass, or a completed pass above it, has ruled out a
-    cheaper one.
+    Candidate thresholds are the root's f and the pruned f values every
+    running pass reports.  Every grant, the first included, is the
+    smallest candidate neither granted before nor at or below a
+    completed pass; with no such candidate a finishing cluster
+    extrapolates by the mean granted increment.  The best solution found
+    so far is held until every candidate value below its cost has been
+    searched to completion, which keeps the accepted cost optimal even
+    when earlier grants raced ahead of candidate discovery
+    (admissibility puts a pruned witness below any cheaper goal in the
+    pool).  The root's f is the gate's base case: no goal costs less, so
+    a goal found in a deeper window waits until the root pass, or a
+    completed pass above it, has ruled out a cheaper one.
     """
 
     def __init__(self):
-        # candidate f values; passes add to the set, and the sorted list
-        # catches up when it is read
-        self.pool_set = set()
-        self.pool = []
-        self.max_done = None            # highest completed empty pass
-        self.claimed = set()
-        self.granted_order = []
-        self.solutions = []             # (cost, path, cid, final_pass)
-        self.accepted = None            # the best solution, once proven
-
-    def sorted_pool(self):
-        """The candidates in increasing order.  Candidates are never
-        removed, so the list is stale exactly when it is shorter."""
-        if len(self.pool) != len(self.pool_set):
-            self.pool = sorted(self.pool_set)
-        return self.pool
-
-    def claim(self, value):
-        self.claimed.add(value)
-        self.granted_order.append(value)
+        self.pool = set()               # candidate f values
+        # the highest completed empty pass; below every f, which is >= 0
+        self.max_done = -1
+        self.granted = []               # thresholds, in grant order
+        self.held = None                # best (cost, path, final_pass)
+        self.accepted = None            # the held solution, once proven
 
     def next_unclaimed(self, below=None):
-        for v in self.sorted_pool():
+        for v in sorted(self.pool):
             if below is not None and v >= below:
                 return None
-            if v in self.claimed:
-                continue
-            if self.max_done is not None and v <= self.max_done:
-                continue                # already proven empty
-            return v
+            if v > self.max_done and v not in self.granted:
+                return v
         return None
 
     def extrapolate(self):
-        g = self.granted_order
+        g = self.granted
         if len(g) >= 2:
             step = max(1, round((g[-1] - g[0]) / (len(g) - 1)))
         else:
             step = 1
         value = g[-1] + step
         # an earlier extrapolation may have leapfrogged this value
-        while value in self.claimed:
+        while value in g:
             value += step
         return value
 
-    def mark_done(self, threshold):
-        if self.max_done is None or threshold > self.max_done:
-            self.max_done = threshold
+    def hold(self, cost, path, final_pass):
+        # on a tie in (cost, path) the first solution found stays held
+        if self.held is None or (cost, path) < self.held[:2]:
+            self.held = (cost, path, final_pass)
 
     def holding_cost(self):
-        return min(s[0] for s in self.solutions) if self.solutions else None
+        return None if self.held is None else self.held[0]
 
     def reevaluate(self):
-        """Accept the best held solution once nothing cheaper can exist."""
-        if not self.solutions or self.accepted is not None:
-            return
-        best = min(self.solutions, key=lambda s: (s[0], s[1]))
-        for v in self.sorted_pool():
-            if v >= best[0]:
-                break
-            if self.max_done is None or v > self.max_done:
-                return                  # unswept candidate below the cost
-        self.accepted = best
+        """Accept the held solution once every candidate below its cost
+        is at or below a completed pass."""
+        if self.held is not None and not any(
+                self.max_done < v < self.held[0] for v in self.pool):
+            self.accepted = self.held
 
 
 class _SimEngine:
@@ -178,9 +156,9 @@ class _SimEngine:
 
         self.workers = [_Worker(w, seed) for w in range(workers)]
         self.clusters = []
-        for cid, block in enumerate(plan_clusters(workers, config.clusters)):
+        for block in plan_clusters(workers, config.clusters):
             members = [self.workers[w] for w in block]
-            cl = _Cluster(cid, members, config.load_balancing)
+            cl = _Cluster(members, config.load_balancing)
             for pos, w in enumerate(members):
                 w.cluster = cl
                 w.position = pos
@@ -198,7 +176,7 @@ class _SimEngine:
         _state, g, h, _op, _parent = self.root
         self.coord = _Coordinator()
         # a pruned child's f is a candidate threshold
-        self._prune = self.coord.pool_set.add
+        self._prune = self.coord.pool.add
         self._prune(g + h)
         self.tick = 0
         self.donated_sent = 0
@@ -242,7 +220,7 @@ class _SimEngine:
     # -- pass/threshold management ----------------------------------------
 
     def _start_pass(self, cl, threshold):
-        self.coord.claim(threshold)
+        self.coord.granted.append(threshold)
         cl.threshold = threshold
         cl.reset()
         cl.members[0].open.append(self.root)
@@ -275,11 +253,11 @@ class _SimEngine:
         """Grant the never-granted clusters thresholds, in cluster order.
         A cluster is pending only until its first grant, so the pending
         ones are the tail of the cluster list that self.pending holds.
-        Claims, completed passes and held solutions only rule candidates
+        Grants, completed passes and a held solution only rule candidates
         out, so once no candidate is left a new one can come only with a
         new pool value: until then the pending clusters go unasked."""
         pending = self.pending
-        pool = self.coord.pool_set
+        pool = self.coord.pool
         if not pending or len(pool) == self.pool_when_refused:
             return
         hold = self.coord.holding_cost()
@@ -296,11 +274,10 @@ class _SimEngine:
         # swept the whole space, so no pass can prune above its
         # threshold: this pass pruned nothing exactly when the pool's
         # largest value is at most its threshold
-        if not self.coord.solutions \
-                and self.coord.sorted_pool()[-1] <= cl.threshold:
+        if self.coord.held is None and max(self.coord.pool) <= cl.threshold:
             raise SpaceExhausted(
                 "a pass completed without pruning or solving")
-        self.coord.mark_done(cl.threshold)
+        self.coord.max_done = max(self.coord.max_done, cl.threshold)
         self.coord.reevaluate()
         if self.coord.accepted is not None:
             return
@@ -315,13 +292,13 @@ class _SimEngine:
         self._start_pass(cl, v)
 
     def _report_solution(self, cl, node):
-        # a cluster is done once it reports, so this is its one report:
-        # each worker's expansions in this, the finder's final pass
+        # a cluster is done once it reports, so this is its one report;
+        # the coordinator holds it, with each worker's expansions in this,
+        # the finder's final pass, if it is the best solution so far
         final_pass = [0] * len(self.workers)
         for w in cl.members:
             final_pass[w.wid] = w.stats.nodes_expanded - w.pass_start
-        self.coord.solutions.append((node[1], path_to(node), cl.cid,
-                                     final_pass))
+        self.coord.hold(node[1], path_to(node), final_pass)
         cl.phase = "done"
         cl.reset()
         self.coord.reevaluate()
@@ -440,8 +417,8 @@ class _SimEngine:
     def _finish(self, makespan, speedup, mode):
         """Build the report once a solution is accepted; the driver
         supplies its clock's makespan and the speedup it implies.  The
-        accepted solution holds its finder's final-pass expansions."""
-        cost, path, _cid, final_pass = self.coord.accepted
+        accepted solution carries its finder's final-pass expansions."""
+        cost, path, final_pass = self.coord.accepted
         # undelivered donations count as returned work
         for w in self.workers:
             for _due, _epoch, kind, payload in w.inbox:
@@ -460,7 +437,7 @@ class _SimEngine:
             mode=mode,
             workers=len(self.workers),
             clusters=self.config.clusters,
-            thresholds_granted=list(self.coord.granted_order),
+            thresholds_granted=list(self.coord.granted),
             final_pass_expansions=final_pass,
             tokens_balanced=balanced,
             over_threshold_expansions=self.over_threshold,

@@ -1,4 +1,5 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one reader of
+text inputs, which turns an undecodable file into a DataError.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 EngineStall -> 3.
@@ -64,3 +65,13 @@ class DomainError(UsageError):
 
 class EngineStall(IdastraError):
     """The parallel engine stopped making progress; indicates a bug."""
+
+
+def read_text(path, newline=None):
+    """The text of the file at path.  A file that does not decode is a
+    DataError naming it; OSError passes through (it names the path)."""
+    try:
+        with open(path, newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -30,10 +30,6 @@ class ShallowTrace:
     truncated: bool
     goal_found: tuple | None         # (path, cost)
 
-    @property
-    def root_children(self):
-        return len(self.root_ops)
-
 
 @dataclass(frozen=True)
 class ProblemFeatures:

@@ -8,7 +8,7 @@ import sys
 from dataclasses import dataclass
 
 from idastra.engine.config import AXIS_TABLE, DEFAULT_CONFIG
-from idastra.errors import DataError, InsufficientData
+from idastra.errors import DataError, InsufficientData, read_text
 from idastra.features import FEATURES, ProblemFeatures
 
 def canonical_label_order(axis, labels):
@@ -139,8 +139,7 @@ def store_lines(path):
     """The set of lines a JSON-lines store holds; empty when the store
     cannot be read."""
     try:
-        with open(path) as fh:
-            return set(line.rstrip("\n") for line in fh)
+        return set(read_text(path).splitlines())
     except OSError:
         return set()
 
@@ -189,8 +188,7 @@ def read_store(path, axis=None):
     sweep: it is skipped with a warning naming the path and the line
     number.  A complete line with bad fields raises DataError naming
     them."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     cases = []
     for n, line in enumerate(lines, 1):
         if not line.strip():

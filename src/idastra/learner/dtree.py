@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from idastra.errors import DataError, InsufficientData
+from idastra.errors import DataError, InsufficientData, read_text
 from idastra.features import FEATURES as NUMERIC_FEATURES
 
 CATEGORICAL_FEATURES = ("architecture",)
@@ -239,5 +239,4 @@ def save_tree(path, tree):
 
 
 def load_tree(path):
-    with open(path) as fh:
-        return tree_from_text(fh.read())
+    return tree_from_text(read_text(path))

@@ -18,6 +18,17 @@ _TAG_GOAL = 2
 _TWO64 = 1 << 64
 
 
+def is_solvable(tiles):
+    """Parity test against the blank-first goal: a blank move is a
+    transposition of the 16 cells and moves the blank one step, so the
+    permutation's parity and the blank's taxicab parity agree exactly
+    for the states that reach the goal."""
+    inversions = sum(1 for i, a in enumerate(tiles) for b in tiles[i + 1:]
+                     if a > b)
+    blank = tiles.index(0)
+    return inversions % 2 == (blank // 4 + blank % 4) % 2
+
+
 def manhattan_reference(tiles):
     """Manhattan distance without the precomputed table."""
     total = 0

@@ -27,6 +27,23 @@ def test_eq1_matches_brute_force_enumeration():
             == pytest.approx(float(want), rel=1e-9), (P, b, d, x)
 
 
+def test_eq1_equals_the_exact_formula_at_every_depth():
+    # the curves command's default grid, 4:30:1 at P=10, b=6, x=3
+    for d in range(4, 31):
+        assert dts_speedup_eq1(10, 6, d, 3) == eq1_brute(10, 6, d, 3), d
+    # past the depth where the exact sum stops: the last P puts the
+    # asymptote P + 2^-27 on a rounding midpoint, so only the exact
+    # finite-d term rounds it the right way
+    for P, b, x in ((10, 6, 3), (1, 2, 0), (4, 2, 2), (1000, 3, 7),
+                    (2 ** 26, 2, 26)):
+        for d in range(x + 1, 2 * x + 120 + P.bit_length(), 3):
+            assert dts_speedup_eq1(P, b, d, x) == eq1_brute(P, b, d, x), \
+                (P, b, d, x)
+    assert dts_speedup_eq1(2 ** 26, 2, 10 ** 20, 26) \
+        == eq1_brute(2 ** 26, 2, 500, 26) > dts_asymptote(2 ** 26, 2, 26)
+    assert dts_speedup_eq1(10, 6, 10 ** 20, 3) == dts_asymptote(10, 6, 3)
+
+
 def test_eq1_converges_to_asymptote():
     limit = dts_asymptote(10, 3, 3)
     assert limit == pytest.approx(10 + 1 / 54)

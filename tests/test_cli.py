@@ -5,6 +5,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -852,6 +854,27 @@ def test_curves_overflow_is_one_error_line(run_cli, tmp_path, curve, grid):
     assert not out_csv.exists()
 
 
+def test_curves_eq1_at_a_huge_depth_ends(tmp_path):
+    # an exact sum at d = 1e20 would grow one integer without end: run
+    # in a child process, so a hang fails here rather than holding the
+    # suite
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "idastra", "curves", "eq1", "--grid", "1e20",
+         "--out", str(tmp_path / "eq1.csv")],
+        env=env, capture_output=True, text=True, timeout=20)
+    if proc.returncode == 0:
+        # the asymptote P + 1/(2 b^x) at the defaults P=10, b=6, x=3
+        assert _read_csv(tmp_path / "eq1.csv")[0]["dts_eq1"] == "10.0023"
+    else:
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
+
+
 # ----------------------------------------------------------- plumbing
 
 def test_help_and_bad_flag_exit_codes(run_cli):
@@ -910,12 +933,14 @@ def test_undecodable_input_is_a_data_error(run_cli, tmp_path, argv):
     for ext in (".dat", ".spec"):
         (tmp_path / f"bad{ext}").write_bytes(bytes(range(128, 256)))
     spec = _gen(run_cli, str(tmp_path / "inst"), count=1)[0]
-    code, _out, err = run_cli([a.format(bad=tmp_path / "bad", spec=spec,
-                                        tmp=tmp_path) for a in argv])
+    argv = [a.format(bad=tmp_path / "bad", spec=spec, tmp=tmp_path)
+            for a in argv]
+    bad = next(a.split("=")[-1] for a in argv if "bad." in a)
+    code, _out, err = run_cli(argv)
     assert code == 2
     assert err.splitlines() == [
-        "error: 'utf-8' codec can't decode byte 0x80 in position 0: "
-        "invalid start byte"]
+        f"error: {bad}: 'utf-8' codec can't decode byte 0x80 in position "
+        "0: invalid start byte"]
 
 
 def test_threads_mode_warns(run_cli, tmp_path):

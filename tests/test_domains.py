@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra.core import GOAL, make_root, serial_idastar
-from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem, is_solvable,
+from idastra.domains.puzzle import (GOAL_TILES, PuzzleProblem,
                                     parse_korf_set, scramble)
 from idastra.domains.synthetic import (ArtificialProblem, ArtificialSpec,
                                        goal_path_digits)
@@ -18,8 +18,8 @@ from idastra.ordering import OrderPolicy
 from idastra import _kernels_py
 from oracles import (_TAG_ERROR, _TAG_GOAL, SpaceModel, astar_cost,
                      child_indices, count_nodes, expand_all,
-                     goal_digits_reference, manhattan_reference,
-                     uniform_tree_size)
+                     goal_digits_reference, is_solvable,
+                     manhattan_reference, uniform_tree_size)
 
 
 def _spec(**kw):

@@ -20,7 +20,7 @@ from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             run_parallel, run_sim, validate_config)
 from idastra.engine import threads
 from idastra.engine.parts import anticipatory_check, donate, poll_target
-from idastra.engine.sim import _SimEngine
+from idastra.engine.sim import _Coordinator, _SimEngine
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
 from oracles import astar_cost, expand_all
@@ -684,7 +684,7 @@ def test_a_held_solution_grants_a_cheaper_threshold(monkeypatch):
     original = _SimEngine._start_pass
 
     def counting(self, cl, threshold):
-        if self.coord.solutions and cl.phase != "pending":
+        if self.coord.held is not None and cl.phase != "pending":
             below_hold.append((threshold, self.coord.holding_cost()))
         original(self, cl, threshold)
 
@@ -694,6 +694,48 @@ def test_a_held_solution_grants_a_cheaper_threshold(monkeypatch):
     assert below_hold
     assert all(threshold < hold for threshold, hold in below_hold)
     assert report.solution_cost == serial_idastar(problem).cost
+
+
+def test_coordinator_holds_one_best_solution_and_gates_on_the_pool():
+    coord = _Coordinator()
+    coord.pool.update((3, 5, 7, 9))
+
+    # a tie in (cost, path) keeps the first solution; a cheaper one
+    # replaces it
+    coord.hold(9, (1, 2), [4])
+    coord.hold(9, (1, 2), [5])
+    coord.hold(9, (2, 0), [6])
+    assert coord.held == (9, (1, 2), [4])
+    coord.hold(9, (0, 3), [7])
+    assert coord.held == (9, (0, 3), [7])
+    assert coord.holding_cost() == 9
+
+    # nothing is accepted while a candidate below the held cost is above
+    # the highest completed pass
+    for done in (-1, 3, 5):
+        coord.max_done = done
+        coord.reevaluate()
+        assert coord.accepted is None, done
+    coord.max_done = 7
+    coord.reevaluate()
+    assert coord.accepted == coord.held
+
+    # grants skip granted values and values at or below max_done
+    coord = _Coordinator()
+    coord.pool.update((3, 5, 7, 9))
+    assert coord.next_unclaimed() == 3
+    coord.granted.extend((3, 7))
+    assert coord.next_unclaimed() == 5
+    coord.max_done = 5
+    assert coord.next_unclaimed() == 9
+    assert coord.next_unclaimed(below=9) is None
+
+    # extrapolation steps by the mean granted increment, past every
+    # value already granted
+    coord.granted[:] = [3, 5, 7, 9]
+    assert coord.extrapolate() == 11
+    coord.granted[:] = [2, 8, 6]      # 6 + 2 was granted already
+    assert coord.extrapolate() == 10
 
 
 # Every pass a cluster completes expands exactly the nodes of the serial

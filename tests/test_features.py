@@ -127,7 +127,7 @@ def test_imbalance_grows_with_depth_limit_skew():
 def test_imbalance_formula_against_trace():
     spec = _spec(d=5, b=3, g=0.0, imbalance=0.6, herror=8, seed=4)
     trace = _trace(ArtificialProblem(spec), 100000)
-    k = trace.root_children
+    k = len(trace.root_ops)
     counts = [trace.subtree_expanded.get(op, 0) for op in trace.root_ops]
     mean = sum(counts) / k
     cov = math.sqrt(sum((c - mean) ** 2 for c in counts) / k) / mean
@@ -231,14 +231,14 @@ def test_trace_counts_match_space_size():
     # node and the leftmost frontier up to the goal; the full-tree bound
     # is the whole space
     assert max(sizes) <= len(model.all_nodes())
-    assert trace.root_children == 2
+    assert len(trace.root_ops) == 2
 
 
 def test_root_subtree_features_walk_the_root_operators():
     # the blank starts in cell 0, so the root's operators are 2 and 3,
     # not 0 and 1: imb and loc must read subtrees 2 and 3
     trace = shallow_search(PuzzleProblem(scramble(30, 12)), budget=3000)
-    assert trace.root_ops == [2, 3] and trace.root_children == 2
+    assert trace.root_ops == [2, 3]
     assert trace.subtree_expanded == {2: 212, 3: 458}
     assert trace.subtree_min_leaf_h == {2: 11, 3: 5}
     features = extract_features(trace)
@@ -337,7 +337,7 @@ def test_truncated_traces_and_features_are_pinned(instance, token, budget,
     assert {
         "iterations": [(it["threshold"], it["nodes_expanded"],
                         it["complete"]) for it in trace.iterations],
-        "root_children": trace.root_children,
+        "root_children": len(trace.root_ops),
         "subtree_expanded": trace.subtree_expanded,
         "subtree_min_leaf_f": trace.subtree_min_leaf_f,
         "subtree_min_leaf_h": trace.subtree_min_leaf_h,
@@ -363,7 +363,7 @@ def test_budget_spent_exactly_at_a_pass_end():
     assert trace.subtree_min_leaf_f == {0: 34, 1: 34, 2: 34, 3: 34}
     assert trace.subtree_min_leaf_h == {0: 9, 1: 32, 2: 13, 3: 9}
     assert trace.min_leaf_f == 34
-    assert (trace.root_children, trace.total_expanded,
+    assert (len(trace.root_ops), trace.total_expanded,
             trace.total_generated, trace.fertile_expanded) \
         == (4, 462, 933, 462)
     features = extract_features(trace)
