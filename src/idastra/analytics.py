@@ -12,18 +12,48 @@ from fractions import Fraction
 
 from idastra.errors import DomainError
 
+# the processor count: no model's work grows with P beyond its bit
+# length (the simulator finds the goal's owner in one step, or by
+# bisection), so the bound is only a machine size, 2^26 processors, far
+# above any machine the models are read for
+MAX_P = 2 ** 26
+# the bit size of any exact power a model takes (b^(d+1), which bounds
+# b^x too, and ratio^P): b^e has fewer than e * b.bit_length() bits.
+# The rationals a model reduces are about this size, and reducing one
+# takes time quadratic in it; at this bound fig5 and fig6 finish on
+# their 101-point default grids within 2 s (b = 2 at the largest d,
+# with ratio 0.1 at the largest P; 2-core VM, Python 3.11)
+MAX_POWER_BITS = 2 ** 16
 
-def _check_params(P, b, d, x):
-    if P < 1:
-        raise DomainError(f"P must be >= 1, got {P}")
+
+def _check_params(P, b, d, x=None, ratio=None):
+    """Check the parameters a model takes: d is the depth of the deepest
+    level it sums (it takes b^(d+1)), x the distribution depth (it needs
+    b^x >= P) and ratio the exponential imbalance ratio (it takes
+    ratio^P); None means the model does not take one."""
+    if not 1 <= P <= MAX_P:
+        raise DomainError(f"P must be in [1, {MAX_P}], got {P}")
     if b < 2:
         raise DomainError(f"b must be >= 2, got {b}")
+    if x is not None:
+        if x < 0:
+            raise DomainError(f"x must be >= 0, got {x}")
+        # b^x >= 2^(x * (b.bit_length() - 1)), so only a small x can
+        # leave b^x below P
+        if x * (b.bit_length() - 1) < P.bit_length() and b ** x < P:
+            raise DomainError(f"need b^x >= P, got {b}^{x} < {P}")
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if x < 0:
-        raise DomainError(f"x must be >= 0, got {x}")
-    if b ** x < P:
-        raise DomainError(f"need b^x >= P, got {b}^{x} < {P}")
+    if (d + 1) * b.bit_length() > MAX_POWER_BITS:
+        raise DomainError(f"b^(d+1) = {b}^{d + 1} is over the "
+                          f"{MAX_POWER_BITS}-bit bound on exact powers")
+    if ratio is not None:
+        if not 0 < ratio < 1:
+            raise DomainError(f"imbalance ratio must be in (0, 1), "
+                              f"got {ratio}")
+        if P * Fraction(ratio).denominator.bit_length() > MAX_POWER_BITS:
+            raise DomainError(f"ratio^P = {ratio}^{P} is over the "
+                              f"{MAX_POWER_BITS}-bit bound on exact powers")
 
 
 def _geom(b, lo, hi):
@@ -37,7 +67,6 @@ def dts_speedup_eq1(P, b, d, x):
     """Distributed tree search speedup on a uniform tree: P times the
     ratio of the full serial cost to the cost below the distribution
     depth x, plus the distribution overhead term 1/(2 b^x)."""
-    _check_params(P, b, d, x)
     if x >= d:
         raise DomainError(f"distribution depth x={x} must be < d={d}")
     # s = A + e, where A = P + 1/(2 b^x) is the large-d limit and
@@ -48,6 +77,7 @@ def dts_speedup_eq1(P, b, d, x):
     # at least 2^-53 / b^x away: from that depth on s rounds to the same
     # float, and the exact sum stops there
     d = min(d, 2 * x + 55 + P.bit_length())
+    _check_params(P, b, d, x)
     s = (Fraction(P) * Fraction(_geom(b, 1, d), _geom(b, x + 1, d))
          + Fraction(1, 2 * b ** x))
     return float(s)
@@ -68,17 +98,26 @@ def pws_speedup_eq2(a, b):
     return float(1 + 1 / (Fraction(a) * (b - 1)))
 
 
-def _shares(P, balance, ratio):
+def _owner(P, a, balance, ratio):
+    """(largest share, left edge of the goal owner's interval) for goal
+    position a.  Processor i owns a contiguous share of the leaf
+    interval, in proportion to 1 (Balanced) or ratio^i
+    (ExponentialImbalance); the intervals are half-open, the last one
+    closed."""
     if balance == "Balanced":
-        return [Fraction(1, P)] * P
-    if balance == "ExponentialImbalance":
-        r = Fraction(ratio)
-        if not 0 < r < 1:
-            raise DomainError(f"imbalance ratio must be in (0, 1), got {ratio}")
-        weights = [r ** i for i in range(P)]
-        total = sum(weights)
-        return [w / total for w in weights]
-    raise DomainError(f"unknown balance profile {balance!r}")
+        return Fraction(1, P), Fraction(min(int(a * P), P - 1), P)
+    # the shares of processors 0..k-1 sum to (1 - r^k) / (1 - r^P), which
+    # grows with k; the owner is the last k at which that sum is <= a
+    r = Fraction(ratio)
+    whole = 1 - r ** P
+    lo, hi = 0, P - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if 1 - r ** mid <= a * whole:
+            lo = mid
+        else:
+            hi = mid - 1
+    return (1 - r) / whole, (1 - r ** lo) / whole
 
 
 def simulate_ideal_dts(P, b, d, goal_pos, balance="Balanced", ratio=0.5):
@@ -91,30 +130,21 @@ def simulate_ideal_dts(P, b, d, goal_pos, balance="Balanced", ratio=0.5):
     the owner of the goal stops immediately there, which is where the
     curve peaks.
     """
-    if P < 1:
-        raise DomainError(f"P must be >= 1, got {P}")
-    if b < 2:
-        raise DomainError(f"b must be >= 2, got {b}")
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
+    if balance not in ("Balanced", "ExponentialImbalance"):
+        raise DomainError(f"unknown balance profile {balance!r}")
+    _check_params(P, b, d, ratio=None if balance == "Balanced" else ratio)
     a = Fraction(goal_pos)
     if not 0 <= a <= 1:
         raise DomainError(f"goal_pos must be in [0, 1], got {goal_pos}")
-    shares = _shares(P, balance, ratio)
-    costs = [Fraction(_geom(b, 1, j)) for j in range(1, d + 1)]
-    serial = sum(costs[:-1]) + a * costs[-1]
+    # C_j = b + ... + b^j nodes in iteration j; the goal iteration costs
+    # C_d and the earlier ones sum to (b^2 + ... + b^d - (d-1) b) / (b-1)
+    last = _geom(b, 1, d)
+    before = (_geom(b, 2, d) - (d - 1) * b) // (b - 1)
+    serial = before + a * last
     if serial == 0:
         return 1.0
-    # locate the goal's owner: half-open intervals, last one closed
-    owner_left = 1 - shares[-1]
-    acc = Fraction(0)
-    for share in shares:
-        if a < acc + share:
-            owner_left = acc
-            break
-        acc += share
-    max_share = max(shares)
-    parallel = max_share * sum(costs[:-1]) + (a - owner_left) * costs[-1]
+    max_share, owner_left = _owner(P, a, balance, ratio)
+    parallel = max_share * before + (a - owner_left) * last
     if parallel == 0:
         # d = 1 with the goal on its owner's left edge: the owner finds
         # it at once, so the speedup is unbounded

@@ -87,10 +87,18 @@ def _load_instances(paths):
     return instances
 
 
+# every worker has its own random generator and is stepped on every
+# tick of a run, whether its cluster has work for it or not
+MAX_WORKERS = 1024
+
+
 def _check_run_flags(args):
     """Reject run flags no engine run accepts, before any search."""
     if args.workers < 1:
         raise UsageError(f"--workers must be >= 1, got {args.workers}")
+    if args.workers > MAX_WORKERS:
+        raise UsageError(f"--workers must be <= {MAX_WORKERS}, "
+                         f"got {args.workers}")
     if args.clusters is not None \
             and not 1 <= args.clusters <= args.workers:
         raise UsageError(f"--clusters must be in 1..{args.workers}, "
@@ -170,12 +178,13 @@ def _read_records(paths):
     return rows
 
 
-def _record_row(args, instance, approach, rep):
-    """A record row for one run, its outcome columns still empty."""
+def _record_row(args, instance, approach):
+    """A record row for one run, its outcome columns still empty.  Every
+    run is made once, so rep is always 0."""
     row = dict.fromkeys(RECORD_FIELDS, "")
     row.update(instance=instance, approach=approach, workers=args.workers,
                mode=args.mode, latency=args.latency, seed=args.seed,
-               rep=rep, status="ok", timestamp=_timestamp(args))
+               rep=0, status="ok", timestamp=_timestamp(args))
     return row
 
 
@@ -213,9 +222,14 @@ def _run_record(row, args, problem, trace, config, baselines):
 
 # ---------------------------------------------------------------- gen
 
+# gen builds every spec before it writes any, one file per spec
+MAX_COUNT = 10 ** 5
+
+
 def cmd_gen(args):
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
+    if not 1 <= args.count <= MAX_COUNT:
+        raise UsageError(f"--count must be in 1..{MAX_COUNT}, "
+                         f"got {args.count}")
     grids = {}
     for name, cast in SPEC_FIELDS.items():
         if name == "seed":
@@ -240,8 +254,8 @@ def cmd_gen(args):
 # -------------------------------------------------------------- sweep
 
 def _sweep_instance(args, iid, problem, grid, base):
-    """Run every grid value on one instance, appending each run's record
-    row to args.out as the run ends.  Returns (features, mean makespan
+    """Run every grid value once on one instance, appending each run's
+    record row to args.out as the run ends.  Returns (features, makespan
     per grid value, failed runs); features is None when profiling solved
     the instance."""
     trace, features = _profile(problem, args.budget)
@@ -250,24 +264,20 @@ def _sweep_instance(args, iid, problem, grid, base):
     failed = 0
     for value in grid:
         approach = value if args.axis == "all" else f"{args.axis}={value}"
-        per_value = []
-        for rep in range(args.reps):
-            row = _record_row(args, iid, approach, rep)
-            try:
-                config = config_for_axis_value(args.axis, value, base=base)
-                report = _run_record(row, args, problem, trace, config,
-                                     baselines)
-            except EngineStall:
-                raise
-            except IdastraError as exc:
-                row["status"] = type(exc).__name__
-                _warn(f"{iid} {approach} rep {rep}: {exc}")
-                failed += 1
-            else:
-                per_value.append(report.makespan)
-            _append_records(args.out, [row])
-        if per_value:
-            timings[value] = statistics.fmean(per_value)
+        row = _record_row(args, iid, approach)
+        try:
+            config = config_for_axis_value(args.axis, value, base=base)
+            report = _run_record(row, args, problem, trace, config,
+                                 baselines)
+        except EngineStall:
+            raise
+        except IdastraError as exc:
+            row["status"] = type(exc).__name__
+            _warn(f"{iid} {approach}: {exc}")
+            failed += 1
+        else:
+            timings[value] = report.makespan
+        _append_records(args.out, [row])
     return features, timings, failed
 
 
@@ -278,8 +288,6 @@ def cmd_sweep(args):
     grid = [v for v in args.grid.split(",") if v]
     if not grid:
         raise UsageError("--grid must list at least one value")
-    if args.reps < 1:
-        raise UsageError(f"--reps must be >= 1, got {args.reps}")
     _check_run_flags(args)
     base = DEFAULT_CONFIG
     if args.clusters is not None and args.axis != "clusters":
@@ -310,7 +318,7 @@ def cmd_sweep(args):
             dupes += append_cases(args.store, [case], stored)[1]
             cases += 1
 
-    runs = len(instances) * len(grid) * args.reps
+    runs = len(instances) * len(grid)
     print(f"appended {runs} run record(s) to {args.out}"
           + (f" ({failed} failed)" if failed else ""))
     if args.store:
@@ -442,7 +450,7 @@ def cmd_solve(args):
     _print_advice(iid, trace, features, config)
     if config is not None:
         _warn_threads_mode(args)
-    row = _record_row(args, iid, "advised", 0)
+    row = _record_row(args, iid, "advised")
     if _run_record(row, args, problem, trace, config, {}) is not None:
         print(f"cost: {row['cost']}")
         print(f"makespan: {row['makespan']}")
@@ -521,6 +529,17 @@ def cmd_report(args):
 
 # ------------------------------------------------------------- curves
 
+# a curves grid point is a table row and one model evaluation: at the
+# default parameters each curve writes this many rows in under 3 s
+# (2-core VM, Python 3.11)
+MAX_GRID_POINTS = 10 ** 5
+
+
+def _check_grid_size(count):
+    if count > MAX_GRID_POINTS:
+        raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
+
+
 def _parse_grid(text):
     """Grid spec: comma list of values, or start:stop:step (inclusive),
     evaluated with exact rationals so 0:1:1/100 yields 101 points."""
@@ -535,14 +554,13 @@ def _parse_grid(text):
             raise UsageError(f"cannot parse grid range {text!r}") from None
         if step <= 0:
             raise UsageError(f"grid step must be positive, got {step}")
-        values = []
-        v = start
-        while v <= stop:
-            values.append(v)
-            v += step
-        return values
+        count = max(0, (stop - start) // step + 1)
+        _check_grid_size(count)
+        return [start + i * step for i in range(count)]
+    items = [p for p in text.split(",") if p]
+    _check_grid_size(len(items))
     try:
-        return [Fraction(p) for p in text.split(",") if p]
+        return [Fraction(p) for p in items]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse grid {text!r}") from None
 
@@ -623,7 +641,6 @@ def build_parser():
     p.add_argument("--grid", required=True,
                    help="comma list of values for the axis "
                         "(full config tokens when --axis all)")
-    p.add_argument("--reps", type=int, default=1)
     p.add_argument("--out", required=True, help="run-record CSV (appended)")
     p.add_argument("--store", default=None,
                    help="training store to append cases to (JSON lines)")

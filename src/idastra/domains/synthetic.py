@@ -30,6 +30,7 @@ _TAG_ERROR = 1
 _TAG_GOAL = 2
 _TWO64 = 1 << 64
 _LOW64 = _TWO64 - 1            # a packed key's error lane
+MAX_DEPTH = 2 ** 12
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,11 @@ class ArtificialSpec:
     seed: int
 
     def validate(self):
-        if self.d < 1:
-            raise DataError(f"d must be >= 1, got {self.d}")
+        # a node holds its path of up to d bytes and its parent, so one
+        # root-to-leaf chain holds d^2 / 2 bytes (8 MB at this bound), and
+        # ArtificialProblem keeps 2 d tables of up to b child indices
+        if not 1 <= self.d <= MAX_DEPTH:
+            raise DataError(f"d must be in [1, {MAX_DEPTH}], got {self.d}")
         # a child index is one byte of a path
         if not 2 <= self.b <= 256:
             raise DataError(f"b must be in [2, 256], got {self.b}")

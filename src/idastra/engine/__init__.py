@@ -1,7 +1,7 @@
 from idastra.engine.config import (AXES, DEFAULT_CONFIG, StrategyConfig,
                                    config_for_axis_value, plan_clusters,
                                    validate_config)
-from idastra.engine.parts import anticipatory_check, donate, poll_target
+from idastra.engine.parts import donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
 from idastra.engine.sim import run_sim
 from idastra.engine.run import run_parallel
@@ -13,7 +13,6 @@ __all__ = [
     "config_for_axis_value",
     "plan_clusters",
     "validate_config",
-    "anticipatory_check",
     "donate",
     "poll_target",
     "EngineReport",

@@ -1,7 +1,7 @@
 """Pure load-balancing primitives.
 
 These are the unit-testable pieces the engine composes: donation
-slicing, poll-target selection and the anticipatory trigger.
+slicing and poll-target selection.
 """
 
 import math
@@ -47,9 +47,3 @@ def poll_target(position, members, flip, rng, policy):
     else:
         target = members[(position - 1) % k]
     return target, not flip
-
-
-def anticipatory_check(open_size, trigger, outstanding):
-    """Fire a pre-emptive work request when the list is at or below the
-    trigger and no request is already out."""
-    return open_size <= trigger and not outstanding

@@ -26,7 +26,7 @@ from collections import deque
 
 from idastra.core import GOAL, make_root, path_to, serial_idastar
 from idastra.engine.config import plan_clusters, validate_config
-from idastra.engine.parts import anticipatory_check, donate, poll_target
+from idastra.engine.parts import donate, poll_target
 from idastra.engine.report import EngineReport, WorkerStats
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 
@@ -360,8 +360,9 @@ class _SimEngine:
         if live == 0:
             self._pass_complete(cl)
             return
-        if cl.can_balance and anticipatory_check(
-                len(open_), self._trigger, w.outstanding):
+        # ask for work before the list runs dry
+        if cl.can_balance and len(open_) <= self._trigger \
+                and not w.outstanding:
             self._request_work(w)
 
     def _request_work(self, w):

@@ -10,7 +10,7 @@ import math
 from dataclasses import asdict, astuple, dataclass, fields
 
 from idastra.core import _deepen
-from idastra.errors import DataError, DegenerateTrace, InsufficientData
+from idastra.errors import DataError, DegenerateTrace
 
 DEFAULT_BUDGET = 200000
 
@@ -151,33 +151,3 @@ def _heuristic_branching(trace, fallback):
     log_sum = sum(math.log(r) for r in ratios)
     return math.exp(log_sum / len(ratios))
 
-
-def stability_report(samples):
-    """Within- vs between-problem feature variation.
-
-    samples: one list of ProblemFeatures per problem, measured at
-    different lookahead budgets.  Returns {"within": {...}, "between":
-    {...}} mapping each feature to a standard deviation.
-    """
-    if len(samples) < 2:
-        raise InsufficientData("need at least 2 problems")
-    for group in samples:
-        if len(group) < 2:
-            raise InsufficientData("need at least 2 budget levels per problem")
-    within = {}
-    between = {}
-    for name in FEATURES:
-        per_problem_sd = []
-        per_problem_mean = []
-        for group in samples:
-            vals = [getattr(fs, name) for fs in group]
-            m = sum(vals) / len(vals)
-            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (len(vals) - 1))
-            per_problem_sd.append(sd)
-            per_problem_mean.append(m)
-        within[name] = sum(per_problem_sd) / len(per_problem_sd)
-        mm = sum(per_problem_mean) / len(per_problem_mean)
-        between[name] = math.sqrt(
-            sum((v - mm) ** 2 for v in per_problem_mean)
-            / (len(per_problem_mean) - 1))
-    return {"within": within, "between": between}

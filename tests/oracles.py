@@ -3,7 +3,8 @@
 Everything here is deliberately written from the domain contracts, not
 from the package's internals: a heap-based A*, a recursive bounded DFS
 with the same counting conventions, a from-scratch tree enumerator for
-the artificial space, and a table-free Manhattan distance.
+the artificial space, and a table-free Manhattan distance.  It also
+holds the feature stability report the acceptance gates read.
 """
 
 import heapq
@@ -12,6 +13,8 @@ import sys
 from fractions import Fraction
 
 from idastra import _kernels_py
+from idastra.errors import InsufficientData
+from idastra.features import FEATURES
 
 _TAG_ERROR = 1
 _TAG_GOAL = 2
@@ -298,6 +301,30 @@ def eq1_brute(P, b, d, x):
     return float(P * num / den + Fraction(1, 2 * b ** x))
 
 
+def ideal_dts_reference(P, b, d, a, ratio=None):
+    """Ideal DTS speedup by literal summation: one exact cost per
+    iteration and one exact share per processor (ratio None means
+    balanced shares), the owner found by walking the intervals."""
+    costs = [Fraction(sum(b ** i for i in range(1, j + 1)))
+             for j in range(1, d + 1)]
+    r = None if ratio is None else Fraction(ratio)
+    weights = [Fraction(1) if r is None else r ** i for i in range(P)]
+    shares = [w / sum(weights) for w in weights]
+    a = Fraction(a)
+    serial = sum(costs[:-1]) + a * costs[-1]
+    if serial == 0:
+        return 1.0
+    owner_left = 1 - shares[-1]
+    acc = Fraction(0)
+    for share in shares:
+        if a < acc + share:
+            owner_left = acc
+            break
+        acc += share
+    parallel = max(shares) * sum(costs[:-1]) + (a - owner_left) * costs[-1]
+    return float("inf") if parallel == 0 else float(serial / parallel)
+
+
 def spearman(xs, ys):
     """Spearman rank correlation with average ranks for ties."""
     def ranks(vals):
@@ -325,3 +352,34 @@ def spearman(xs, ys):
     if vx == 0 or vy == 0:
         return 0.0
     return cov / math.sqrt(vx * vy)
+
+
+def stability_report(samples):
+    """Within- vs between-problem feature variation.
+
+    samples: one list of ProblemFeatures per problem, measured at
+    different lookahead budgets.  Returns {"within": {...}, "between":
+    {...}} mapping each feature to a standard deviation.
+    """
+    if len(samples) < 2:
+        raise InsufficientData("need at least 2 problems")
+    for group in samples:
+        if len(group) < 2:
+            raise InsufficientData("need at least 2 budget levels per problem")
+    within = {}
+    between = {}
+    for name in FEATURES:
+        per_problem_sd = []
+        per_problem_mean = []
+        for group in samples:
+            vals = [getattr(fs, name) for fs in group]
+            m = sum(vals) / len(vals)
+            sd = math.sqrt(sum((v - m) ** 2 for v in vals) / (len(vals) - 1))
+            per_problem_sd.append(sd)
+            per_problem_mean.append(m)
+        within[name] = sum(per_problem_sd) / len(per_problem_sd)
+        mm = sum(per_problem_mean) / len(per_problem_mean)
+        between[name] = math.sqrt(
+            sum((v - mm) ** 2 for v in per_problem_mean)
+            / (len(per_problem_mean) - 1))
+    return {"within": within, "between": between}

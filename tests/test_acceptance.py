@@ -21,12 +21,11 @@ from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine.config import DEFAULT_CONFIG, validate_config
 from idastra.engine.run import run_parallel
-from idastra.features import (extract_features, shallow_search,
-                              stability_report)
+from idastra.features import extract_features, shallow_search
 from idastra.learner import (Dataset, TrainingCase, classify, cross_validate,
                              induce_tree, label_cases)
 from idastra.learner.dtree import tree_leaves
-from oracles import astar_cost, eq1_brute
+from oracles import astar_cost, eq1_brute, stability_report
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from idastra.analytics import (curve_table, dts_asymptote, dts_speedup_eq1,
+from idastra.analytics import (MAX_P, MAX_POWER_BITS, curve_table,
+                               dts_asymptote, dts_speedup_eq1,
                                fig6_crossover, pws_speedup_eq2,
                                simulate_ideal_dts)
 from idastra.errors import DomainError
-from oracles import eq1_brute
+from oracles import eq1_brute, ideal_dts_reference
 
 
 def test_eq1_hand_anchor():
@@ -172,6 +173,46 @@ def test_ideal_dts_balanced_shape(P, b, d, num):
     nxt = a + Fraction(1, 50)
     if int(a * P) == int(nxt * P) and nxt < 1:
         assert simulate_ideal_dts(P, b, d, nxt) <= value + 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=st.integers(1, 40), b=st.integers(2, 7), d=st.integers(1, 12),
+       den=st.sampled_from([1, 3, 7, 50, 100, 7 * 40]),
+       num=st.integers(0, 280),
+       ratio=st.sampled_from([None, 0.5, 0.1, 0.9, 0.999, 1e-5, 1 / 3]))
+@example(P=4, b=3, d=1, den=4, num=1, ratio=None)
+@example(P=3, b=2, d=1, den=1, num=1, ratio=0.5)
+@example(P=3, b=3, d=3, den=7, num=4, ratio=0.5)  # an imbalanced edge
+def test_ideal_dts_equals_the_literal_sums(P, b, d, den, num, ratio):
+    # the closed-form level sum and the owner found in one step or by
+    # bisection give the same exact rational as summing every level and
+    # walking every processor's interval, so the same float
+    a = Fraction(min(num, den), den)
+    balance = "Balanced" if ratio is None else "ExponentialImbalance"
+    assert simulate_ideal_dts(P, b, d, a, balance, ratio or 0.5) \
+        == ideal_dts_reference(P, b, d, a, ratio)
+
+
+def test_model_parameters_are_bounded():
+    # the largest accepted values finish; one past each is a DomainError
+    d = MAX_POWER_BITS // 2 - 1                 # b = 2: 2 bits per level
+    assert simulate_ideal_dts(MAX_P, 2, d, Fraction(1, 3)) > 1
+    assert simulate_ideal_dts(MAX_POWER_BITS // 2, 3, 8, Fraction(1, 3),
+                              "ExponentialImbalance", 0.5) > 1
+    assert dts_speedup_eq1(MAX_P, 2, 10 ** 20, 27) \
+        == dts_asymptote(MAX_P, 2, 27)
+    for call in (lambda: simulate_ideal_dts(MAX_P + 1, 2, 5, 0.5),
+                 lambda: simulate_ideal_dts(10, 2, d + 1, 0.5),
+                 lambda: simulate_ideal_dts(MAX_POWER_BITS // 2 + 1, 3, 8,
+                                            0.5, "ExponentialImbalance",
+                                            0.5),
+                 lambda: simulate_ideal_dts(4, 3, 8, 0.5,
+                                            "ExponentialImbalance",
+                                            float("nan")),
+                 lambda: dts_speedup_eq1(10, 6, 10 ** 20, 10 ** 12),
+                 lambda: dts_speedup_eq1(10, 6, 4, 10 ** 12)):
+        with pytest.raises(DomainError):
+            call()
 
 
 def test_fig6_crossover_is_a_tenth():

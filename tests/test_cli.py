@@ -87,6 +87,23 @@ def test_gen_rejects_b_over_256_and_writes_nothing(run_cli, tmp_path):
         assert not out_dir.exists()
 
 
+def test_a_depth_over_the_bound_is_a_data_error(run_cli, tmp_path):
+    # gen checks d before it writes anything, and solve before it builds
+    # the tree
+    code, out, err = run_cli(["gen", "--out", tmp_path / "deep",
+                              "--d", "4097"])
+    assert code == 2
+    assert "d must be in [1, 4096], got 4097" in err
+    assert out == "" and not (tmp_path / "deep").exists()
+    spec = tmp_path / "deep.spec"
+    spec.write_text("d = 4097\ng = 0.5\nb = 3\nimbalance = 0.0\n"
+                    "density = 0.0\nherror = 0\nseed = 1\n")
+    code, out, err = run_cli(["solve", "--instances", spec])
+    assert code == 2
+    assert err.count("error:") == 1 and "got 4097" in err
+    assert out == ""
+
+
 def test_gen_count_must_be_positive(run_cli, tmp_path):
     code, _out, _err = run_cli(["gen", "--out", str(tmp_path / "z"),
                                 "--count", 0])
@@ -117,8 +134,11 @@ def test_sweep_records_store_and_determinism(run_cli, tmp_path):
     rows = _read_csv(str(tmp_path / "records_a.csv"))
     assert len(rows) == 6
     assert list(rows[0]) == list(RECORD_FIELDS)
+    # one run per (instance, grid value), each recorded as rep 0
+    assert len({(r["instance"], r["approach"]) for r in rows}) == 6
     assert {r["approach"] for r in rows} \
         == {"clusters=1", "clusters=2", "clusters=4"}
+    assert all(r["rep"] == "0" for r in rows)
     assert all(r["status"] == "ok" for r in rows)
     assert all(r["mode"] == "sim" and r["timestamp"] == "-" for r in rows)
     costs = {r["instance"]: r["cost"] for r in rows}
@@ -126,6 +146,12 @@ def test_sweep_records_store_and_determinism(run_cli, tmp_path):
         iid = os.path.splitext(os.path.basename(f))[0]
         problem = ArtificialProblem(ArtificialSpec.from_file(f))
         assert int(costs[iid]) == serial_idastar(problem).cost
+
+    # a sim run is a pure function of its inputs, so there are no reps
+    code, _out, err = run_cli(["sweep", "--instances", *files,
+                               "--axis", "clusters", "--grid", "1,2",
+                               "--reps", 2, "--out", records])
+    assert code == 1 and "--reps" in err
 
 
 def test_sweep_append_warns_on_store_dupes(run_cli, tmp_path):
@@ -245,6 +271,7 @@ def _forbid_search(monkeypatch):
 
 BAD_RUN_FLAGS = ((["--latency", -1], "--latency must be >= 0"),
                  (["--workers", 0], "--workers must be >= 1"),
+                 (["--workers", 1025], "--workers must be <= 1024"),
                  (["--budget", 0], "--budget must be >= 1"),
                  (["--clusters", 0], "--clusters must be in 1..4"),
                  (["--clusters", 5], "--clusters must be in 1..4"))

@@ -1,0 +1,112 @@
+"""Every numeric flag of gen, curves and solve, at typed extremes, ends
+the command cleanly: in an exit code, at most one error line and no
+traceback, within a memory limit and a wall timeout.
+
+Run as a child process so that a hang or a memory blow-up is caught by
+the limits instead of taking the test run with it.  Tier-1 runs the
+examples below and a small fixed sample; the ci profile in
+tests/conftest.py runs a larger one."""
+
+import os
+import resource
+import subprocess
+import sys
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+# address space of the child process only, set by itself before exec
+MEMORY_LIMIT = 800 * 2 ** 20
+# the slowest input the bounds accept finishes in about 2 s on a 2-core
+# VM; the rest is headroom for a slower runner
+TIMEOUT_S = 20
+
+EXTREMES = ("0", "-1", "1", str(2 ** 63), str(10 ** 12), "1e400", "nan",
+            "inf", "")
+NUMERIC_FLAGS = {
+    "gen": ("--count", "--seed", "--d", "--g", "--b", "--imbalance",
+            "--density", "--herror"),
+    "curves": ("--workers", "--b", "--d", "--x", "--ratio", "--grid"),
+    "solve": ("--workers", "--clusters", "--latency", "--budget",
+              "--seed"),
+}
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+TINY_SPEC = ("d = 5\ng = 0.7\nb = 3\nimbalance = 0.0\ndensity = 0.0\n"
+             "herror = 2\nseed = 1\n")
+
+
+@st.composite
+def commands(draw):
+    name = draw(st.sampled_from(sorted(NUMERIC_FLAGS)))
+    argv = [name]
+    if name == "curves":
+        argv.append(draw(st.sampled_from(("eq1", "eq2", "fig5", "fig6"))))
+        argv += ["--balance", draw(st.sampled_from(
+            ("Balanced", "ExponentialImbalance")))]
+    for flag in draw(st.lists(st.sampled_from(NUMERIC_FLAGS[name]),
+                              unique=True, max_size=3)):
+        argv += [flag, draw(st.sampled_from(EXTREMES))]
+    return argv
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def _run(argv):
+    """Exit code and stderr of `python -m idastra argv`, which must end
+    within the timeout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-m", "idastra", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=TIMEOUT_S, preexec_fn=_limit_memory)
+    return proc.returncode, proc.stderr
+
+
+def _check_ended_cleanly(argv, code, err):
+    assert code in (0, 1, 2, 3), (argv, code, err[-400:])
+    assert "Traceback" not in err, (argv, err[-400:])
+    assert sum("error:" in line for line in err.splitlines()) <= 1, \
+        (argv, err)
+
+
+# the default profile's 100 examples would add about 20 s to tier-1:
+# take a fifth of the loaded profile's count
+@settings(max_examples=settings.default.max_examples // 5, deadline=None,
+          derandomize=True)
+@given(argv=commands())
+@example(argv=["curves", "eq1", "--x", "1000000000000", "--grid", "4"])
+@example(argv=["curves", "fig5", "--d", "100000000"])
+@example(argv=["curves", "fig5", "--b", "100000000000000000000000000000",
+               "--d", "3000"])
+@example(argv=["curves", "fig6", "--workers", "100000000"])
+@example(argv=["curves", "fig5", "--balance", "ExponentialImbalance",
+               "--ratio", "nan"])
+@example(argv=["curves", "eq1", "--grid", "4:1e400:1"])
+@example(argv=["curves", "eq2", "--grid", "0:1:1e-400"])
+@example(argv=["gen", "--count", "9223372036854775808"])
+@example(argv=["gen", "--d", "100000000"])
+@example(argv=["solve", "--budget", "2", "--workers", "9223372036854775808"])
+def test_numeric_flags_at_extremes_end_cleanly(argv, tmp_path_factory):
+    work = tmp_path_factory.mktemp("bounds")
+    out = work / "out"
+    name = argv[0]
+    if name == "solve":
+        spec = work / "tiny.spec"
+        spec.write_text(TINY_SPEC)
+        full = [*argv, "--instances", spec]
+    else:
+        full = [*argv, "--out", out]
+    full = [str(a) for a in full]
+    code, err = _run(full)
+    _check_ended_cleanly(full, code, err)
+    if code != 0:
+        # a rejected input writes nothing
+        assert not out.exists(), full
+    elif name == "gen":
+        # whatever spec gen writes, solve runs to an end
+        spec = str(out / "inst_0000.spec")
+        code, err = _run(["solve", "--instances", spec])
+        _check_ended_cleanly(["solve", spec], code, err)

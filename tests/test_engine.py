@@ -19,7 +19,7 @@ from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, plan_clusters,
                             run_parallel, run_sim, validate_config)
 from idastra.engine import threads
-from idastra.engine.parts import anticipatory_check, donate, poll_target
+from idastra.engine.parts import donate, poll_target
 from idastra.engine.sim import _Coordinator, _SimEngine
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
@@ -115,10 +115,28 @@ def test_polling_alone_in_cluster():
 
 
 def test_anticipatory_trigger():
-    assert anticipatory_check(0, 0, False)
-    assert anticipatory_check(2, 2, False)
-    assert not anticipatory_check(3, 2, False)
-    assert not anticipatory_check(0, 2, True)      # request already out
+    # the lead of a two-member KumarRao cluster expands the root, which
+    # leaves its three children on its list; it asks its neighbour for
+    # work when the list is at or below the trigger and it has no
+    # request out
+    problem = ArtificialProblem(_spec(d=4, b=3))
+    for trigger, outstanding, sent in ((3, False, 1),   # falls to it
+                                       (2, False, 0),   # stays above it
+                                       (3, True, 0)):   # a request is out
+        config = StrategyConfig(distribution="KumarRao",
+                                anticipation_trigger=trigger)
+        engine = _SimEngine(problem, config, 2, 1, 0)
+        cl = engine.clusters[0]
+        lead, other = cl.members
+        engine._grant_pending()
+        cl.threshold = 100              # keeps every child
+        lead.outstanding = outstanding
+        engine._step(lead)
+        assert len(lead.open) == 3
+        assert lead.stats.messages_sent == sent, (trigger, outstanding)
+        assert [kind for _due, _epoch, kind, _payload in other.inbox] \
+            == ["req"] * sent
+        assert lead.outstanding is (outstanding or sent == 1)
 
 
 # ------------------------------------------------ configuration planning

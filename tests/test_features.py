@@ -9,10 +9,9 @@ from idastra.domains.puzzle import PuzzleProblem, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.errors import DataError, DegenerateTrace, InsufficientData
 from idastra.features import (ProblemFeatures, ShallowTrace,
-                              extract_features, shallow_search,
-                              stability_report)
+                              extract_features, shallow_search)
 from idastra.ordering import OrderPolicy
-from oracles import SpaceModel, uniform_tree_size
+from oracles import SpaceModel, stability_report, uniform_tree_size
 
 
 def _spec(**kw):
