@@ -152,7 +152,15 @@ def simulate_ideal_dts(P, b, d, goal_pos, balance="Balanced", ratio=0.5):
     return float(serial / parallel)
 
 
-_MODELS = ("eq1", "eq2", "fig5", "fig6")
+def fmt(value):
+    """A number as every table and report prints it: 6 significant
+    digits.  A value past a float's range raises OverflowError."""
+    return f"{float(value):.6g}"
+
+
+# each model and the parameters its table prints on every row
+_MODELS = {"eq1": ("P", "b", "x"), "eq2": ("b",), "fig5": ("P", "b", "d"),
+           "fig6": ("P", "b", "d")}
 
 
 def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
@@ -162,15 +170,21 @@ def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
     model: eq1 sweeps d; eq2 sweeps goal position a; fig5 sweeps
     goal_pos through the ideal DTS simulator; fig6 sweeps goal_pos
     through both the simulator and Eq. 2.  Returns (header, rows) with
-    every value formatted to 6 significant digits.  A grid value, or a
-    model's value at it, outside a float's range is a DomainError.
+    every value formatted to 6 significant digits.  A printed parameter,
+    a grid value, or a model's value at it, outside a float's range is a
+    DomainError.
     """
     if model not in _MODELS:
-        raise DomainError(f"unknown model {model!r}; pick one of {_MODELS}")
-
-    def fmt(v):
-        return f"{float(v):.6g}"
-
+        raise DomainError(f"unknown model {model!r}; "
+                          f"pick one of {tuple(_MODELS)}")
+    params = {"P": P, "b": b, "d": d, "x": x}
+    shown = {}
+    for name in _MODELS[model]:
+        try:
+            shown[name] = fmt(params[name])
+        except OverflowError:
+            raise DomainError(f"{model}: {name} is out of float "
+                              "range") from None
     rows = []
     try:
         if model == "eq1":
@@ -179,26 +193,27 @@ def curve_table(model, grid, P=10, b=6, d=10, x=3, balance="Balanced",
                 if dv != int(dv):
                     raise DomainError(f"eq1 depth d must be an integer, "
                                       f"got {fmt(dv)}")
-                rows.append([fmt(P), fmt(b), fmt(x), fmt(dv),
+                rows.append([shown["P"], shown["b"], shown["x"], fmt(dv),
                              fmt(dts_speedup_eq1(P, b, int(dv), x))])
         elif model == "eq2":
             header = ["a", "b", "pws_eq2"]
             for a in grid:
-                rows.append([fmt(a), fmt(b), fmt(pws_speedup_eq2(a, b))])
+                rows.append([fmt(a), shown["b"],
+                             fmt(pws_speedup_eq2(a, b))])
         elif model == "fig5":
             header = ["goal_pos", "P", "b", "d", "dts_sim", "superlinear"]
             for a in grid:
                 s = simulate_ideal_dts(P, b, d, a, balance, ratio)
-                rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s),
-                             "1" if s > P else "0"])
+                rows.append([fmt(a), shown["P"], shown["b"], shown["d"],
+                             fmt(s), "1" if s > P else "0"])
         else:
             header = ["goal_pos", "P", "b", "d", "dts_sim", "pws_eq2",
                       "superlinear"]
             for a in grid:
                 s = simulate_ideal_dts(P, b, d, a, balance, ratio)
                 pws = float("inf") if a == 0 else pws_speedup_eq2(a, b)
-                rows.append([fmt(a), fmt(P), fmt(b), fmt(d), fmt(s),
-                             fmt(pws), "1" if s > P else "0"])
+                rows.append([fmt(a), shown["P"], shown["b"], shown["d"],
+                             fmt(s), fmt(pws), "1" if s > P else "0"])
     except OverflowError as exc:
         # every earlier grid value made a row
         raise DomainError(f"{model}: grid value {len(rows) + 1} is out of "

@@ -14,12 +14,14 @@ import argparse
 import csv
 import dataclasses
 import io
+import math
 import os
+import re
 import statistics
 import sys
 from fractions import Fraction
 
-from idastra.analytics import curve_table
+from idastra.analytics import MAX_POWER_BITS, curve_table, fmt
 from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import (SPEC_FIELDS, ArtificialProblem,
@@ -32,9 +34,10 @@ from idastra.errors import (DataError, DegenerateInput, EngineStall,
 from idastra.features import (DEFAULT_BUDGET, extract_features,
                               shallow_search)
 from idastra.learner import (Dataset, append_cases, classify,
-                             cross_validate, induce_tree, label_cases,
-                             load_tree, paired_t_test, read_store,
-                             save_tree, store_lines, variance_filter)
+                             coefficient_of_variation, cross_validate,
+                             induce_tree, label_cases, load_tree,
+                             paired_t_test, read_store, save_tree,
+                             store_lines, variance_filter)
 from idastra.learner.cases import end_cut_line
 from idastra.learner.dtree import tree_depth, tree_leaves
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
@@ -46,10 +49,6 @@ RECORD_FIELDS = ("instance", "approach", "config", "workers", "mode",
 
 def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
-
-
-def _fmt(value):
-    return f"{float(value):.6g}"
 
 
 def _load_instances(paths):
@@ -145,6 +144,13 @@ def _profile(problem, budget):
     return trace, extract_features(trace)
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _append_records(path, rows):
     # report skips the cut line that end_cut_line ends
     held = end_cut_line(path)
@@ -201,7 +207,7 @@ def _run_record(row, args, problem, trace, config, baselines):
     if config is None:
         row.update(config="solved-during-profiling",
                    cost=trace.goal_found[1],
-                   makespan=_fmt(trace.total_expanded), speedup=_fmt(1),
+                   makespan=fmt(trace.total_expanded), speedup=fmt(1),
                    total_expanded=trace.total_expanded, total_messages=0)
         return None
     config = _attach_toida(config, trace)
@@ -213,8 +219,8 @@ def _run_record(row, args, problem, trace, config, baselines):
     report = run_parallel(problem, config, args.workers, mode=args.mode,
                           latency=args.latency, seed=args.seed,
                           serial_outcome=baselines[key])
-    row.update(cost=report.solution_cost, makespan=_fmt(report.makespan),
-               speedup=_fmt(report.speedup),
+    row.update(cost=report.solution_cost, makespan=fmt(report.makespan),
+               speedup=fmt(report.speedup),
                total_expanded=report.total_expanded,
                total_messages=report.total_messages)
     return report
@@ -348,26 +354,23 @@ def cmd_train(args):
     errors = cross_validate(dataset, k=args.folds, seed=args.seed)
     tree = induce_tree(dataset)
     save_tree(args.out, tree)
+    rows = []
+    for method, folds in errors.items():
+        p_text = ""
+        if method != "tree":
+            try:
+                p_text = fmt(paired_t_test(folds, errors["tree"])[1])
+            except DegenerateInput:
+                pass
+        rows.append([method, fmt(statistics.fmean(folds)), p_text])
     eval_path = args.out + ".eval.csv"
-    with open(eval_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "mean_error", "p_vs_tree"])
-        for method, folds in errors.items():
-            if method == "tree":
-                p_text = ""
-            else:
-                try:
-                    _t, p = paired_t_test(folds, errors["tree"])
-                    p_text = _fmt(p)
-                except DegenerateInput:
-                    p_text = ""
-            writer.writerow([method, _fmt(statistics.fmean(folds)), p_text])
+    _write_csv(eval_path, ["method", "mean_error", "p_vs_tree"], rows)
 
     leaves = tree_leaves(tree)
     train_err = sum(leaf.errors for leaf in leaves) / len(dataset.cases)
     print(f"model: {args.out}")
     print(f"cases: {len(dataset.cases)}  leaves: {len(leaves)}  "
-          f"depth: {tree_depth(tree)}  training_error: {_fmt(train_err)}")
+          f"depth: {tree_depth(tree)}  training_error: {fmt(train_err)}")
     print(f"evaluation: {eval_path}")
     return 0
 
@@ -476,54 +479,42 @@ def cmd_report(args):
         try:
             speedup = float(row["speedup"])
         except ValueError:
+            speedup = math.nan
+        if not math.isfinite(speedup):
             raise DataError(f"{path}: instance {row['instance']}: speedup "
-                            f"{row['speedup']!r} is not a number") from None
+                            f"{row['speedup']!r} is not a finite number")
         by_cell.setdefault((row["instance"], row["approach"]),
                            []).append(speedup)
     if not by_cell:
         raise DataError("no usable run records")
-    cell_mean = {key: statistics.fmean(vals) for key, vals in by_cell.items()}
-
-    instances = sorted(set(inst for inst, _ in cell_mean))
-    approaches = sorted(set(app for _, app in cell_mean))
-    approach_means = {
-        app: statistics.fmean([cell_mean[(inst, app)]
-                               for inst in instances
-                               if (inst, app) in cell_mean])
-        for app in approaches
-    }
+    # sorted cells: each instance's in approach order, each approach's
+    # means in instance order
+    by_instance = {}
+    by_approach = {}
+    for (inst, app), speedups in sorted(by_cell.items()):
+        mean = statistics.fmean(speedups)
+        by_instance.setdefault(inst, []).append((app, mean))
+        by_approach.setdefault(app, []).append(mean)
+    approach_means = {app: statistics.fmean(by_approach[app])
+                      for app in sorted(by_approach)}
     best_mean = max(approach_means.values())
-    best_apps = {app for app, m in approach_means.items() if m == best_mean}
-
-    instance_cov = {}
-    for inst in instances:
-        vals = [cell_mean[(inst, app)] for app in approaches
-                if (inst, app) in cell_mean]
-        mean = statistics.fmean(vals)
-        if len(vals) >= 2 and mean > 0:
-            instance_cov[inst] = statistics.stdev(vals) / mean
-        else:
-            instance_cov[inst] = None
-
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance", "approach", "speedup", "instance_cov",
-                         "approach_mean_speedup", "best"])
-        for inst in instances:
-            for app in approaches:
-                if (inst, app) not in cell_mean:
-                    continue
-                cov = instance_cov[inst]
-                writer.writerow([
-                    inst, app, _fmt(cell_mean[(inst, app)]),
-                    "" if cov is None else _fmt(cov),
-                    _fmt(approach_means[app]),
-                    "1" if app in best_apps else "0",
-                ])
+    rows = []
+    for inst, cells in by_instance.items():
+        try:
+            cov = fmt(coefficient_of_variation(m for _app, m in cells))
+        except DataError:
+            # fewer than two approaches, or no positive mean
+            cov = ""
+        for app, mean in cells:
+            rows.append([inst, app, fmt(mean), cov,
+                         fmt(approach_means[app]),
+                         "1" if approach_means[app] == best_mean else "0"])
+    _write_csv(args.out, ["instance", "approach", "speedup", "instance_cov",
+                          "approach_mean_speedup", "best"], rows)
     print(f"wrote {args.out}")
-    for app in approaches:
-        marker = " (best)" if app in best_apps else ""
-        print(f"{app}: mean speedup {_fmt(approach_means[app])}{marker}")
+    for app, mean in approach_means.items():
+        marker = " (best)" if mean == best_mean else ""
+        print(f"{app}: mean speedup {fmt(mean)}{marker}")
     return 0
 
 
@@ -540,6 +531,22 @@ def _check_grid_size(count):
         raise UsageError(f"grid has more than {MAX_GRID_POINTS} points")
 
 
+# Fraction builds 10**exponent exactly, in time and memory that grow
+# with the exponent: a grid value whose power of ten would pass the
+# models' bound on exact powers, MAX_POWER_BITS bits (an exponent over
+# 19,728), is rejected before Fraction reads it
+MAX_EXPONENT = int(MAX_POWER_BITS * math.log10(2))
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
+def _grid_value(text):
+    match = _EXPONENT.search(text)
+    if match and abs(int(match[1])) > MAX_EXPONENT:
+        raise UsageError(f"grid value {text!r} has an exponent over "
+                         f"{MAX_EXPONENT}")
+    return Fraction(text)
+
+
 def _parse_grid(text):
     """Grid spec: comma list of values, or start:stop:step (inclusive),
     evaluated with exact rationals so 0:1:1/100 yields 101 points."""
@@ -549,7 +556,7 @@ def _parse_grid(text):
             raise UsageError(f"grid range needs start:stop:step, "
                              f"got {text!r}")
         try:
-            start, stop, step = (Fraction(p) for p in parts)
+            start, stop, step = (_grid_value(p) for p in parts)
         except (ValueError, ZeroDivisionError):
             raise UsageError(f"cannot parse grid range {text!r}") from None
         if step <= 0:
@@ -560,7 +567,7 @@ def _parse_grid(text):
     items = [p for p in text.split(",") if p]
     _check_grid_size(len(items))
     try:
-        return [Fraction(p) for p in items]
+        return [_grid_value(p) for p in items]
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"cannot parse grid {text!r}") from None
 
@@ -576,10 +583,7 @@ def cmd_curves(args):
     header, rows = curve_table(args.curve, grid, P=args.workers, b=args.b,
                                d=args.d, x=args.x, balance=args.balance,
                                ratio=args.ratio)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} row(s) to {args.out}")
     return 0
 

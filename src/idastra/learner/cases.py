@@ -31,6 +31,13 @@ def canonical_label_order(axis, labels):
     return sorted(labels, key=key)
 
 
+def _finite(kind, name, value):
+    value = float(value)
+    if not math.isfinite(value):
+        raise DataError(f"{kind} {name} is not finite: {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class TrainingCase:
     features: ProblemFeatures
@@ -50,16 +57,20 @@ class TrainingCase:
 
     @staticmethod
     def from_dict(obj):
-        """The case a store line's decoded JSON holds."""
+        """The case a store line's decoded JSON holds.  Every feature
+        and timing must be a finite number: json.loads reads Infinity
+        and NaN."""
         try:
             f = obj["features"]
             return TrainingCase(
-                features=ProblemFeatures(
-                    **{name: float(f[name]) for name in FEATURES}),
+                features=ProblemFeatures(**{
+                    name: _finite("feature", name, f[name])
+                    for name in FEATURES}),
                 architecture=obj["architecture"],
                 axis=obj["axis"],
                 label=obj["label"],
-                timings={k: float(v) for k, v in obj["timings"].items()},
+                timings={k: _finite("timing", repr(k), v)
+                         for k, v in obj["timings"].items()},
             )
         except KeyError as exc:
             raise DataError(f"store line missing field {exc}") from None

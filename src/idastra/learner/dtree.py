@@ -2,8 +2,10 @@
 
 Binary splits only: numeric features split on midpoint thresholds
 (<= goes left), the architecture tag splits on equality (== goes left).
-Split choice maximizes gain ratio; growth stops at purity or when no
-candidate has positive information gain.  No post-pruning.
+That rule lives in Split.goes_left alone: induction partitions cases
+through it and classify walks the tree through it.  Split choice
+maximizes gain ratio; growth stops at purity or when no candidate has
+positive information gain.  No post-pruning.
 """
 
 import math
@@ -13,7 +15,8 @@ from dataclasses import dataclass
 from idastra.errors import DataError, InsufficientData, read_text
 from idastra.features import FEATURES as NUMERIC_FEATURES
 
-CATEGORICAL_FEATURES = ("architecture",)
+# the one categorical feature: a case's machine architecture tag
+ARCHITECTURE = "architecture"
 
 
 @dataclass
@@ -34,11 +37,11 @@ class Split:
     def is_numeric(self):
         return self.feature in NUMERIC_FEATURES
 
-
-def _value(case, feature):
-    if feature == "architecture":
-        return case.architecture
-    return getattr(case.features, feature)
+    def goes_left(self, features, architecture):
+        """Whether an instance with these values takes the left branch."""
+        if self.is_numeric:
+            return getattr(features, self.feature) <= self.threshold
+        return architecture == self.threshold
 
 
 def _entropy(labels):
@@ -53,13 +56,9 @@ def _entropy(labels):
 
 
 def _majority(cases):
-    # Tie on count resolves to the label seen first in case order.
-    counts = Counter(c.label for c in cases)
-    best = max(counts.values())
-    for c in cases:
-        if counts[c.label] == best:
-            return c.label
-    raise AssertionError("unreachable")
+    # Tie on count resolves to the label seen first in case order:
+    # most_common(1) is a max over the counts in insertion order.
+    return Counter(c.label for c in cases).most_common(1)[0][0]
 
 
 def _make_leaf(cases):
@@ -83,23 +82,15 @@ def _split_score(cases, left, right, base_entropy):
     return gain / split_info
 
 
-def _candidates(cases, base_entropy):
+def _candidates(cases):
+    """Every split the cases admit, in tie-break order: each numeric
+    feature's midpoints ascending, then each architecture, sorted."""
     for feature in NUMERIC_FEATURES:
-        values = sorted(set(_value(c, feature) for c in cases))
+        values = sorted(set(getattr(c.features, feature) for c in cases))
         for lo, hi in zip(values, values[1:]):
-            threshold = (lo + hi) / 2.0
-            left = [c for c in cases if _value(c, feature) <= threshold]
-            right = [c for c in cases if _value(c, feature) > threshold]
-            score = _split_score(cases, left, right, base_entropy)
-            if score is not None:
-                yield score, feature, threshold, left, right
-    for feature in CATEGORICAL_FEATURES:
-        for value in sorted(set(_value(c, feature) for c in cases)):
-            left = [c for c in cases if _value(c, feature) == value]
-            right = [c for c in cases if _value(c, feature) != value]
-            score = _split_score(cases, left, right, base_entropy)
-            if score is not None:
-                yield score, feature, value, left, right
+            yield Split(feature, (lo + hi) / 2.0, None, None)
+    for architecture in sorted(set(c.architecture for c in cases)):
+        yield Split(ARCHITECTURE, architecture, None, None)
 
 
 def _grow(cases):
@@ -107,16 +98,21 @@ def _grow(cases):
         return _make_leaf(cases)
     base_entropy = _entropy([c.label for c in cases])
     best = None
-    for cand in _candidates(cases, base_entropy):
+    for split in _candidates(cases):
+        left, right = [], []
+        for c in cases:
+            (left if split.goes_left(c.features, c.architecture)
+             else right).append(c)
+        score = _split_score(cases, left, right, base_entropy)
         # Strict > keeps the earliest candidate on score ties, so the
         # tree is deterministic for a given case order.
-        if best is None or cand[0] > best[0]:
-            best = cand
+        if score is not None and (best is None or score > best[0]):
+            best = score, split, left, right
     if best is None:
         return _make_leaf(cases)
-    _score, feature, threshold, left, right = best
-    return Split(feature=feature, threshold=threshold,
-                 left=_grow(left), right=_grow(right))
+    _score, split, left, right = best
+    split.left, split.right = _grow(left), _grow(right)
+    return split
 
 
 def induce_tree(dataset):
@@ -132,11 +128,8 @@ def classify(tree, features, architecture):
     """Walk the tree for one instance; threshold boundaries go left."""
     node = tree
     while isinstance(node, Split):
-        if node.is_numeric:
-            value = getattr(features, node.feature)
-            node = node.left if value <= node.threshold else node.right
-        else:
-            node = node.left if architecture == node.threshold else node.right
+        node = (node.left if node.goes_left(features, architecture)
+                else node.right)
     return node.label
 
 
@@ -217,7 +210,7 @@ def tree_from_text(text):
                     raise DataError(f"model line {lineno}: bad threshold "
                                     f"{operand!r}") from None
             else:
-                if feature not in CATEGORICAL_FEATURES:
+                if feature != ARCHITECTURE:
                     raise DataError(
                         f"model line {lineno}: {feature} is not categorical")
                 threshold = operand

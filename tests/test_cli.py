@@ -16,7 +16,7 @@ from idastra.core import serial_idastar
 from idastra.domains.puzzle import PuzzleProblem, parse_korf_set
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
 from idastra.engine import StrategyConfig, run_parallel
-from idastra.features import shallow_search
+from idastra.features import ProblemFeatures, shallow_search
 from idastra.learner import TrainingCase
 from idastra.ordering import OrderPolicy, toida_scores_from_trace
 
@@ -459,6 +459,26 @@ def test_train_names_the_store_line_an_interrupted_sweep_cut(run_cli,
     assert f"cases: {cut} " in out
 
 
+def test_train_rejects_a_non_finite_timing(run_cli, tmp_path):
+    # json.loads reads Infinity; --filter takes each case's timing CoV
+    store = tmp_path / "cases.jsonl"
+    lines = [TrainingCase(ProblemFeatures(b=b, herror=1.0, imb=0.5,
+                                          loc=0.5, hbf=b),
+                          "sim-P4", "clusters", "1",
+                          {"1": 2.0, "2": 3.0}).to_json()
+             for b in (2.0, 3.0, 4.0, 5.0)]
+    lines[0] = lines[0].replace('"1": 2.0', '"1": Infinity')
+    store.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.tree"
+    code, _out, err = run_cli(["train", "--store", store, "--axis",
+                               "clusters", "--folds", 2, "--filter",
+                               "--out", model])
+    assert code == 2
+    assert err.splitlines() == [
+        f"error: {store}:1: timing '1' is not finite: inf"]
+    assert not model.exists()
+
+
 def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):
     _files, store = _sweep_store(run_cli, tmp_path)
     missing = tmp_path / "missing.jsonl"
@@ -752,20 +772,37 @@ def test_report_with_nothing_usable(run_cli, tmp_path):
     assert "missing columns ['timestamp']" in err
 
 
-def test_report_rejects_a_non_numeric_speedup(run_cli, tmp_path):
-    records = tmp_path / "records.csv"
-    with open(records, "w", newline="") as fh:
+def _one_record(path, speedup):
+    with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerow(dict.fromkeys(RECORD_FIELDS, "")
                         | {"instance": "inst_0007", "approach": "advised",
-                           "status": "ok", "speedup": "abc"})
+                           "status": "ok", "speedup": speedup})
+
+
+def test_report_rejects_a_non_numeric_speedup(run_cli, tmp_path):
+    records = tmp_path / "records.csv"
+    _one_record(records, "abc")
     code, _out, err = run_cli(["report", records,
                                "--out", tmp_path / "r.csv"])
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert str(records) in err and "inst_0007" in err and "'abc'" in err
+
+
+@pytest.mark.parametrize("speedup", ["inf", "1e400", "nan", "-inf"])
+def test_report_rejects_a_non_finite_speedup(run_cli, tmp_path, speedup):
+    records = tmp_path / "records.csv"
+    _one_record(records, speedup)
+    out_csv = tmp_path / "r.csv"
+    code, out, err = run_cli(["report", records, "--out", out_csv])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {records}: instance inst_0007: speedup {speedup!r} is "
+        "not a finite number"]
+    assert not out_csv.exists()
 
 
 def _cut_last_line_in_speedup(path):
@@ -879,6 +916,29 @@ def test_curves_overflow_is_one_error_line(run_cli, tmp_path, curve, grid):
         f"error: {curve}: grid value 1 is out of float range: "
         "integer division result too large for a float"]
     assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["eq2", "--b", str(10 ** 400), "--grid", "0.5"], "eq2: b"),
+    (["fig5", "--b", str(10 ** 400), "--d", "1"], "fig5: b"),
+    (["eq1", "--x", str(10 ** 400), "--grid", "4"], "eq1: x"),
+])
+def test_curves_names_a_parameter_out_of_float_range(run_cli, tmp_path,
+                                                     argv, name):
+    out_csv = tmp_path / "c.csv"
+    code, _out, err = run_cli(["curves", *argv, "--out", out_csv])
+    assert code == 1
+    assert err.splitlines() == [f"error: {name} is out of float range"]
+    assert not out_csv.exists()
+
+
+def test_curves_formats_only_the_parameters_it_prints(run_cli, tmp_path):
+    # eq2 neither prints nor reads x
+    out_csv = tmp_path / "c.csv"
+    code, _out, _err = run_cli(["curves", "eq2", "--x", str(10 ** 400),
+                                "--grid", "0.5", "--out", out_csv])
+    assert code == 0
+    assert out_csv.read_text() == "a,b,pws_eq2\n0.5,6,1.4\n"
 
 
 def test_curves_eq1_at_a_huge_depth_ends(tmp_path):

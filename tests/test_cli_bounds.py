@@ -1,12 +1,20 @@
-"""Every numeric flag of gen, curves and solve, at typed extremes, ends
-the command cleanly: in an exit code, at most one error line and no
+"""Every numeric flag of every subcommand, at typed extremes, ends the
+command cleanly: in an exit code, at most one error line and no
 traceback, within a memory limit and a wall timeout.
+
+The flags are read from build_parser(): every option whose type is int
+or float, or whose default reads as a number (gen's comma-list grids),
+and --grid.  A subcommand that reads files gets small valid ones: a tiny
+spec for sweep, advise and solve, a two-case store for train and a
+one-row records file for report.
 
 Run as a child process so that a hang or a memory blow-up is caught by
 the limits instead of taking the test run with it.  Tier-1 runs the
 examples below and a small fixed sample; the ci profile in
 tests/conftest.py runs a larger one."""
 
+import argparse
+import json
 import os
 import resource
 import subprocess
@@ -14,6 +22,8 @@ import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from idastra.cli import RECORD_FIELDS, build_parser
 
 # address space of the child process only, set by itself before exec
 MEMORY_LIMIT = 800 * 2 ** 20
@@ -23,17 +33,42 @@ TIMEOUT_S = 20
 
 EXTREMES = ("0", "-1", "1", str(2 ** 63), str(10 ** 12), "1e400", "nan",
             "inf", "")
-NUMERIC_FLAGS = {
-    "gen": ("--count", "--seed", "--d", "--g", "--b", "--imbalance",
-            "--density", "--herror"),
-    "curves": ("--workers", "--b", "--d", "--x", "--ratio", "--grid"),
-    "solve": ("--workers", "--clusters", "--latency", "--budget",
-              "--seed"),
-}
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
 TINY_SPEC = ("d = 5\ng = 0.7\nb = 3\nimbalance = 0.0\ndensity = 0.0\n"
              "herror = 2\nseed = 1\n")
+TWO_CASES = "".join(json.dumps({
+    "features": {"b": b, "herror": 1.0, "imb": 0.5, "loc": 0.5, "hbf": b},
+    "architecture": "sim-P4", "axis": "clusters", "label": label,
+    "timings": {"1": 2.0, "2": 3.0}}) + "\n"
+    for b, label in ((2.0, "1"), (4.0, "2")))
+ONE_RECORD = (",".join(RECORD_FIELDS) + "\n"
+              + ",".join({"instance": "inst_0000", "approach": "clusters=1",
+                          "status": "ok", "speedup": "1.5"}.get(f, "0")
+                         for f in RECORD_FIELDS) + "\n")
+
+
+def _is_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _numeric_flags():
+    """Each subcommand's numeric flags, as build_parser() declares them."""
+    parser = build_parser()
+    sub = next(action for action in parser._actions
+               if isinstance(action, argparse._SubParsersAction))
+    return {name: tuple(
+        action.option_strings[0] for action in subparser._actions
+        if action.type in (int, float) or "--grid" in action.option_strings
+        or isinstance(action.default, str) and _is_number(action.default))
+        for name, subparser in sub.choices.items()}
+
+
+NUMERIC_FLAGS = _numeric_flags()
 
 
 @st.composite
@@ -44,10 +79,35 @@ def commands(draw):
         argv.append(draw(st.sampled_from(("eq1", "eq2", "fig5", "fig6"))))
         argv += ["--balance", draw(st.sampled_from(
             ("Balanced", "ExponentialImbalance")))]
-    for flag in draw(st.lists(st.sampled_from(NUMERIC_FLAGS[name]),
-                              unique=True, max_size=3)):
+    flags = NUMERIC_FLAGS[name]
+    # report has no numeric flag: it runs on its records file alone
+    for flag in draw(st.lists(st.sampled_from(flags), unique=True,
+                              max_size=3)) if flags else ():
         argv += [flag, draw(st.sampled_from(EXTREMES))]
     return argv
+
+
+def _inputs(name, work):
+    """The arguments a subcommand needs besides the drawn flags, with the
+    files they name written into work.  The output, if any, is work/out;
+    sweep's --grid comes first, so that a drawn one overrides it."""
+    out = work / "out"
+    if name in ("sweep", "advise", "solve"):
+        spec = work / "tiny.spec"
+        spec.write_text(TINY_SPEC)
+        if name == "sweep":
+            return ["--grid", "1,2", "--instances", spec,
+                    "--axis", "clusters", "--out", out]
+        return ["--instances", spec]
+    if name == "train":
+        store = work / "cases.jsonl"
+        store.write_text(TWO_CASES)
+        return ["--store", store, "--axis", "clusters", "--out", out]
+    if name == "report":
+        records = work / "records.csv"
+        records.write_text(ONE_RECORD)
+        return [records, "--out", out]
+    return ["--out", out]
 
 
 def _limit_memory():
@@ -72,6 +132,19 @@ def _check_ended_cleanly(argv, code, err):
         (argv, err)
 
 
+def test_numeric_flags_cover_every_subcommand():
+    assert sorted(NUMERIC_FLAGS) == ["advise", "curves", "gen", "report",
+                                     "solve", "sweep", "train"]
+    assert NUMERIC_FLAGS["train"] == ("--folds", "--seed")
+    assert NUMERIC_FLAGS["report"] == ()
+    assert set(NUMERIC_FLAGS["sweep"]) == {
+        "--grid", "--workers", "--clusters", "--latency", "--budget",
+        "--seed"}
+    assert set(NUMERIC_FLAGS["gen"]) == {
+        "--count", "--seed", "--d", "--g", "--b", "--imbalance",
+        "--density", "--herror"}
+
+
 # the default profile's 100 examples would add about 20 s to tier-1:
 # take a fifth of the loaded profile's count
 @settings(max_examples=settings.default.max_examples // 5, deadline=None,
@@ -86,6 +159,9 @@ def _check_ended_cleanly(argv, code, err):
                "--ratio", "nan"])
 @example(argv=["curves", "eq1", "--grid", "4:1e400:1"])
 @example(argv=["curves", "eq2", "--grid", "0:1:1e-400"])
+@example(argv=["curves", "eq2", "--grid", "1e-99999999"])
+@example(argv=["curves", "eq1", "--grid", "1e99999999"])
+@example(argv=["curves", "eq2", "--grid", "1:2:1e-99999999"])
 @example(argv=["gen", "--count", "9223372036854775808"])
 @example(argv=["gen", "--d", "100000000"])
 @example(argv=["solve", "--budget", "2", "--workers", "9223372036854775808"])
@@ -93,13 +169,7 @@ def test_numeric_flags_at_extremes_end_cleanly(argv, tmp_path_factory):
     work = tmp_path_factory.mktemp("bounds")
     out = work / "out"
     name = argv[0]
-    if name == "solve":
-        spec = work / "tiny.spec"
-        spec.write_text(TINY_SPEC)
-        full = [*argv, "--instances", spec]
-    else:
-        full = [*argv, "--out", out]
-    full = [str(a) for a in full]
+    full = [str(a) for a in [*argv[:1], *_inputs(name, work), *argv[1:]]]
     code, err = _run(full)
     _check_ended_cleanly(full, code, err)
     if code != 0:

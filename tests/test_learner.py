@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idastra.errors import (DataError, DegenerateInput, InsufficientData)
-from idastra.features import ProblemFeatures
+from idastra.features import FEATURES, ProblemFeatures
 from idastra.learner import (Dataset, TrainingCase, append_cases,
                              classify, coefficient_of_variation,
                              cross_validate, induce_tree, label_cases,
@@ -178,6 +178,12 @@ def test_append_after_a_cut_store_line_starts_its_own_line(tmp_path,
 @pytest.mark.parametrize("fields, message", [
     ({"architecture": "sim-P4"}, "store line missing field 'features'"),
     ({"features": 3}, "bad store line"),
+    # json.loads reads Infinity and NaN
+    ({**json.loads(_case("1").to_json()), "timings": {"1": math.inf}},
+     "timing '1' is not finite: inf"),
+    ({**json.loads(_case("1").to_json()),
+      "features": {**_features().as_dict(), "imb": math.nan}},
+     "feature imb is not finite: nan"),
 ])
 def test_a_complete_store_line_with_bad_fields_is_an_error(tmp_path,
                                                           fields, message):
@@ -233,6 +239,33 @@ def test_architecture_equality_split():
     assert classify(tree, _features(), "sim-P16") == "B"
     assert classify(tree, _features(), "sim-P64") \
         in ("A", "B")                      # unseen goes to one side
+
+
+def test_goes_left_on_hand_built_splits():
+    numeric = Split("b", 3.0, None, None)
+    assert numeric.goes_left(_features(b=3.0), "sim-P4")
+    assert not numeric.goes_left(_features(b=3.0001), "sim-P4")
+    arch = Split("architecture", "sim-P4", None, None)
+    assert arch.goes_left(_features(), "sim-P4")
+    assert not arch.goes_left(_features(), "sim-P8")
+
+
+def test_gain_ratio_tie_picks_a_numeric_split_over_the_architecture():
+    # b <= 3 and architecture == sim-P16 split the cases alike
+    data = Dataset([_case("A", b=2.0, architecture="sim-P4"),
+                    _case("B", b=4.0, architecture="sim-P16")], "clusters")
+    tree = induce_tree(data)
+    assert (tree.feature, tree.threshold) == ("b", 3.0)
+
+
+def test_gain_ratio_tie_picks_the_feature_earlier_in_features():
+    # loc and hbf split the cases alike; hbf sorts first by name, loc
+    # comes first in FEATURES
+    assert FEATURES.index("loc") < FEATURES.index("hbf")
+    data = Dataset([_case("A", loc=0.2, hbf=2.0),
+                    _case("B", loc=0.8, hbf=4.0)], "clusters")
+    tree = induce_tree(data)
+    assert (tree.feature, tree.threshold) == ("loc", 0.5)
 
 
 def test_min_cases_is_a_node_level_stop():
