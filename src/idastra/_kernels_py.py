@@ -39,6 +39,15 @@ away from a possible goal, so a child at depth d gets h 0 with no goal
 test and no error draw; its key is still stepped, since a child is the
 state its path gives.  With density 0, a child at depth d is a goal
 only where it ends the goal path.
+
+Those leaf children under density > 0 take a path of their own.  Every
+one has h 0 and f = g + 1, so no distance is computed and no error
+stream read: when f is over the threshold each child's f goes to prune
+and the packed pass is skipped, since no key is read; otherwise the
+packed pass runs and each child is pushed with h 0.  The kernel tells
+them by off, the distance of a child off the goal path, being 0: with
+density > 0 it is the remaining depth, and with density 0 it is
+depth + d - 2 * shared, which is at least 2.
 """
 
 from idastra.core import GOAL
@@ -247,11 +256,22 @@ def synthetic_expand(node, threshold, push, prune, tables):
     # distances to the designated goal, on and off the goal path
     on = d - depth
     off = on if density_threshold > 0 else depth + d - 2 * shared
+    if not off and g > threshold:
+        # leaf children with density > 0: h 0 and f g for every child
+        for _i in indices:
+            prune(g)
+        return indices
     # every child's key in one pass, child j's in slot j
     z = (key * spread + add) & lanes
     z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
     z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
     z ^= z >> 31
+    if not off:
+        for i in indices:
+            push(((path + _BYTE[i], shared + (i == goal_next), z & _LANES),
+                  g, 0, i, node))
+            z >>= _SLOT
+        return indices
     for i in indices:
         ckey = z & _LANES
         z >>= _SLOT

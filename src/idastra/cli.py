@@ -348,7 +348,11 @@ def cmd_train(args):
                         f"{args.axis!r}")
     dataset = Dataset(cases=cases, axis=args.axis)
     if args.filter:
-        dataset = variance_filter(dataset)
+        try:
+            dataset = variance_filter(dataset)
+        except OverflowError:
+            raise DataError(f"{args.store}: timings sum past a float's "
+                            "range") from None
     # cross-validate first: a fold count the cases cannot fill writes
     # no model
     errors = cross_validate(dataset, k=args.folds, seed=args.seed)
@@ -469,6 +473,9 @@ def cmd_solve(args):
 
 def cmd_report(args):
     by_cell = {}
+    # the record files of each ("instance", name) and ("approach", name),
+    # in read order
+    files = {}
     for path, row in _read_records(args.records):
         if row["status"] != "ok":
             continue
@@ -485,23 +492,40 @@ def cmd_report(args):
                             f"{row['speedup']!r} is not a finite number")
         by_cell.setdefault((row["instance"], row["approach"]),
                            []).append(speedup)
+        for key in (("instance", row["instance"]),
+                    ("approach", row["approach"])):
+            files.setdefault(key, {})[path] = None
     if not by_cell:
         raise DataError("no usable run records")
+
+    def overflow(kind, name):
+        # finite speedups can still sum past a float's range
+        return DataError(f"{', '.join(files[kind, name])}: {kind} {name}: "
+                         "speedups sum past a float's range")
+
+    def mean_of(speedups, kind, name):
+        try:
+            return statistics.fmean(speedups)
+        except OverflowError:
+            raise overflow(kind, name) from None
+
     # sorted cells: each instance's in approach order, each approach's
     # means in instance order
     by_instance = {}
     by_approach = {}
     for (inst, app), speedups in sorted(by_cell.items()):
-        mean = statistics.fmean(speedups)
+        mean = mean_of(speedups, "instance", inst)
         by_instance.setdefault(inst, []).append((app, mean))
         by_approach.setdefault(app, []).append(mean)
-    approach_means = {app: statistics.fmean(by_approach[app])
+    approach_means = {app: mean_of(by_approach[app], "approach", app)
                       for app in sorted(by_approach)}
     best_mean = max(approach_means.values())
     rows = []
     for inst, cells in by_instance.items():
         try:
             cov = fmt(coefficient_of_variation(m for _app, m in cells))
+        except OverflowError:
+            raise overflow("instance", inst) from None
         except DataError:
             # fewer than two approaches, or no positive mean
             cov = ""

@@ -10,9 +10,12 @@ through the phases pending (waiting for a threshold), distributing (a
 BreadthFirst lead expanding the top of the tree level by level, until a
 level holds a node per member and is dealt out round-robin), searching,
 and done (it found a solution, or no threshold below the held cost is
-left for it).  A worker whose cluster is parked (pending or done) and
-has no message due is not stepped: the tick loop credits its idle tick
-directly.  Work messages are requests and donations (an empty donation
+left for it).  The tick loop visits only the awake clusters: a cluster
+wakes at its first grant, and a done cluster sleeps for good once no
+member has a message queued.  A worker of a done cluster with no message
+due is not stepped, and the members of pending and sleeping clusters are
+not visited: the tick loop credits their idle ticks directly, in bulk.
+Work messages are requests and donations (an empty donation
 is a refusal) and arrive message_latency_ticks after sending;
 coordination (threshold grants, pass reports, the held best solution)
 is centralised in the coordinator and modelled as instantaneous.
@@ -31,8 +34,6 @@ from idastra.engine.report import EngineReport, WorkerStats
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 
 _NO_PROGRESS_CAP = 20000
-# cluster phases whose workers have nothing to expand
-_PARKED = frozenset(("pending", "done"))
 
 
 class _Worker:
@@ -59,7 +60,7 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("members", "can_balance", "threshold", "epoch", "phase",
-                 "live_nodes", "level_left")
+                 "live_nodes", "level_left", "idle_from")
 
     def __init__(self, members, load_balancing):
         self.members = members
@@ -69,6 +70,15 @@ class _Cluster:
         self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
         self.level_left = 0             # distributing: level nodes unexpanded
+        # off the tick loop's awake list (pending or asleep): the first
+        # tick its members' idle ticks are owed from; None while awake
+        self.idle_from = 0
+
+    def credit_idle(self, end):
+        """Credit each member the idle ticks it is owed before tick end."""
+        owed = end - self.idle_from
+        for w in self.members:
+            w.stats.idle_ticks += owed
 
     def reset(self):
         """End the running pass: its in-flight work messages go stale
@@ -167,6 +177,10 @@ class _SimEngine:
         # the pool's size when a grant last found no candidate
         self.pending = deque(self.clusters)
         self.pool_when_refused = None
+        # the clusters the tick loop visits, in cluster order, and how
+        # many clusters have ever joined them
+        self.awake = []
+        self.joined = 0
 
         self._expand_node = problem.expand
         order = config.ordering
@@ -374,19 +388,49 @@ class _SimEngine:
     # -- main loop ----------------------------------------------------------
 
     def _tick(self):
-        """Step every worker once, in id order (clusters are contiguous
-        id blocks).  A worker of a parked cluster (pending or done) with
-        no message due is credited its idle tick unstepped: its step
-        would only count that tick."""
+        """Step every worker of the awake clusters once, in id order
+        (clusters are contiguous id blocks), and credit every other
+        worker its idle tick without a visit.
+
+        A cluster joins the awake list on the first tick after its first
+        grant, owed its idle ticks from tick 0; pending clusters are the
+        tail of the cluster list, so joining keeps the list in cluster
+        order.  A done cluster's worker with no message due is credited its idle
+        tick unstepped: its step would only drop stale messages, take an
+        empty donation or refuse a request, and it changes no phase and
+        accepts no solution.  Done is terminal and messages never cross
+        clusters, so once no member of a done cluster has a message
+        queued it sleeps: it leaves the list for good, owed its idle
+        ticks from this one.  When a step accepts a solution the run
+        ends inside this tick, and every cluster off the list is
+        credited through this tick if it comes before the accepting
+        cluster and through the last one if it comes after, as a visit
+        in id order would leave it.
+
+        The bulk crediting lives only here: an override of this loop, or
+        a driver that calls _step itself, steps every worker and counts
+        each idle tick as it steps."""
         tick = self.tick
+        awake = self.awake
+        clusters = self.clusters
+        granted = len(clusters) - len(self.pending)
+        while self.joined < granted:
+            cl = clusters[self.joined]
+            self.joined += 1
+            cl.credit_idle(tick)
+            cl.idle_from = None
+            awake.append(cl)
         coord = self.coord
         step = self._step
-        for cl in self.clusters:
-            if cl.phase in _PARKED:
-                # a parked worker's step only drops stale messages, takes
-                # an empty donation or refuses a request: it changes no
-                # phase and accepts no solution
-                for w in cl.members:
+        slept = False
+        for cl in awake:
+            if cl.phase == "done":
+                members = cl.members
+                if not any(w.inbox for w in members):
+                    cl.idle_from = tick
+                    slept = True
+                    continue
+                for w in members:
                     inbox = w.inbox
                     if inbox and inbox[0][0] <= tick:
                         step(w)
@@ -396,12 +440,25 @@ class _SimEngine:
             for w in cl.members:
                 step(w)
                 if coord.accepted is not None:
+                    self._credit_off_list(cl)
                     return
+        if slept:
+            awake[:] = [cl for cl in awake if cl.idle_from is None]
+
+    def _credit_off_list(self, accepting):
+        """Credit the clusters off the awake list up to the accepting
+        step: through this tick before the accepting cluster, through
+        the last one after it."""
+        first = accepting.members[0].wid
+        for cl in self.clusters:
+            if cl.idle_from is not None:
+                cl.credit_idle(self.tick + (cl.members[0].wid < first))
 
     def run(self):
         cap = max(100000, 50 * self.serial.total_expanded)
         while True:
-            self._grant_pending()
+            if self.pending:
+                self._grant_pending()
             self._tick()
             if self.coord.accepted is not None:
                 break

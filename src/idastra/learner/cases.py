@@ -115,7 +115,8 @@ def label_cases(timings, features, axis, architecture):
 
 
 def coefficient_of_variation(samples):
-    """Sample standard deviation over the mean."""
+    """Sample standard deviation over the mean.  Finite samples whose
+    sum or squared deviations pass a float's range raise OverflowError."""
     samples = list(samples)
     if len(samples) < 2:
         raise InsufficientData(

@@ -479,6 +479,28 @@ def test_train_rejects_a_non_finite_timing(run_cli, tmp_path):
     assert not model.exists()
 
 
+def test_train_rejects_timings_whose_sum_overflows(run_cli, tmp_path):
+    # every timing is finite, but --filter's CoV sums them for a mean
+    store = tmp_path / "cases.jsonl"
+    lines = [TrainingCase(ProblemFeatures(b=b, herror=1.0, imb=0.5,
+                                          loc=0.5, hbf=b),
+                          "sim-P4", "clusters", "1",
+                          {"1": 2.0, "2": 3.0, "3": 4.0}).to_json()
+             for b in (2.0, 3.0, 4.0, 5.0)]
+    lines[0] = lines[0].replace('"1": 2.0', '"1": 1.7e308') \
+        .replace('"3": 4.0', '"3": 1.7e308')
+    store.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.tree"
+    code, out, err = run_cli(["train", "--store", store, "--axis",
+                              "clusters", "--folds", 2, "--filter",
+                              "--out", model])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {store}: timings sum past a float's range"]
+    assert not model.exists()
+    assert not (tmp_path / "m.tree.eval.csv").exists()
+
+
 def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):
     _files, store = _sweep_store(run_cli, tmp_path)
     missing = tmp_path / "missing.jsonl"
@@ -802,6 +824,34 @@ def test_report_rejects_a_non_finite_speedup(run_cli, tmp_path, speedup):
     assert err.splitlines() == [
         f"error: {records}: instance inst_0007: speedup {speedup!r} is "
         "not a finite number"]
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("cells, where", [
+    # one cell's mean, an instance's CoV over its cell means, and an
+    # approach's mean over instances
+    ((("inst_0007", "advised"), ("inst_0007", "advised")),
+     "instance inst_0007"),
+    ((("inst_0007", "advised"), ("inst_0007", "clusters=4")),
+     "instance inst_0007"),
+    ((("inst_0007", "advised"), ("inst_0008", "advised")),
+     "approach advised")])
+def test_report_rejects_speedups_whose_sum_overflows(run_cli, tmp_path,
+                                                    cells, where):
+    records = tmp_path / "records.csv"
+    with open(records, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RECORD_FIELDS,
+                                lineterminator="\n")
+        writer.writeheader()
+        for inst, approach in cells:
+            writer.writerow(dict.fromkeys(RECORD_FIELDS, "")
+                            | {"instance": inst, "approach": approach,
+                               "status": "ok", "speedup": "1.7e308"})
+    out_csv = tmp_path / "r.csv"
+    code, out, err = run_cli(["report", records, "--out", out_csv])
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [
+        f"error: {records}: {where}: speedups sum past a float's range"]
     assert not out_csv.exists()
 
 

@@ -550,6 +550,36 @@ def test_report_accounting_invariants():
             == len(report.thresholds_granted)
 
 
+@settings(max_examples=200, deadline=None)
+@given(spec=st.builds(_spec, d=st.integers(3, 7), b=st.integers(2, 3),
+                      g=st.floats(0.0, 1.0), herror=st.integers(0, 3),
+                      density=st.sampled_from((0.0, 1e-9)),
+                      imbalance=st.sampled_from((0.0, 0.6)),
+                      seed=st.integers(0, 99)),
+       workers=st.integers(4, 16), latency=st.integers(0, 3),
+       distribution=st.sampled_from(("KumarRao", "BreadthFirst")),
+       polling=st.sampled_from(("Neighbor", "Random")), data=st.data())
+def test_every_worker_is_credited_each_tick_up_to_the_accepting_step(
+        spec, workers, latency, distribution, polling, data):
+    # a tick steps or credits every worker once, in id order, and the
+    # run ends inside the accepting step's tick: the workers before it
+    # account for makespan ticks and the rest for one fewer, whether
+    # their cluster was searching, pending, done or asleep
+    clusters = data.draw(st.integers(1, workers), label="clusters")
+    config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
+        .with_value("distribution", distribution) \
+        .with_value("polling", polling)
+    report = run_sim(ArtificialProblem(spec), config, workers,
+                     latency=latency)
+    makespan = int(report.makespan)
+    ticks = [w.nodes_expanded + w.idle_ticks for w in report.per_worker]
+    assert set(ticks) <= {makespan, makespan - 1}
+    at_makespan = ticks.count(makespan)
+    assert at_makespan >= 1
+    assert ticks == [makespan] * at_makespan \
+        + [makespan - 1] * (workers - at_makespan)
+
+
 def test_makespan_never_below_critical_path():
     # even infinite parallelism must wait for the accepted pass to finish
     spec = _spec(d=4, b=3, herror=2, seed=12)

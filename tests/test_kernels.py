@@ -200,3 +200,35 @@ def test_synthetic_expand_on_every_node_of_small_trees():
             stack.extend(children)
         # the designated goal path survives every depth limit
         assert goals >= 1, (d, b, density, imbalance, herror)
+
+
+def test_synthetic_expand_at_every_tight_threshold():
+    # every node of full small trees, expanded at each threshold from
+    # just below its own f to just above the deepest f: the children
+    # with f within the threshold are pushed, as built from scratch, and
+    # every other child's f goes to prune once, in walk order
+    for d, b, density, imbalance, herror in product(
+            range(1, 6), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
+            (0, 3)):
+        problem = ArtificialProblem(ArtificialSpec(
+            d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
+            density=density, herror=herror, seed=10 * d + b))
+        stack = [make_root(problem)]
+        while stack:
+            node = stack.pop()
+            path, g, h = node[0][0], node[1], node[2]
+            walked = []
+            want_ops = problem.expand(node, sys.maxsize, walked.append,
+                                      None)
+            for child in walked:
+                assert child[0] == problem.state_at(path + bytes((child[3],)))
+            for threshold in range(g + h - 1, d + 2):
+                pushed, pruned = [], []
+                ops = problem.expand(node, threshold, pushed.append,
+                                     pruned.append)
+                assert ops == want_ops
+                assert pushed == [c for c in walked
+                                  if c[1] + c[2] <= threshold]
+                assert pruned == [c[1] + c[2] for c in walked
+                                  if c[1] + c[2] > threshold]
+            stack.extend(walked)
