@@ -86,8 +86,8 @@ def _load_instances(paths):
     return instances
 
 
-# every worker has its own random generator and is stepped on every
-# tick of a run, whether its cluster has work for it or not
+# every worker holds its own random generator and stats, and threads
+# mode starts one OS thread per worker
 MAX_WORKERS = 1024
 
 
@@ -142,6 +142,20 @@ def _profile(problem, budget):
     if trace.goal_found is not None:
         return trace, None
     return trace, extract_features(trace)
+
+
+def _refuse_overwriting_inputs(outputs, inputs):
+    """Reject an output path that names one of the command's input
+    files, which writing it would destroy.  A path that does not exist
+    names no input."""
+    for out in outputs:
+        for path in inputs:
+            try:
+                same = os.path.samefile(out, path)
+            except OSError:
+                continue
+            if same:
+                raise UsageError(f"output {out} is the input file {path}")
 
 
 def _write_csv(path, header, rows):
@@ -304,6 +318,8 @@ def cmd_sweep(args):
     for path in (args.out, args.store):
         if path:
             open(path, "a").close()
+    if args.store:
+        _refuse_overwriting_inputs([args.out], [args.store])
     # the store is read once; append_cases keeps this set up to date
     stored = store_lines(args.store) if args.store else None
 
@@ -342,6 +358,8 @@ def cmd_train(args):
         raise UsageError(f"--axis must be one of {AXES}, got {args.axis!r}")
     if args.folds < 2:
         raise UsageError(f"--folds must be >= 2, got {args.folds}")
+    eval_path = args.out + ".eval.csv"
+    _refuse_overwriting_inputs([args.out, eval_path], [args.store])
     cases = read_store(args.store, axis=args.axis)
     if not cases:
         raise DataError(f"store {args.store} has no cases for axis "
@@ -367,7 +385,6 @@ def cmd_train(args):
             except DegenerateInput:
                 pass
         rows.append([method, fmt(statistics.fmean(folds)), p_text])
-    eval_path = args.out + ".eval.csv"
     _write_csv(eval_path, ["method", "mean_error", "p_vs_tree"], rows)
 
     leaves = tree_leaves(tree)
@@ -472,6 +489,7 @@ def cmd_solve(args):
 # ------------------------------------------------------------- report
 
 def cmd_report(args):
+    _refuse_overwriting_inputs([args.out], args.records)
     by_cell = {}
     # the record files of each ("instance", name) and ("approach", name),
     # in read order

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 class WorkerStats:
     nodes_expanded: int = 0
     nodes_generated: int = 0
+    # sim: the run's ticks without an expansion, read off the clock when
+    # it ends; threads: the idle polls, steps that expanded nothing
     idle_ticks: int = 0
     messages_sent: int = 0
 

@@ -14,7 +14,9 @@ left for it).  The tick loop visits only the awake clusters: a cluster
 wakes at its first grant, and a done cluster sleeps for good once no
 member has a message queued.  A worker of a done cluster with no message
 due is not stepped, and the members of pending and sleeping clusters are
-not visited: the tick loop credits their idle ticks directly, in bulk.
+not visited.  None of these skipped steps could expand a node, so a
+worker's idle ticks are read off the clock when the run ends: the ticks
+a visit in id order would have made, less its expansions.
 Work messages are requests and donations (an empty donation
 is a refusal) and arrive message_latency_ticks after sending;
 coordination (threshold grants, pass reports, the held best solution)
@@ -60,7 +62,7 @@ class _Worker:
 
 class _Cluster:
     __slots__ = ("members", "can_balance", "threshold", "epoch", "phase",
-                 "live_nodes", "level_left", "idle_from")
+                 "live_nodes", "level_left")
 
     def __init__(self, members, load_balancing):
         self.members = members
@@ -70,15 +72,6 @@ class _Cluster:
         self.phase = "pending"   # pending|distributing|searching|done
         self.live_nodes = 0
         self.level_left = 0             # distributing: level nodes unexpanded
-        # off the tick loop's awake list (pending or asleep): the first
-        # tick its members' idle ticks are owed from; None while awake
-        self.idle_from = 0
-
-    def credit_idle(self, end):
-        """Credit each member the idle ticks it is owed before tick end."""
-        owed = end - self.idle_from
-        for w in self.members:
-            w.stats.idle_ticks += owed
 
     def reset(self):
         """End the running pass: its in-flight work messages go stale
@@ -177,10 +170,8 @@ class _SimEngine:
         # the pool's size when a grant last found no candidate
         self.pending = deque(self.clusters)
         self.pool_when_refused = None
-        # the clusters the tick loop visits, in cluster order, and how
-        # many clusters have ever joined them
+        # the clusters the tick loop visits, in cluster order
         self.awake = []
-        self.joined = 0
 
         self._expand_node = problem.expand
         order = config.ordering
@@ -266,7 +257,8 @@ class _SimEngine:
     def _grant_pending(self):
         """Grant the never-granted clusters thresholds, in cluster order.
         A cluster is pending only until its first grant, so the pending
-        ones are the tail of the cluster list that self.pending holds.
+        ones are the tail of the cluster list that self.pending holds,
+        and each joins the end of the awake list at its grant.
         Grants, completed passes and a held solution only rule candidates
         out, so once no candidate is left a new one can come only with a
         new pool value: until then the pending clusters go unasked."""
@@ -281,7 +273,9 @@ class _SimEngine:
                 # nor is there one for a later cluster
                 self.pool_when_refused = len(pool)
                 return
-            self._start_pass(pending.popleft(), v)
+            cl = pending.popleft()
+            self._start_pass(cl, v)
+            self.awake.append(cl)
 
     def _pass_complete(self, cl):
         # every pruned f joins the pool, and a pass that pruned nothing
@@ -333,7 +327,6 @@ class _SimEngine:
         if open_:
             node = open_.popleft()
         else:
-            w.stats.idle_ticks += 1
             if cl.phase == "searching" and cl.can_balance \
                     and not w.outstanding:
                 self._request_work(w)
@@ -389,37 +382,18 @@ class _SimEngine:
 
     def _tick(self):
         """Step every worker of the awake clusters once, in id order
-        (clusters are contiguous id blocks), and credit every other
-        worker its idle tick without a visit.
+        (clusters are contiguous id blocks), and return the worker whose
+        step accepted a solution, or None.
 
-        A cluster joins the awake list on the first tick after its first
-        grant, owed its idle ticks from tick 0; pending clusters are the
-        tail of the cluster list, so joining keeps the list in cluster
-        order.  A done cluster's worker with no message due is credited its idle
-        tick unstepped: its step would only drop stale messages, take an
-        empty donation or refuse a request, and it changes no phase and
-        accepts no solution.  Done is terminal and messages never cross
+        A cluster is on the awake list from its first grant.  A done
+        cluster's worker with no message due is not stepped: its step
+        would only drop stale messages, take an empty donation or refuse
+        a request, and it expands nothing, changes no phase and accepts
+        no solution.  Done is terminal and messages never cross
         clusters, so once no member of a done cluster has a message
-        queued it sleeps: it leaves the list for good, owed its idle
-        ticks from this one.  When a step accepts a solution the run
-        ends inside this tick, and every cluster off the list is
-        credited through this tick if it comes before the accepting
-        cluster and through the last one if it comes after, as a visit
-        in id order would leave it.
-
-        The bulk crediting lives only here: an override of this loop, or
-        a driver that calls _step itself, steps every worker and counts
-        each idle tick as it steps."""
+        queued it sleeps: it leaves the list for good."""
         tick = self.tick
         awake = self.awake
-        clusters = self.clusters
-        granted = len(clusters) - len(self.pending)
-        while self.joined < granted:
-            cl = clusters[self.joined]
-            self.joined += 1
-            cl.credit_idle(tick)
-            cl.idle_from = None
-            awake.append(cl)
         coord = self.coord
         step = self._step
         slept = False
@@ -427,40 +401,29 @@ class _SimEngine:
             if cl.phase == "done":
                 members = cl.members
                 if not any(w.inbox for w in members):
-                    cl.idle_from = tick
                     slept = True
                     continue
                 for w in members:
                     inbox = w.inbox
                     if inbox and inbox[0][0] <= tick:
                         step(w)
-                    else:
-                        w.stats.idle_ticks += 1
                 continue
             for w in cl.members:
                 step(w)
                 if coord.accepted is not None:
-                    self._credit_off_list(cl)
-                    return
+                    return w
         if slept:
-            awake[:] = [cl for cl in awake if cl.idle_from is None]
-
-    def _credit_off_list(self, accepting):
-        """Credit the clusters off the awake list up to the accepting
-        step: through this tick before the accepting cluster, through
-        the last one after it."""
-        first = accepting.members[0].wid
-        for cl in self.clusters:
-            if cl.idle_from is not None:
-                cl.credit_idle(self.tick + (cl.members[0].wid < first))
+            awake[:] = [cl for cl in awake if cl.phase != "done"
+                        or any(w.inbox for w in cl.members)]
+        return None
 
     def run(self):
         cap = max(100000, 50 * self.serial.total_expanded)
         while True:
             if self.pending:
                 self._grant_pending()
-            self._tick()
-            if self.coord.accepted is not None:
+            accepting = self._tick()
+            if accepting is not None:
                 break
             self.tick += 1
             if self.tick > cap or \
@@ -469,6 +432,12 @@ class _SimEngine:
                     f"no acceptance after {self.tick} ticks "
                     f"(last progress at tick {self.last_progress})")
         makespan = self.tick + 1
+        # a tick would visit every worker once, in id order, and the run
+        # ends inside the accepting step: a worker's idle ticks are its
+        # visits less its expansions
+        for w in self.workers:
+            w.stats.idle_ticks = (makespan - (w.wid > accepting.wid)
+                                  - w.stats.nodes_expanded)
         return self._finish(float(makespan),
                             self.serial.total_expanded / makespan, "sim")
 

@@ -10,9 +10,10 @@ protocol against a genuinely concurrent schedule, not parallel speed.
 Lock discipline: one engine lock.  A worker thread holds it for each
 check-grant-and-step: it reads `coord.accepted` and stops if a solution
 is accepted, and otherwise runs `_grant_pending` then `_step` of its own
-worker.  Nothing else touches engine state until every worker thread is
-joined; only then does the calling thread read the engine to build the
-report.  A step that exhausts the space raises SpaceExhausted in its
+worker, counting a step that expands nothing as an idle poll in the
+worker's `idle_ticks`.  Nothing else touches engine state until every
+worker thread is joined; only then does the calling thread read the
+engine to build the report.  A step that exhausts the space raises SpaceExhausted in its
 worker thread, which stops the run and re-raises it in the caller.
 Messages are delivered at the recipient's next step (latency 0):
 run_parallel's `latency` (the CLI's `--latency`) applies to "sim" only.
@@ -53,6 +54,8 @@ def run_threads(problem, config, workers, seed=0, serial_outcome=None):
                     engine._grant_pending()
                     engine._step(w)
                     busy = w.stats.nodes_expanded != before
+                    if not busy:
+                        w.stats.idle_ticks += 1
                 if not busy:
                     time.sleep(_IDLE_SLEEP)
         except Exception as exc:        # surface worker crashes to the caller

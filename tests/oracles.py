@@ -3,8 +3,10 @@
 Everything here is deliberately written from the domain contracts, not
 from the package's internals: a heap-based A*, a recursive bounded DFS
 with the same counting conventions, a from-scratch tree enumerator for
-the artificial space, and a table-free Manhattan distance.  It also
-holds the feature stability report the acceptance gates read.
+the artificial space, and a table-free Manhattan distance.  The one
+exception is the plain-loop sim engine, which keeps the worker protocol
+and drops the tick loop's shortcuts.  It also holds the feature
+stability report the acceptance gates read.
 """
 
 import heapq
@@ -13,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from idastra import _kernels_py
+from idastra.engine.sim import _SimEngine
 from idastra.errors import InsufficientData
 from idastra.features import FEATURES
 
@@ -157,6 +160,35 @@ def ida_reference(problem, order=None):
         if min_exceed is None:
             return None, None, thresholds, per_pass, total
         threshold = min_exceed
+
+
+# ------------------------------------------------------ sim engine
+
+class PlainLoopSim(_SimEngine):
+    """The sim engine's tick loop in its plainest form: no awake list,
+    every worker stepped every tick in id order, and each step that
+    expands nothing counted as an idle tick of its worker.  The report
+    carries these counts in place of the ones run_sim reads off the
+    clock."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.idle_counted = [0] * len(self.workers)
+
+    def _tick(self):
+        for w in self.workers:
+            before = w.stats.nodes_expanded
+            self._step(w)
+            if w.stats.nodes_expanded == before:
+                self.idle_counted[w.wid] += 1
+            if self.coord.accepted is not None:
+                return w
+        return None
+
+    def _finish(self, makespan, speedup, mode):
+        for w, idle in zip(self.workers, self.idle_counted):
+            w.stats.idle_ticks = idle
+        return super()._finish(makespan, speedup, mode)
 
 
 # ------------------------------------------------- artificial space

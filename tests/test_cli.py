@@ -217,6 +217,26 @@ def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,
         assert out_text == ""
 
 
+def test_sweep_refuses_one_file_for_records_and_store(run_cli, tmp_path,
+                                                      monkeypatch):
+    # records and cases interleaved in one file would each be skipped as
+    # cut lines by the other's reader
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    _forbid_search(monkeypatch)
+    store = tmp_path / "cases.jsonl"
+    store.write_text('{"kept": "as it was"}\n')
+    before = store.read_bytes()
+    code, out, err = run_cli(["sweep", "--instances", *files,
+                              "--axis", "clusters", "--grid", "1",
+                              "--out", tmp_path / "." / "cases.jsonl",
+                              "--store", store])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: output {tmp_path / '.' / 'cases.jsonl'} is the input "
+        f"file {store}"]
+    assert store.read_bytes() == before
+
+
 def test_sweep_rejects_unknown_axis(run_cli, tmp_path):
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)
     code, _out, _err = run_cli(["sweep", "--instances", *files,
@@ -519,6 +539,25 @@ def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):
         assert "Traceback" not in err
         assert not model.exists()
         assert not os.path.exists(f"{model}.eval.csv")
+
+
+def test_train_refuses_to_overwrite_its_store(run_cli, tmp_path):
+    _sweep_store(run_cli, tmp_path)
+    store = tmp_path / "cases.jsonl"
+    before = store.read_bytes()
+    # the model path itself, and the evaluation file written beside it
+    evaluated = tmp_path / "m.eval.csv"
+    evaluated.write_bytes(before)
+    for store_path, model in ((store, store),
+                              (evaluated, tmp_path / "m")):
+        code, out, err = run_cli(["train", "--store", store_path,
+                                  "--axis", "clusters", "--folds", 2,
+                                  "--out", model])
+        assert (code, out) == (1, ""), model
+        assert err.splitlines() == [
+            f"error: output {store_path} is the input file {store_path}"]
+        assert store_path.read_bytes() == before
+    assert not (tmp_path / "m").exists()
 
 
 def test_advise_default_config_without_models(run_cli, tmp_path):
@@ -853,6 +892,20 @@ def test_report_rejects_speedups_whose_sum_overflows(run_cli, tmp_path,
     assert err.splitlines() == [
         f"error: {records}: {where}: speedups sum past a float's range"]
     assert not out_csv.exists()
+
+
+def test_report_refuses_to_overwrite_a_records_file(run_cli, tmp_path):
+    first = tmp_path / "first.csv"
+    records = tmp_path / "records.csv"
+    _one_record(first, "1.5")
+    _one_record(records, "2.5")
+    before = records.read_bytes()
+    same = tmp_path / "." / "records.csv"
+    code, out, err = run_cli(["report", first, records, "--out", same])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: output {same} is the input file {records}"]
+    assert records.read_bytes() == before
 
 
 def _cut_last_line_in_speedup(path):

@@ -23,7 +23,7 @@ from idastra.engine.parts import donate, poll_target
 from idastra.engine.sim import _Coordinator, _SimEngine
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
-from oracles import astar_cost, expand_all
+from oracles import PlainLoopSim, astar_cost, expand_all
 from test_core import NoGoalProblem
 
 
@@ -559,25 +559,62 @@ def test_report_accounting_invariants():
        workers=st.integers(4, 16), latency=st.integers(0, 3),
        distribution=st.sampled_from(("KumarRao", "BreadthFirst")),
        polling=st.sampled_from(("Neighbor", "Random")), data=st.data())
-def test_every_worker_is_credited_each_tick_up_to_the_accepting_step(
+def test_sim_report_equals_the_plain_tick_loop(
         spec, workers, latency, distribution, polling, data):
-    # a tick steps or credits every worker once, in id order, and the
-    # run ends inside the accepting step's tick: the workers before it
-    # account for makespan ticks and the rest for one fewer, whether
-    # their cluster was searching, pending, done or asleep
+    # the awake list skips only steps that expand nothing, and idle
+    # ticks are read off the clock: the report equals, field for field,
+    # that of a loop stepping every worker every tick and counting idle
+    # per step
     clusters = data.draw(st.integers(1, workers), label="clusters")
     config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
         .with_value("distribution", distribution) \
         .with_value("polling", polling)
-    report = run_sim(ArtificialProblem(spec), config, workers,
-                     latency=latency)
-    makespan = int(report.makespan)
-    ticks = [w.nodes_expanded + w.idle_ticks for w in report.per_worker]
+    problem = ArtificialProblem(spec)
+    serial = serial_idastar(problem)
+    report = run_sim(problem, config, workers, latency=latency,
+                     serial_outcome=serial)
+    plain = PlainLoopSim(problem, config, workers, latency, 0,
+                         serial).run()
+    assert report == plain
+    # the plain loop ends inside the accepting step's tick: the workers
+    # before it make makespan steps and the rest one fewer, whether
+    # their cluster was searching, pending or done
+    makespan = int(plain.makespan)
+    ticks = [w.nodes_expanded + w.idle_ticks for w in plain.per_worker]
     assert set(ticks) <= {makespan, makespan - 1}
     at_makespan = ticks.count(makespan)
     assert at_makespan >= 1
     assert ticks == [makespan] * at_makespan \
         + [makespan - 1] * (workers - at_makespan)
+
+
+@pytest.mark.parametrize("spec, workers, clusters, distribution", [
+    (_spec(d=6, g=0.7, density=0.05, herror=4, seed=146), 10, 7,
+     "BreadthFirst"),
+    (_spec(d=6, g=0.9, imbalance=0.6, density=0.05, herror=3, seed=314), 9,
+     4, "KumarRao")])
+def test_a_done_cluster_refuses_due_requests_as_the_plain_loop_does(
+        spec, workers, clusters, distribution):
+    # rare on the drawn trees: a cluster completes a pass and goes done
+    # with requests among its members in flight, and its members refuse
+    # them on later ticks, each refusal a message sent
+    config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
+        .with_value("distribution", distribution) \
+        .with_value("polling", "Random")
+    problem = ArtificialProblem(spec)
+    refused = []
+    original = _SimEngine._answer_request
+
+    def recording(self, donor, requester):
+        if donor.cluster.phase == "done":
+            refused.append(self.tick)
+        original(self, donor, requester)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SimEngine, "_answer_request", recording)
+        report = run_sim(problem, config, workers, latency=2)
+    assert refused
+    assert report == PlainLoopSim(problem, config, workers, 2, 0).run()
 
 
 def test_makespan_never_below_critical_path():
@@ -840,7 +877,8 @@ class _ShuffledTicks(_SimEngine):
         for w in workers:
             self._step(w)
             if self.coord.accepted is not None:
-                return
+                return w
+        return None
 
 
 @settings(max_examples=300, deadline=None)
