@@ -13,6 +13,7 @@ that cannot be read or written), 3 engine stall.
 import argparse
 import csv
 import dataclasses
+import errno
 import io
 import math
 import os
@@ -30,7 +31,7 @@ from idastra.engine import (AXES, DEFAULT_CONFIG, StrategyConfig,
                             config_for_axis_value, run_parallel,
                             validate_config)
 from idastra.errors import (DataError, DegenerateInput, EngineStall,
-                            IdastraError, UsageError, read_text)
+                            IdastraError, UsageError, parse_file, read_text)
 from idastra.features import (DEFAULT_BUDGET, extract_features,
                               shallow_search)
 from idastra.learner import (Dataset, append_cases, classify,
@@ -51,13 +52,9 @@ def _warn(msg):
     print(f"warning: {msg}", file=sys.stderr)
 
 
-def _load_instances(paths):
-    """Expand instance arguments into (id, problem) pairs.
-
-    Directories contribute their sorted *.spec files.  A .spec file is
-    one artificial instance; any other file is a puzzle set, one
-    instance per line.
-    """
+def _instance_files(paths):
+    """Expand instance arguments into files: a directory contributes its
+    sorted *.spec files."""
     files = []
     for path in paths:
         if os.path.isdir(path):
@@ -71,6 +68,13 @@ def _load_instances(paths):
             files.append(path)
         else:
             raise DataError(f"no such instance file: {path}")
+    return files
+
+
+def _load_instances(files):
+    """(id, problem) pairs from instance files.  A .spec file is one
+    artificial instance; any other file is a puzzle set, one instance
+    per line."""
     instances = []
     for path in files:
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -78,7 +82,7 @@ def _load_instances(paths):
             spec = ArtificialSpec.from_file(path)
             instances.append((stem, ArtificialProblem(spec)))
         else:
-            states = parse_korf_set(read_text(path))
+            states = parse_file(path, parse_korf_set)
             if not states:
                 raise DataError(f"no instances in {path}")
             for i, state in enumerate(states, start=1):
@@ -144,18 +148,26 @@ def _profile(problem, budget):
     return trace, extract_features(trace)
 
 
-def _refuse_overwriting_inputs(outputs, inputs):
-    """Reject an output path that names one of the command's input
-    files, which writing it would destroy.  A path that does not exist
-    names no input."""
-    for out in outputs:
-        for path in inputs:
-            try:
-                same = os.path.samefile(out, path)
-            except OSError:
-                continue
-            if same:
-                raise UsageError(f"output {out} is the input file {path}")
+def _check_files(inputs, outputs):
+    """Before a command runs: each output's directory must exist, and no
+    output may be an input file of another flag, which writing it would
+    destroy.  inputs and outputs map each file flag to its paths (None
+    for a flag not given); sweep's --store is read, then appended to."""
+    for flag, outs in outputs.items():
+        others = [path for name, paths in inputs.items() if name != flag
+                  for path in paths if path]
+        for out in filter(None, outs):
+            if not os.path.isdir(os.path.dirname(out) or "."):
+                raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+            if os.path.isdir(out):
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+            for path in others:
+                try:
+                    same = os.path.samefile(out, path)
+                except OSError:     # a file not made yet
+                    same = os.path.realpath(out) == os.path.realpath(path)
+                if same:
+                    raise UsageError(f"output {out} is the input file {path}")
 
 
 def _write_csv(path, header, rows):
@@ -314,12 +326,6 @@ def cmd_sweep(args):
         base = base.with_value("clusters", str(args.clusters))
     _warn_threads_mode(args)
     arch = _architecture(args)
-    # open both outputs before any search, so a bad path fails first
-    for path in (args.out, args.store):
-        if path:
-            open(path, "a").close()
-    if args.store:
-        _refuse_overwriting_inputs([args.out], [args.store])
     # the store is read once; append_cases keeps this set up to date
     stored = store_lines(args.store) if args.store else None
 
@@ -359,7 +365,6 @@ def cmd_train(args):
     if args.folds < 2:
         raise UsageError(f"--folds must be >= 2, got {args.folds}")
     eval_path = args.out + ".eval.csv"
-    _refuse_overwriting_inputs([args.out, eval_path], [args.store])
     cases = read_store(args.store, axis=args.axis)
     if not cases:
         raise DataError(f"store {args.store} has no cases for axis "
@@ -412,11 +417,9 @@ def _parse_models(entries):
 
 
 def _advise(args):
-    """Profile one instance and compose a strategy recommendation.
-
-    Returns (instance id, problem, trace, features, config); features
-    and config are None when profiling already solved the instance.
-    """
+    """Profile one instance, compose a strategy recommendation and print
+    it.  Returns (instance id, problem, trace, config); config is None
+    when profiling already solved the instance."""
     instances = _load_instances(args.instances)
     if len(instances) != 1:
         raise UsageError(f"expected exactly one instance, got "
@@ -432,7 +435,10 @@ def _advise(args):
 
     trace, features = _profile(problem, args.budget)
     if features is None:
-        return iid, problem, trace, None, None
+        path, cost = trace.goal_found
+        print(f"instance: {iid}\nsolved-during-profiling\ncost: {cost}")
+        print("path: " + " ".join(str(op) for op in path))
+        return iid, problem, trace, None
     arch = _architecture(args)
 
     config = DEFAULT_CONFIG
@@ -447,31 +453,19 @@ def _advise(args):
                 axis, classify(models[axis], features, arch))
     config = _attach_toida(config, trace)
     validate_config(config, args.workers)
-    return iid, problem, trace, features, config
-
-
-def _print_advice(iid, trace, features, config):
-    print(f"instance: {iid}")
-    if features is None:
-        path, cost = trace.goal_found
-        print("solved-during-profiling")
-        print(f"cost: {cost}")
-        print("path: " + " ".join(str(op) for op in path))
-        return
-    print("features: " + features.csv_row())
+    print(f"instance: {iid}\nfeatures: {features.csv_row()}")
     print(config.describe())
     print("config: " + config.token())
+    return iid, problem, trace, config
 
 
 def cmd_advise(args):
-    iid, _problem, trace, features, config = _advise(args)
-    _print_advice(iid, trace, features, config)
+    _advise(args)
     return 0
 
 
 def cmd_solve(args):
-    iid, problem, trace, features, config = _advise(args)
-    _print_advice(iid, trace, features, config)
+    iid, problem, trace, config = _advise(args)
     if config is not None:
         _warn_threads_mode(args)
     row = _record_row(args, iid, "advised")
@@ -489,7 +483,6 @@ def cmd_solve(args):
 # ------------------------------------------------------------- report
 
 def cmd_report(args):
-    _refuse_overwriting_inputs([args.out], args.records)
     by_cell = {}
     # the record files of each ("instance", name) and ("approach", name),
     # in read order
@@ -676,7 +669,8 @@ def build_parser():
     p.add_argument("--imbalance", default="0.0")
     p.add_argument("--density", default="0.0")
     p.add_argument("--herror", default="0")
-    p.set_defaults(func=cmd_gen)
+    # gen makes its output directory
+    p.set_defaults(func=cmd_gen, files=lambda a: ({}, {}))
 
     p = sub.add_parser("sweep",
                        help="time a strategy grid and build training cases")
@@ -691,7 +685,9 @@ def build_parser():
     p.add_argument("--store", default=None,
                    help="training store to append cases to (JSON lines)")
     _add_run_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, files=lambda a: (
+        {"--instances": a.instances, "--store": [a.store]},
+        {"--out": [a.out], "--store": [a.store]}))
 
     p = sub.add_parser("train",
                        help="induce a decision tree from a training store")
@@ -702,23 +698,28 @@ def build_parser():
     p.add_argument("--folds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="model file path")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, files=lambda a: (
+        {"--store": [a.store]}, {"--out": [a.out, a.out + ".eval.csv"]}))
 
     p = sub.add_parser("advise",
                        help="recommend a strategy for one instance")
     _add_advise_flags(p)
-    p.set_defaults(func=cmd_advise)
+    p.set_defaults(func=cmd_advise, files=lambda a: ({}, {}))
 
     p = sub.add_parser("solve",
                        help="advise, then run the advised strategy")
     _add_advise_flags(p)
     p.add_argument("--out", default=None, help="run-record CSV (appended)")
-    p.set_defaults(func=cmd_solve)
+    p.set_defaults(func=cmd_solve, files=lambda a: (
+        {"--instances": a.instances,
+         "--model": [entry.partition("=")[2] for entry in a.model]},
+        {"--out": [a.out]}))
 
     p = sub.add_parser("report", help="summarize run-record CSVs")
     p.add_argument("records", nargs="+", help="run-record CSV files")
     p.add_argument("--out", required=True, help="report CSV path")
-    p.set_defaults(func=cmd_report)
+    p.set_defaults(func=cmd_report, files=lambda a: (
+        {"records": a.records}, {"--out": [a.out]}))
 
     p = sub.add_parser("curves", help="tabulate the speedup models")
     p.add_argument("curve", choices=("eq1", "eq2", "fig5", "fig6"))
@@ -734,7 +735,7 @@ def build_parser():
                    default="Balanced")
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_curves)
+    p.set_defaults(func=cmd_curves, files=lambda a: ({}, {"--out": [a.out]}))
 
     return parser
 
@@ -747,21 +748,19 @@ def main(argv=None):
         # argparse exits 2 on bad flags; 2 is reserved for data errors.
         return 0 if exc.code in (0, None) else 1
     try:
+        if hasattr(args, "instances"):
+            # expanded once: the check and the command read the same files
+            args.instances = _instance_files(args.instances)
+        _check_files(*args.files(args))
         return args.func(args) or 0
     except EngineStall as exc:
         print(f"error: engine stall: {exc}", file=sys.stderr)
         return 3
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (DataError, OSError) as exc:
+    except (IdastraError, OSError) as exc:
         # an unreadable or undecodable input, or an unwritable output
-        # path, is a data error
+        # path, is a data error; any other error is a usage error
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IdastraError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (DataError, OSError)) else 1
 
 
 if __name__ == "__main__":

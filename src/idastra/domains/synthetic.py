@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, fields
 
 from idastra._backend import kernels
-from idastra.errors import DataError, read_text
+from idastra.errors import DataError, MalformedLine, parse_file
 
 _TAG_ERROR = 1
 _TAG_GOAL = 2
@@ -77,19 +77,19 @@ class ArtificialSpec:
             if not line:
                 continue
             if "=" not in line:
-                raise DataError(f"line {lineno}: expected 'key = value'")
+                raise MalformedLine(lineno, "expected 'key = value'")
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
             if key not in SPEC_FIELDS:
-                raise DataError(f"line {lineno}: unknown key {key!r}")
+                raise MalformedLine(lineno, f"unknown key {key!r}")
             if key in values:
-                raise DataError(f"line {lineno}: duplicate key {key!r}")
+                raise MalformedLine(lineno, f"duplicate key {key!r}")
             try:
                 values[key] = SPEC_FIELDS[key](val)
             except ValueError:
-                raise DataError(
-                    f"line {lineno}: bad value {val!r} for {key}") from None
+                raise MalformedLine(
+                    lineno, f"bad value {val!r} for {key}") from None
         missing = [k for k in SPEC_FIELDS if k not in values]
         if missing:
             raise DataError(f"missing keys: {', '.join(missing)}")
@@ -102,10 +102,9 @@ class ArtificialSpec:
     @staticmethod
     def from_file(path):
         try:
-            text = read_text(path)
+            return parse_file(path, ArtificialSpec.from_text)
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}") from None
-        return ArtificialSpec.from_text(text)
 
 
 # each spec field's name and type, in .spec file order: the type (int or

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the one reader of
-text inputs, which turns an undecodable file into a DataError.
+"""Exception types shared across the package, the one reader of text
+inputs, which turns an undecodable file into a DataError, and the one
+parser of input files, which names the file in each parse error.
 
 The CLI maps these onto exit codes: UsageError -> 1, DataError -> 2,
 EngineStall -> 3.
@@ -23,15 +24,18 @@ class SpaceExhausted(DataError):
 
 
 class MalformedLine(DataError):
-    def __init__(self, lineno, detail):
-        super().__init__(f"line {lineno}: {detail}")
+    """A parse error on one line of a text; what names the line.  Read
+    from a file (parse_file), it reads PATH:LINE: detail."""
+
+    def __init__(self, lineno, detail, what="line"):
+        super().__init__(f"{what} {lineno}: {detail}")
         self.lineno = lineno
+        self.detail = detail
 
 
-class UnsolvableInstance(DataError):
+class UnsolvableInstance(MalformedLine):
     def __init__(self, lineno, parity_report):
-        super().__init__(f"line {lineno}: unsolvable instance ({parity_report})")
-        self.lineno = lineno
+        super().__init__(lineno, f"unsolvable instance ({parity_report})")
         self.parity_report = parity_report
 
 
@@ -74,4 +78,17 @@ def read_text(path, newline=None):
         with open(path, newline=newline) as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
+def parse_file(path, parse):
+    """parse(text) of the file at path, whose parse errors name the file:
+    a MalformedLine as PATH:LINE: detail, any other DataError as PATH:
+    message."""
+    text = read_text(path)
+    try:
+        return parse(text)
+    except MalformedLine as exc:
+        raise DataError(f"{path}:{exc.lineno}: {exc.detail}") from None
+    except DataError as exc:
         raise DataError(f"{path}: {exc}") from None

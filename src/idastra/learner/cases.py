@@ -20,7 +20,11 @@ def canonical_label_order(axis, labels):
     if row is None:
         return labels
     if row.menu is None:
-        return sorted(labels, key=float)
+        try:
+            return sorted(labels, key=float)
+        except ValueError:
+            raise DataError(f"{axis} labels must be numbers, got "
+                            f"{labels}") from None
 
     def key(lab):
         for i, v in enumerate(row.menu):
@@ -35,6 +39,12 @@ def _finite(kind, name, value):
     value = float(value)
     if not math.isfinite(value):
         raise DataError(f"{kind} {name} is not finite: {value}")
+    return value
+
+
+def _text(name, value):
+    if not isinstance(value, str):
+        raise DataError(f"{name} is not a string: {value!r}")
     return value
 
 
@@ -58,17 +68,17 @@ class TrainingCase:
     @staticmethod
     def from_dict(obj):
         """The case a store line's decoded JSON holds.  Every feature
-        and timing must be a finite number: json.loads reads Infinity
-        and NaN."""
+        and timing must be a finite number (json.loads reads Infinity
+        and NaN), and the architecture, axis and label strings."""
         try:
             f = obj["features"]
             return TrainingCase(
                 features=ProblemFeatures(**{
                     name: _finite("feature", name, f[name])
                     for name in FEATURES}),
-                architecture=obj["architecture"],
-                axis=obj["axis"],
-                label=obj["label"],
+                architecture=_text("architecture", obj["architecture"]),
+                axis=_text("axis", obj["axis"]),
+                label=_text("label", obj["label"]),
                 timings={k: _finite("timing", repr(k), v)
                          for k, v in obj["timings"].items()},
             )

@@ -12,7 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from idastra.errors import DataError, InsufficientData, read_text
+from idastra.errors import (DataError, InsufficientData, MalformedLine,
+                            parse_file)
 from idastra.features import FEATURES as NUMERIC_FEATURES
 
 # the one categorical feature: a case's machine architecture tag
@@ -166,6 +167,10 @@ def tree_to_text(tree):
     return "\n".join(lines) + "\n"
 
 
+def _bad_line(lineno, detail):
+    return MalformedLine(lineno, detail, what="model line")
+
+
 def tree_from_text(text):
     rows = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -174,7 +179,7 @@ def tree_from_text(text):
         stripped = raw.lstrip(" ")
         indent = len(raw) - len(stripped)
         if indent % 2:
-            raise DataError(f"model line {lineno}: odd indent")
+            raise _bad_line(lineno, "odd indent")
         rows.append((indent // 2, stripped.split(" "), lineno))
     if not rows:
         raise DataError("empty model text")
@@ -187,42 +192,39 @@ def tree_from_text(text):
             raise DataError("model text ends inside a split")
         d, parts, lineno = rows[pos]
         if d != depth:
-            raise DataError(f"model line {lineno}: expected depth {depth}, "
-                            f"got {d}")
+            raise _bad_line(lineno, f"expected depth {depth}, got {d}")
         pos += 1
         if parts[0] == "leaf":
             try:
                 _leaf, label, cases, errors = parts
                 return Leaf(label=label, cases=int(cases), errors=int(errors))
             except ValueError:
-                raise DataError(f"model line {lineno}: bad leaf") from None
+                raise _bad_line(lineno, "bad leaf") from None
         if parts[0] == "split":
             if len(parts) != 4 or parts[2] not in ("le", "eq"):
-                raise DataError(f"model line {lineno}: bad split")
+                raise _bad_line(lineno, "bad split")
             feature, op, operand = parts[1], parts[2], parts[3]
             if op == "le":
                 if feature not in NUMERIC_FEATURES:
-                    raise DataError(
-                        f"model line {lineno}: {feature} is not numeric")
+                    raise _bad_line(lineno, f"{feature} is not numeric")
                 try:
                     threshold = float(operand)
                 except ValueError:
-                    raise DataError(f"model line {lineno}: bad threshold "
-                                    f"{operand!r}") from None
+                    raise _bad_line(lineno, f"bad threshold {operand!r}") \
+                        from None
             else:
                 if feature != ARCHITECTURE:
-                    raise DataError(
-                        f"model line {lineno}: {feature} is not categorical")
+                    raise _bad_line(lineno, f"{feature} is not categorical")
                 threshold = operand
             left = parse(depth + 1)
             right = parse(depth + 1)
             return Split(feature=feature, threshold=threshold,
                          left=left, right=right)
-        raise DataError(f"model line {lineno}: unknown node {parts[0]!r}")
+        raise _bad_line(lineno, f"unknown node {parts[0]!r}")
 
     tree = parse(0)
     if pos != len(rows):
-        raise DataError(f"model line {rows[pos][2]}: trailing content")
+        raise _bad_line(rows[pos][2], "trailing content")
     return tree
 
 
@@ -232,4 +234,4 @@ def save_tree(path, tree):
 
 
 def load_tree(path):
-    return tree_from_text(read_text(path))
+    return parse_file(path, tree_from_text)

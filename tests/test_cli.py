@@ -202,12 +202,16 @@ def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,
     files = _gen(run_cli, str(tmp_path / "inst"), count=1)
 
     def never(*_args, **_kwargs):
-        raise AssertionError("profiled before the outputs were opened")
+        raise AssertionError("profiled before the outputs were checked")
 
     monkeypatch.setattr(cli, "shallow_search", never)
     missing = str(tmp_path / "nodir" / "x")
-    for out, store in ((missing, str(tmp_path / "cases.jsonl")),
-                       (str(tmp_path / "records.csv"), missing)):
+    store_path = str(tmp_path / "cases.jsonl")
+    # a missing directory for either output, and an output that is a
+    # directory
+    for out, store in ((missing, store_path),
+                       (str(tmp_path / "records.csv"), missing),
+                       (str(tmp_path / "inst"), store_path)):
         code, out_text, err = run_cli(["sweep", "--instances", *files,
                                        "--axis", "clusters", "--grid", "1",
                                        "--workers", 4, "--out", out,
@@ -215,26 +219,6 @@ def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,
         assert code == 2
         assert err.startswith("error:")
         assert out_text == ""
-
-
-def test_sweep_refuses_one_file_for_records_and_store(run_cli, tmp_path,
-                                                      monkeypatch):
-    # records and cases interleaved in one file would each be skipped as
-    # cut lines by the other's reader
-    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
-    _forbid_search(monkeypatch)
-    store = tmp_path / "cases.jsonl"
-    store.write_text('{"kept": "as it was"}\n')
-    before = store.read_bytes()
-    code, out, err = run_cli(["sweep", "--instances", *files,
-                              "--axis", "clusters", "--grid", "1",
-                              "--out", tmp_path / "." / "cases.jsonl",
-                              "--store", store])
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        f"error: output {tmp_path / '.' / 'cases.jsonl'} is the input "
-        f"file {store}"]
-    assert store.read_bytes() == before
 
 
 def test_sweep_rejects_unknown_axis(run_cli, tmp_path):
@@ -539,25 +523,6 @@ def test_train_rejects_bad_input_before_writing(run_cli, tmp_path):
         assert "Traceback" not in err
         assert not model.exists()
         assert not os.path.exists(f"{model}.eval.csv")
-
-
-def test_train_refuses_to_overwrite_its_store(run_cli, tmp_path):
-    _sweep_store(run_cli, tmp_path)
-    store = tmp_path / "cases.jsonl"
-    before = store.read_bytes()
-    # the model path itself, and the evaluation file written beside it
-    evaluated = tmp_path / "m.eval.csv"
-    evaluated.write_bytes(before)
-    for store_path, model in ((store, store),
-                              (evaluated, tmp_path / "m")):
-        code, out, err = run_cli(["train", "--store", store_path,
-                                  "--axis", "clusters", "--folds", 2,
-                                  "--out", model])
-        assert (code, out) == (1, ""), model
-        assert err.splitlines() == [
-            f"error: output {store_path} is the input file {store_path}"]
-        assert store_path.read_bytes() == before
-    assert not (tmp_path / "m").exists()
 
 
 def test_advise_default_config_without_models(run_cli, tmp_path):
@@ -894,20 +859,6 @@ def test_report_rejects_speedups_whose_sum_overflows(run_cli, tmp_path,
     assert not out_csv.exists()
 
 
-def test_report_refuses_to_overwrite_a_records_file(run_cli, tmp_path):
-    first = tmp_path / "first.csv"
-    records = tmp_path / "records.csv"
-    _one_record(first, "1.5")
-    _one_record(records, "2.5")
-    before = records.read_bytes()
-    same = tmp_path / "." / "records.csv"
-    code, out, err = run_cli(["report", first, records, "--out", same])
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [
-        f"error: output {same} is the input file {records}"]
-    assert records.read_bytes() == before
-
-
 def _cut_last_line_in_speedup(path):
     """Cut the file's last record inside its speedup field, as a write
     cut short leaves it; returns the cut line's number."""
@@ -1104,6 +1055,105 @@ def test_unreadable_or_unwritable_path_is_a_data_error(run_cli, tmp_path):
         assert "Traceback" not in err, argv
         assert err.splitlines()[-1].startswith(
             "error: [Errno 2] No such file or directory"), argv
+
+
+# each writing subcommand with an output that names one of its inputs:
+# (argv, the output and the input as the error line names them).  {tmp}
+# holds inst/ (one spec), a puzzle file, a model, a store, two record
+# files and m.eval.csv
+REFUSALS = {
+    "solve-out-is-its-puzzle-file": (
+        ["solve", "--instances", "{tmp}/one.txt", "--out", "{tmp}/one.txt"],
+        "{tmp}/one.txt", "{tmp}/one.txt"),
+    "solve-out-is-its-model": (
+        ["solve", "--instances", "{tmp}/inst", "--model",
+         "clusters={tmp}/c.tree", "--out", "{tmp}/./c.tree"],
+        "{tmp}/./c.tree", "{tmp}/c.tree"),
+    "sweep-out-is-in-its-instance-directory": (
+        ["sweep", "--instances", "{tmp}/inst", "--axis", "clusters",
+         "--grid", "1", "--out", "{tmp}/inst/inst_0000.spec"],
+        "{tmp}/inst/inst_0000.spec", "{tmp}/inst/inst_0000.spec"),
+    "sweep-store-is-an-instance": (
+        ["sweep", "--instances", "{tmp}/inst/inst_0000.spec", "--axis",
+         "clusters", "--grid", "1", "--out", "{tmp}/r.csv",
+         "--store", "{tmp}/inst/./inst_0000.spec"],
+        "{tmp}/inst/./inst_0000.spec", "{tmp}/inst/inst_0000.spec"),
+    # records and cases interleaved in one file would each be skipped as
+    # cut lines by the other's reader
+    "sweep-out-is-its-store": (
+        ["sweep", "--instances", "{tmp}/inst", "--axis", "clusters",
+         "--grid", "1", "--out", "{tmp}/./cases.jsonl",
+         "--store", "{tmp}/cases.jsonl"],
+        "{tmp}/./cases.jsonl", "{tmp}/cases.jsonl"),
+    "sweep-out-is-its-store-not-made-yet": (
+        ["sweep", "--instances", "{tmp}/inst", "--axis", "clusters",
+         "--grid", "1", "--out", "{tmp}/new.jsonl",
+         "--store", "{tmp}/./new.jsonl"],
+        "{tmp}/new.jsonl", "{tmp}/./new.jsonl"),
+    "train-out-is-its-store": (
+        ["train", "--store", "{tmp}/cases.jsonl", "--axis", "clusters",
+         "--folds", "2", "--out", "{tmp}/cases.jsonl"],
+        "{tmp}/cases.jsonl", "{tmp}/cases.jsonl"),
+    # the evaluation file written beside the model
+    "train-eval-is-its-store": (
+        ["train", "--store", "{tmp}/m.eval.csv", "--axis", "clusters",
+         "--folds", "2", "--out", "{tmp}/m"],
+        "{tmp}/m.eval.csv", "{tmp}/m.eval.csv"),
+    "report-out-is-its-records": (
+        ["report", "{tmp}/first.csv", "{tmp}/records.csv",
+         "--out", "{tmp}/./records.csv"],
+        "{tmp}/./records.csv", "{tmp}/records.csv"),
+}
+
+
+def _snapshot(root):
+    """Every file under root, by path, with its bytes."""
+    return {path: path.read_bytes() for path in root.rglob("*")
+            if path.is_file()}
+
+
+@pytest.mark.parametrize("argv, output, named",
+                         REFUSALS.values(), ids=REFUSALS.keys())
+def test_an_output_that_names_an_input_is_refused(run_cli, tmp_path,
+                                                  monkeypatch, argv, output,
+                                                  named):
+    _gen(run_cli, str(tmp_path / "inst"), count=1)
+    _one_puzzle_file(tmp_path)
+    (tmp_path / "c.tree").write_text("leaf 1 1 0\n")
+    for name in ("cases.jsonl", "m.eval.csv"):
+        (tmp_path / name).write_text('{"kept": "as it was"}\n')
+    _one_record(tmp_path / "first.csv", "1.5")
+    _one_record(tmp_path / "records.csv", "2.5")
+    _forbid_search(monkeypatch)
+    before = _snapshot(tmp_path)
+    code, out, err = run_cli([a.format(tmp=tmp_path) for a in argv])
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [
+        f"error: output {output.format(tmp=tmp_path)} is the input file "
+        f"{named.format(tmp=tmp_path)}"]
+    # every input is left as it was, and no output is made
+    assert _snapshot(tmp_path) == before
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("bad.spec", "d = 5\ndepth = 3\n", "2: unknown key 'depth'"),
+    ("bad.spec", "d = 5\n", " missing keys: g, b, imbalance, density, "
+                            "herror, seed"),
+    ("bad.txt", "1 2 3\n", "1: expected 16 fields, got 3"),
+    ("c.tree", "leaf 1 1 0\n leaf 2 1 0\n", "2: odd indent"),
+    ("c.tree", "\n", " empty model text"),
+])
+def test_a_parse_error_names_its_file(run_cli, tmp_path, name, text, where):
+    spec = _gen(run_cli, str(tmp_path / "inst"), count=1)[0]
+    path = tmp_path / name
+    path.write_text(text)
+    argv = ["advise", "--instances", path, "--budget", 50]
+    if name == "c.tree":
+        argv[2] = spec
+        argv += ["--model", f"clusters={path}"]
+    code, out, err = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: {path}:{where}"]
 
 
 @pytest.mark.parametrize("argv", [
