@@ -273,8 +273,6 @@ def synthetic_expand(node, threshold, push, prune, tables):
             z >>= _SLOT
         return indices
     for i in indices:
-        ckey = z & _LANES
-        z >>= _SLOT
         if i == goal_next:
             c_shared = shared + 1
             h = on
@@ -282,11 +280,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
             c_shared = shared
             h = off
         if h:
-            h -= (ckey & _MASK) % emod
+            # the error lane is bits 0-63 of the child's slot
+            h -= (z & _MASK) % emod
             if h < 0:
                 h = 0
         if g + h > threshold:
             prune(g + h)
         else:
-            push(((path + _BYTE[i], c_shared, ckey), g, h, i, node))
+            push(((path + _BYTE[i], c_shared, z & _LANES), g, h, i, node))
+        z >>= _SLOT
     return indices

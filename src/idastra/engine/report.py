@@ -27,6 +27,8 @@ class EngineReport:
     thresholds_granted: list = field(default_factory=list)
     final_pass_expansions: list = field(default_factory=list)
     tokens_balanced: bool = True
+    # always 0, since expand keeps a child only within the threshold;
+    # kept for the benchmark and the digest gates, which read it
     over_threshold_expansions: int = 0
     max_worker_expansions: int = 0
 

@@ -10,13 +10,12 @@ through the phases pending (waiting for a threshold), distributing (a
 BreadthFirst lead expanding the top of the tree level by level, until a
 level holds a node per member and is dealt out round-robin), searching,
 and done (it found a solution, or no threshold below the held cost is
-left for it).  The tick loop visits only the awake clusters: a cluster
-wakes at its first grant, and a done cluster sleeps for good once no
-member has a message queued.  A worker of a done cluster with no message
-due is not stepped, and the members of pending and sleeping clusters are
-not visited.  None of these skipped steps could expand a node, so a
-worker's idle ticks are read off the clock when the run ends: the ticks
-a visit in id order would have made, less its expansions.
+left for it).  One step body, _steps, steps workers once each; a tick
+hands it the awake workers, a flat id-ordered list that a cluster's
+members join at its first grant and leave once it is done and quiet.
+No step of a pending or quiet member could expand a node, so a
+worker's idle ticks are read off the clock when the run ends: the
+ticks a visit in id order would have made, less its expansions.
 Work messages are requests and donations (an empty donation
 is a refusal) and arrive message_latency_ticks after sending;
 coordination (threshold grants, pass reports, the held best solution)
@@ -170,8 +169,10 @@ class _SimEngine:
         # the pool's size when a grant last found no candidate
         self.pending = deque(self.clusters)
         self.pool_when_refused = None
-        # the clusters the tick loop visits, in cluster order
-        self.awake = []
+        # the workers the tick loop steps, in id order, and the done
+        # clusters whose members are still among them
+        self.awake_workers = []
+        self.done = []
 
         self._expand_node = problem.expand
         order = config.ordering
@@ -187,7 +188,6 @@ class _SimEngine:
         self.donated_sent = 0
         self.donated_delivered = 0
         self.donated_dropped = 0
-        self.over_threshold = 0
         self.last_progress = 0
 
     # -- messaging ------------------------------------------------------
@@ -258,7 +258,7 @@ class _SimEngine:
         """Grant the never-granted clusters thresholds, in cluster order.
         A cluster is pending only until its first grant, so the pending
         ones are the tail of the cluster list that self.pending holds,
-        and each joins the end of the awake list at its grant.
+        and each one's members join the awake list's end at its grant.
         Grants, completed passes and a held solution only rule candidates
         out, so once no candidate is left a new one can come only with a
         new pool value: until then the pending clusters go unasked."""
@@ -275,7 +275,7 @@ class _SimEngine:
                 return
             cl = pending.popleft()
             self._start_pass(cl, v)
-            self.awake.append(cl)
+            self.awake_workers.extend(cl.members)
 
     def _pass_complete(self, cl):
         # every pruned f joins the pool, and a pass that pruned nothing
@@ -295,6 +295,7 @@ class _SimEngine:
         if v is None:
             if hold is not None:
                 cl.phase = "done"
+                self.done.append(cl)
                 return
             v = self.coord.extrapolate()
         self._start_pass(cl, v)
@@ -308,69 +309,86 @@ class _SimEngine:
             final_pass[w.wid] = w.stats.nodes_expanded - w.pass_start
         self.coord.hold(node[1], path_to(node), final_pass)
         cl.phase = "done"
+        self.done.append(cl)
         cl.reset()
         self.coord.reevaluate()
 
     # -- worker stepping --------------------------------------------------
 
     def _step(self, w):
-        """One tick of worker w: take due messages, then expand the head
-        of its open list or idle.  Expansion pushes the kept children
-        onto the head, where they end up first operator first.  Only the
-        lead holds nodes while its cluster is distributing, and it moves
-        each expansion's children to the tail, as the next level."""
-        inbox = w.inbox
-        if inbox and inbox[0][0] <= self.tick:
-            self._deliver(w)
-        cl = w.cluster
-        open_ = w.open
-        if open_:
+        """One tick of worker w alone; see _steps."""
+        return self._steps((w,))
+
+    def _steps(self, workers):
+        """Step each of workers once, in order, and return the worker
+        whose step accepted a solution, or None.
+
+        A step takes the worker's due messages, then expands the head of
+        its open list or idles.  Expansion pushes the kept children onto
+        the head, first operator first; under an ordering policy they go
+        to a fresh list, which arrange puts in stack order and
+        extendleft moves onto the head.  Only the lead holds nodes while
+        its cluster is distributing, and it moves each expansion's
+        children to the tail, as the next level.  Only _report_solution,
+        _split and _pass_complete can accept a solution."""
+        tick = self.tick
+        expand = self._expand_node
+        prune = self._prune
+        arrange = self._arrange
+        trigger = self._trigger
+        coord = self.coord
+        for w in workers:
+            inbox = w.inbox
+            if inbox and inbox[0][0] <= tick:
+                self._deliver(w)
+            cl = w.cluster
+            open_ = w.open
+            if not open_:
+                if cl.phase == "searching" and cl.can_balance \
+                        and not w.outstanding:
+                    self._request_work(w)
+                continue
             node = open_.popleft()
-        else:
-            if cl.phase == "searching" and cl.can_balance \
+            stats = w.stats
+            stats.nodes_expanded += 1
+            self.last_progress = tick
+            if arrange is None:
+                base = len(open_)
+                ops = expand(node, cl.threshold, w.push, prune)
+                born = len(open_) - base
+            else:
+                kids = []
+                ops = expand(node, cl.threshold, kids.append, prune)
+                born = len(kids)
+                if born > 1:
+                    kids = arrange(kids, node[4] is None)
+                open_.extendleft(kids)
+            if ops is GOAL:
+                self._report_solution(cl, node)
+                if coord.accepted is not None:
+                    return w
+                continue
+            stats.nodes_generated += len(ops)
+            if cl.phase == "distributing":
+                open_.rotate(-born)         # the next level, in order
+                cl.level_left -= 1
+                if not cl.level_left:
+                    self._split(cl)
+                    if coord.accepted is not None:
+                        return w
+                continue
+            live = cl.live_nodes - 1 + born
+            cl.live_nodes = live
+            if live == 0:
+                self._pass_complete(cl)
+                if coord.accepted is not None:
+                    return w
+                continue
+            # ask for work before the list runs dry
+            if cl.can_balance and len(open_) <= trigger \
                     and not w.outstanding:
                 self._request_work(w)
-            return
-
-        _state, g, h, _op, parent = node
-        threshold = cl.threshold
-        stats = w.stats
-        stats.nodes_expanded += 1
-        self.last_progress = self.tick
-        if g + h > threshold:
-            self.over_threshold += 1
-        base = len(open_)
-        ops = self._expand_node(node, threshold, w.push, self._prune)
-        if ops is GOAL:
-            self._report_solution(cl, node)
-            return
-        stats.nodes_generated += len(ops)
-        born = len(open_) - base
-        arrange = self._arrange
-        if arrange is not None and born > 1:
-            # arrange takes the children in push order, the reverse of
-            # the head's, and returns a stack order, which extendleft
-            # reverses back onto the head
-            popleft = open_.popleft
-            kids = [popleft() for _ in range(born)]
-            kids.reverse()
-            open_.extendleft(arrange(kids, parent is None))
-
-        if cl.phase == "distributing":
-            open_.rotate(-born)             # the next level, in order
-            cl.level_left -= 1
-            if not cl.level_left:
-                self._split(cl)
-            return
-        live = cl.live_nodes - 1 + born
-        cl.live_nodes = live
-        if live == 0:
-            self._pass_complete(cl)
-            return
-        # ask for work before the list runs dry
-        if cl.can_balance and len(open_) <= self._trigger \
-                and not w.outstanding:
-            self._request_work(w)
+        return None
 
     def _request_work(self, w):
         target, w.flip = poll_target(w.position, w.cluster.members, w.flip,
@@ -381,41 +399,23 @@ class _SimEngine:
     # -- main loop ----------------------------------------------------------
 
     def _tick(self):
-        """Step every worker of the awake clusters once, in id order
-        (clusters are contiguous id blocks), and return the worker whose
-        step accepted a solution, or None.
+        """Step every awake worker once, in id order, and return the
+        worker whose step accepted a solution, or None.
 
-        A cluster is on the awake list from its first grant.  A done
-        cluster's worker with no message due is not stepped: its step
-        would only drop stale messages, take an empty donation or refuse
-        a request, and it expands nothing, changes no phase and accepts
-        no solution.  Done is terminal and messages never cross
-        clusters, so once no member of a done cluster has a message
-        queued it sleeps: it leaves the list for good."""
-        tick = self.tick
-        awake = self.awake
-        coord = self.coord
-        step = self._step
-        slept = False
-        for cl in awake:
-            if cl.phase == "done":
-                members = cl.members
-                if not any(w.inbox for w in members):
-                    slept = True
-                    continue
-                for w in members:
-                    inbox = w.inbox
-                    if inbox and inbox[0][0] <= tick:
-                        step(w)
-                continue
-            for w in cl.members:
-                step(w)
-                if coord.accepted is not None:
-                    return w
-        if slept:
-            awake[:] = [cl for cl in awake if cl.phase != "done"
-                        or any(w.inbox for w in cl.members)]
-        return None
+        The awake workers are the members of every cluster granted a
+        threshold, less those of the done clusters gone quiet.  A done
+        cluster's member holds no node and is not searching, so its step
+        only takes due messages: it drops stale ones, takes an empty
+        donation or refuses a request.  Done is terminal and messages
+        never cross clusters, so once no member of a done cluster has a
+        message queued it stays quiet, and when every done cluster is
+        quiet their members leave the list for good."""
+        done = self.done
+        if done and not any(w.inbox for cl in done for w in cl.members):
+            done.clear()
+            self.awake_workers = [w for w in self.awake_workers
+                                  if w.cluster.phase != "done"]
+        return self._steps(self.awake_workers)
 
     def run(self):
         cap = max(100000, 50 * self.serial.total_expanded)
@@ -467,7 +467,6 @@ class _SimEngine:
             thresholds_granted=list(self.coord.granted),
             final_pass_expansions=final_pass,
             tokens_balanced=balanced,
-            over_threshold_expansions=self.over_threshold,
             max_worker_expansions=max_per_worker,
         )
 

@@ -167,17 +167,31 @@ def ida_reference(problem, order=None):
 class PlainLoopSim(_SimEngine):
     """The sim engine's tick loop in its plainest form: no awake list,
     every worker stepped every tick in id order, and each step that
-    expands nothing counted as an idle tick of its worker.  The report
-    carries these counts in place of the ones run_sim reads off the
-    clock."""
+    expands nothing counted as an idle tick of its worker.  It also
+    counts the expansions of nodes whose g + h exceeds the threshold of
+    the stepping worker's cluster.  The report carries these counts in
+    place of the idle ticks run_sim reads off the clock and of its
+    over_threshold_expansions, which is always 0."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.idle_counted = [0] * len(self.workers)
+        self.over_threshold = 0
+        self.stepping = None
+        expand = self._expand_node
+
+        def checked_expand(node, threshold, push, prune):
+            _state, g, h, _op, _parent = node
+            if g + h > self.stepping.cluster.threshold:
+                self.over_threshold += 1
+            return expand(node, threshold, push, prune)
+
+        self._expand_node = checked_expand
 
     def _tick(self):
         for w in self.workers:
             before = w.stats.nodes_expanded
+            self.stepping = w
             self._step(w)
             if w.stats.nodes_expanded == before:
                 self.idle_counted[w.wid] += 1
@@ -188,7 +202,9 @@ class PlainLoopSim(_SimEngine):
     def _finish(self, makespan, speedup, mode):
         for w, idle in zip(self.workers, self.idle_counted):
             w.stats.idle_ticks = idle
-        return super()._finish(makespan, speedup, mode)
+        report = super()._finish(makespan, speedup, mode)
+        report.over_threshold_expansions = self.over_threshold
+        return report
 
 
 # ------------------------------------------------- artificial space

@@ -506,6 +506,44 @@ def test_a_local_step_leaves_its_children_arranged_at_the_head():
     assert cl.live_nodes == len(w.open)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_toida_steers_the_sims_root_children_as_serial_does(seed):
+    # arrange is told which children are the root's: a lone KumarRao
+    # worker searches as serial IDA* does only if Toida's scores steer
+    # the root's children and Local orders every other node's
+    problem = ArtificialProblem(_spec(d=7, g=0.6, density=1e-9, herror=4,
+                                      seed=seed))
+    toida = OrderPolicy.toida({0: 3.0, 1: 2.0, 2: 1.0})
+    config = StrategyConfig(distribution="KumarRao", clusters=1,
+                            ordering=toida)
+    report = run_sim(problem, config, 1)
+    assert report.total_expanded \
+        == serial_idastar(problem, order=toida).total_expanded
+
+
+def test_an_acceptance_inside_a_breadth_first_split_ends_the_run():
+    # a pass whose lead's level runs dry completes inside _split, and
+    # that completion accepts the held solution: the tick loop must
+    # stop on it as the plain loop does
+    problem = ArtificialProblem(_spec(d=4, g=0.0, b=2, density=1e-9,
+                                      herror=3, seed=1))
+    config = StrategyConfig(distribution="BreadthFirst", clusters=2)
+    accepted_in_split = []
+    original = _SimEngine._split
+
+    def recording(self, cl):
+        original(self, cl)
+        if self.coord.accepted is not None:
+            accepted_in_split.append(self.tick)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SimEngine, "_split", recording)
+        report = run_sim(problem, config, 4, latency=0, seed=1)
+    assert accepted_in_split == [8]
+    assert report.solution_cost == serial_idastar(problem).cost
+    assert report == PlainLoopSim(problem, config, 4, 0, 1).run()
+
+
 def test_a_distributing_step_puts_the_next_level_at_the_tail():
     problem = ArtificialProblem(_PINNED_SPECS["split"])
     config = StrategyConfig(distribution="BreadthFirst", clusters=1)
@@ -564,7 +602,8 @@ def test_sim_report_equals_the_plain_tick_loop(
     # the awake list skips only steps that expand nothing, and idle
     # ticks are read off the clock: the report equals, field for field,
     # that of a loop stepping every worker every tick and counting idle
-    # per step
+    # per step, and its over-threshold count of 0 equals the plain
+    # loop's count of expansions above their cluster's threshold
     clusters = data.draw(st.integers(1, workers), label="clusters")
     config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
         .with_value("distribution", distribution) \
@@ -818,6 +857,8 @@ def test_coordinator_holds_one_best_solution_and_gates_on_the_pool():
     # extrapolation steps by the mean granted increment, past every
     # value already granted
     coord.granted[:] = [3, 5, 7, 9]
+    assert coord.extrapolate() == 11
+    coord.granted[:] = [3, 7]         # two grants give one increment
     assert coord.extrapolate() == 11
     coord.granted[:] = [2, 8, 6]      # 6 + 2 was granted already
     assert coord.extrapolate() == 10
