@@ -208,11 +208,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
     node is ((path, shared, key), g, h, op, parent); its state holds the
     node's child-index bytes, its common-prefix length with the goal
     path and its packed error- and goal-stream hash key.  tables is
-    ArtificialProblem's (on_path, off_path, goal_path, d,
-    density_threshold, emod): per parent depth on and off the goal
-    path, synthetic_slots' entry (indices, spread, add, lanes) for the
-    surviving child indices, last index first; the goal path; and the
-    spec's d, density threshold and herror + 1.  Each child costs 1, its
+    ArtificialProblem's (on_path, off_path, goal_path, d, goal_below,
+    emod): per parent depth on and off the goal path, synthetic_slots'
+    entry (indices, spread, add, lanes) for the surviving child
+    indices, last index first; the goal path; the spec's d; its density
+    threshold shifted into the goal lane (threshold << 128), so that a
+    key is below it exactly when its goal stream is below the
+    threshold; and herror + 1.  Each child costs 1, its
     key is one hash_step of its parent's in both lanes, taken for all
     children at once in one packed pass, and its h is as
     ArtificialProblem._h computes it.  A child i with
@@ -239,11 +241,12 @@ def synthetic_expand(node, threshold, push, prune, tables):
     (path, shared, key), g, _h, _op, _parent = node
     depth = len(path)
     if depth == tables[3]:
-        # a leaf: d and the density threshold are all its goal test reads
-        if shared == depth or key >> 128 < tables[4]:
+        # a leaf: d and goal_below are all its goal test reads; the
+        # error lane under the goal lane never lifts a key past it
+        if shared == depth or key < tables[4]:
             return GOAL
         return ()
-    on_path, off_path, goal_path, d, density_threshold, emod = tables
+    on_path, off_path, goal_path, d, goal_below, emod = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices, spread, add, lanes = on_path[depth]
@@ -255,7 +258,7 @@ def synthetic_expand(node, threshold, push, prune, tables):
     g += 1
     # distances to the designated goal, on and off the goal path
     on = d - depth
-    off = on if density_threshold > 0 else depth + d - 2 * shared
+    off = on if goal_below > 0 else depth + d - 2 * shared
     if not off and g > threshold:
         # leaf children with density > 0: h 0 and f g for every child
         for _i in indices:

@@ -14,6 +14,7 @@ import argparse
 import csv
 import dataclasses
 import errno
+import functools
 import io
 import math
 import os
@@ -740,10 +741,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """main's parser, built once per process: parsing leaves no state on
+    it (an append action copies its default list before appending)."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad flags; 2 is reserved for data errors.
         return 0 if exc.code in (0, None) else 1

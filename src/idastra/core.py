@@ -25,10 +25,11 @@ order: pushed last operator first, they pop first operator first.  The
 serial pass hands expand its stack's append as push, and a sim worker
 its open list's appendleft, so kept children go straight onto the
 stack or the list.  An ordering policy's arrange takes the kept
-children as pushed and returns them in its own stack order; the serial
-pass rewrites only the tail the expansion pushed, and a worker only the
-head.  Both loops skip it for fewer than two children and for an
-identity policy, whose order is the natural one.
+children as pushed and returns them in its own stack order, so under
+one the serial pass and a worker hand expand a fresh list's append and
+move the arranged list onto the stack's top or the list's head.  Both
+loops skip arrange for fewer than two children, and for an identity
+policy, whose order is the natural one.
 
 The serial pass and the parallel engine both stack these nodes, learn
 that one is the goal from its expansion (expand returns GOAL), and
@@ -183,8 +184,9 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     with f <= threshold.
 
     The stack holds search nodes, root first, and expand pushes each
-    kept child straight onto it; an ordering rearranges only the tail
-    the expansion pushed.  Children over the threshold are recorded
+    kept child straight onto it; under an ordering expand pushes to a
+    fresh list, which arrange puts in stack order before it joins the
+    stack.  Children over the threshold are recorded
     (their minimum f feeds the next threshold) but never pushed.  Every
     popped node is expanded, and expand returns GOAL at the goal, so
     finding the goal counts as expanding it.  With a budget, the pass
@@ -219,15 +221,19 @@ def cost_bounded_dfs(problem, root, threshold, order=None, budget=None,
     while stack and expanded < limit:
         node = pop()
         expanded += 1
-        base = len(stack)
-        ops = expand(node, threshold, push, prune)
+        if arrange is None:
+            ops = expand(node, threshold, push, prune)
+        else:
+            kids = []
+            ops = expand(node, threshold, kids.append, prune)
+            # fewer than two children are in every order already
+            if len(kids) > 1:
+                kids = arrange(kids, node[4] is None)
+            stack += kids
         if ops is GOAL:
             solution = (path_to(node), node[1])
             break
         generated += len(ops)
-        # fewer than two children are in every order already
-        if arrange is not None and len(stack) - base > 1:
-            stack[base:] = arrange(stack[base:], node[4] is None)
 
     # work left on the stack and no goal: the budget cut the pass short
     return PassResult(threshold, solution, min(pruned) if pruned else None,

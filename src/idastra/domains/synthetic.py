@@ -163,10 +163,11 @@ class ArtificialProblem:
         self._emod = spec.herror + 1
         slots = {t: kernels.synthetic_slots(t)
                  for t in {*on_path, *off_path}}
-        # everything synthetic_expand reads besides the state
+        # everything synthetic_expand reads besides the state; a key is
+        # below the shifted threshold exactly when its goal lane is
         self._tables = (tuple(slots[t] for t in on_path),
                         tuple(slots[t] for t in off_path), self.goal_path,
-                        d, self.density_threshold, self._emod)
+                        d, self.density_threshold << 128, self._emod)
 
     def state_at(self, path):
         """The state of the node at path, its key hashed from scratch."""

@@ -10,10 +10,16 @@ through the phases pending (waiting for a threshold), distributing (a
 BreadthFirst lead expanding the top of the tree level by level, until a
 level holds a node per member and is dealt out round-robin), searching,
 and done (it found a solution, or no threshold below the held cost is
-left for it).  One step body, _steps, steps workers once each; a tick
-hands it the awake workers, a flat id-ordered list that a cluster's
-members join at its first grant and leave once it is done and quiet.
-No step of a pending or quiet member could expand a node, so a
+left for it).  A pass ends at the expansion that leaves no node
+anywhere in it: on no member's list and in no queued donation of the
+pass.  No count is kept for that: a BreadthFirst level that runs dry
+ends it, and so does a searching member's expansion that empties its
+own list while _Cluster.quiet() finds the rest of the pass empty too.
+One step body, _steps, steps workers once each; a tick hands it the
+awake workers, a flat id-ordered list that a cluster's members join at
+its first grant and leave once it is done and no message is queued to
+any of them.
+No step of a member off the awake list could expand a node, so a
 worker's idle ticks are read off the clock when the run ends: the
 ticks a visit in id order would have made, less its expansions.
 Work messages are requests and donations (an empty donation
@@ -26,6 +32,7 @@ driver (engine/threads.py) steps this same engine on real threads.
 """
 
 import random
+import sys
 from collections import deque
 
 from idastra.core import GOAL, make_root, path_to, serial_idastar
@@ -60,8 +67,18 @@ class _Worker:
 
 
 class _Cluster:
+    """A block of workers running one pass at a time.
+
+    The pass's live nodes are those on the members' lists and those in
+    donations of its epoch still queued in their inboxes; every other
+    message carries none.  An expansion takes one live node and adds
+    the children it keeps, and a donation only moves nodes between a
+    list and an inbox, so the live count can fall to 0 only at an
+    expansion that leaves its worker's list empty: the pass has ended
+    there exactly when quiet() holds."""
+
     __slots__ = ("members", "can_balance", "threshold", "epoch", "phase",
-                 "live_nodes", "level_left")
+                 "level_left")
 
     def __init__(self, members, load_balancing):
         self.members = members
@@ -69,14 +86,25 @@ class _Cluster:
         self.threshold = None
         self.epoch = 0
         self.phase = "pending"   # pending|distributing|searching|done
-        self.live_nodes = 0
         self.level_left = 0             # distributing: level nodes unexpanded
+
+    def quiet(self):
+        """Whether the running pass has no live node left: none on a
+        member's list and none in a queued donation of this epoch (a
+        request's payload is a worker, and a refusal is empty)."""
+        epoch = self.epoch
+        for w in self.members:
+            if w.open:
+                return False
+            for _due, sent_in, kind, payload in w.inbox:
+                if sent_in == epoch and kind == "don" and payload:
+                    return False
+        return True
 
     def reset(self):
         """End the running pass: its in-flight work messages go stale
         and every member starts over with an empty list."""
         self.epoch += 1
-        self.live_nodes = 0
         for w in self.members:
             w.open.clear()
             w.outstanding = False
@@ -166,9 +194,11 @@ class _SimEngine:
                 w.position = pos
             self.clusters.append(cl)
         # the clusters never granted a threshold, in cluster order, and
-        # the pool's size when a grant last found no candidate
+        # the pool's size when a grant last found no candidate (the
+        # largest int once none is pending): a grant is due only once
+        # the pool outgrows it
         self.pending = deque(self.clusters)
-        self.pool_when_refused = None
+        self.refused_size = -1
         # the workers the tick loop steps, in id order, and the done
         # clusters whose members are still among them
         self.awake_workers = []
@@ -232,7 +262,6 @@ class _SimEngine:
         if self.config.distribution == "BreadthFirst":
             self._split(cl)
         else:                           # KumarRao: lead starts, others beg
-            cl.live_nodes = 1
             cl.phase = "searching"
 
     def _split(self, cl):
@@ -248,11 +277,29 @@ class _SimEngine:
             for j, w in enumerate(cl.members):
                 w.open.clear()
                 w.open.extend(frontier[j::k])
-            cl.live_nodes = len(frontier)
             cl.phase = "searching"
         else:
             cl.level_left = len(frontier)
             cl.phase = "distributing"
+
+    def _expand_level(self, w, node):
+        """Expand node, which w, a distributing cluster's lead, has just
+        popped.  Its children go to a fresh list, which an ordering
+        policy arranges, and join the tail in the order they pop, as
+        the next level; the level's last expansion splits."""
+        cl = w.cluster
+        kids = []
+        ops = self._expand_node(node, cl.threshold, kids.append, self._prune)
+        if ops is GOAL:
+            self._report_solution(cl, node)
+            return
+        w.stats.nodes_generated += len(ops)
+        if len(kids) > 1 and self._arrange is not None:
+            kids = self._arrange(kids, node[4] is None)
+        w.open.extend(reversed(kids))
+        cl.level_left -= 1
+        if not cl.level_left:
+            self._split(cl)
 
     def _grant_pending(self):
         """Grant the never-granted clusters thresholds, in cluster order.
@@ -261,21 +308,20 @@ class _SimEngine:
         and each one's members join the awake list's end at its grant.
         Grants, completed passes and a held solution only rule candidates
         out, so once no candidate is left a new one can come only with a
-        new pool value: until then the pending clusters go unasked."""
+        new pool value, and a call before then refuses again: run calls
+        it only once the pool outgrows refused_size."""
         pending = self.pending
-        pool = self.coord.pool
-        if not pending or len(pool) == self.pool_when_refused:
-            return
-        hold = self.coord.holding_cost()
+        coord = self.coord
         while pending:
-            v = self.coord.next_unclaimed(below=hold)
+            v = coord.next_unclaimed(below=coord.holding_cost())
             if v is None:
                 # nor is there one for a later cluster
-                self.pool_when_refused = len(pool)
+                self.refused_size = len(coord.pool)
                 return
             cl = pending.popleft()
             self._start_pass(cl, v)
             self.awake_workers.extend(cl.members)
+        self.refused_size = sys.maxsize
 
     def _pass_complete(self, cl):
         # every pruned f joins the pool, and a pass that pruned nothing
@@ -328,15 +374,19 @@ class _SimEngine:
         the head, first operator first; under an ordering policy they go
         to a fresh list, which arrange puts in stack order and
         extendleft moves onto the head.  Only the lead holds nodes while
-        its cluster is distributing, and it moves each expansion's
-        children to the tail, as the next level.  Only _report_solution,
-        _split and _pass_complete can accept a solution."""
+        its cluster is distributing, and _expand_level steps it.  A
+        searching cluster's pass ends at an expansion that leaves its
+        worker's list empty while the cluster is quiet (see _Cluster).
+        Only _report_solution, _split and _pass_complete can accept a
+        solution.  A call that expanded stores its tick as the last
+        progress."""
         tick = self.tick
         expand = self._expand_node
         prune = self._prune
         arrange = self._arrange
         trigger = self._trigger
         coord = self.coord
+        node = None                     # set by every expansion
         for w in workers:
             inbox = w.inbox
             if inbox and inbox[0][0] <= tick:
@@ -351,43 +401,39 @@ class _SimEngine:
             node = open_.popleft()
             stats = w.stats
             stats.nodes_expanded += 1
-            self.last_progress = tick
+            if cl.phase == "distributing":
+                self._expand_level(w, node)
+                if coord.accepted is not None:
+                    return w
+                continue
             if arrange is None:
-                base = len(open_)
                 ops = expand(node, cl.threshold, w.push, prune)
-                born = len(open_) - base
             else:
                 kids = []
                 ops = expand(node, cl.threshold, kids.append, prune)
-                born = len(kids)
-                if born > 1:
+                if len(kids) > 1:
                     kids = arrange(kids, node[4] is None)
                 open_.extendleft(kids)
-            if ops is GOAL:
+            if ops:
+                stats.nodes_generated += len(ops)
+            elif ops is GOAL:
                 self._report_solution(cl, node)
                 if coord.accepted is not None:
                     return w
                 continue
-            stats.nodes_generated += len(ops)
-            if cl.phase == "distributing":
-                open_.rotate(-born)         # the next level, in order
-                cl.level_left -= 1
-                if not cl.level_left:
-                    self._split(cl)
-                    if coord.accepted is not None:
-                        return w
-                continue
-            live = cl.live_nodes - 1 + born
-            cl.live_nodes = live
-            if live == 0:
+            if open_:
+                # ask for work before the list runs dry
+                if trigger and len(open_) <= trigger and cl.can_balance \
+                        and not w.outstanding:
+                    self._request_work(w)
+            elif cl.quiet():
                 self._pass_complete(cl)
                 if coord.accepted is not None:
                     return w
-                continue
-            # ask for work before the list runs dry
-            if cl.can_balance and len(open_) <= trigger \
-                    and not w.outstanding:
+            elif cl.can_balance and not w.outstanding:
                 self._request_work(w)
+        if node is not None:
+            self.last_progress = tick
         return None
 
     def _request_work(self, w):
@@ -403,13 +449,13 @@ class _SimEngine:
         worker whose step accepted a solution, or None.
 
         The awake workers are the members of every cluster granted a
-        threshold, less those of the done clusters gone quiet.  A done
+        threshold, less those of the done clusters gone silent.  A done
         cluster's member holds no node and is not searching, so its step
         only takes due messages: it drops stale ones, takes an empty
         donation or refuses a request.  Done is terminal and messages
         never cross clusters, so once no member of a done cluster has a
-        message queued it stays quiet, and when every done cluster is
-        quiet their members leave the list for good."""
+        message queued it stays silent, and when every done cluster is
+        silent their members leave the list for good."""
         done = self.done
         if done and not any(w.inbox for cl in done for w in cl.members):
             done.clear()
@@ -418,9 +464,18 @@ class _SimEngine:
         return self._steps(self.awake_workers)
 
     def run(self):
+        """Tick until a step accepts a solution, and report.  A tick
+        grants pending clusters thresholds only once the pool has
+        outgrown refused_size, then steps the awake workers.  A run ends
+        without a solution in one of two ways.  A pass that ends having
+        pruned nothing, with no solution held, raises SpaceExhausted from
+        _pass_complete.  A run that expands nothing for _NO_PROGRESS_CAP
+        ticks, as when passes never end, or outlasts its tick cap raises
+        EngineStall naming the tick of its last expansion."""
         cap = max(100000, 50 * self.serial.total_expanded)
+        pool = self.coord.pool
         while True:
-            if self.pending:
+            if len(pool) > self.refused_size:
                 self._grant_pending()
             accepting = self._tick()
             if accepting is not None:

@@ -22,8 +22,9 @@ run_parallel's `latency` (the CLI's `--latency`) applies to "sim" only.
 import threading
 import time
 
-from idastra.core import serial_idastar
-from idastra.engine.config import validate_config
+# not called here, since the engine runs the serial baseline, but bound
+# as a lookup site that perfbench/tracing.py patches
+from idastra.core import serial_idastar  # noqa: F401
 from idastra.engine.sim import _SimEngine
 from idastra.errors import EngineStall
 
@@ -34,9 +35,7 @@ TIMEOUT = 60.0
 
 def run_threads(problem, config, workers, seed=0, serial_outcome=None):
     """Run the parallel engine on real threads (wall-clock timing)."""
-    validate_config(config, workers)
-    if serial_outcome is None:
-        serial_outcome = serial_idastar(problem, order=config.ordering)
+    # the engine validates the config and runs the serial baseline
     engine = _SimEngine(problem, config, workers, 0, seed, serial_outcome)
     lock = threading.Lock()
     stop = threading.Event()
@@ -78,4 +77,4 @@ def run_threads(problem, config, workers, seed=0, serial_outcome=None):
         raise failed[0]
     if engine.coord.accepted is None:
         raise EngineStall(f"no acceptance within {TIMEOUT}s")
-    return engine._finish(wall, serial_outcome.wall_s / wall, "threads")
+    return engine._finish(wall, engine.serial.wall_s / wall, "threads")

@@ -15,6 +15,7 @@ import sys
 from fractions import Fraction
 
 from idastra import _kernels_py
+from idastra.core import GOAL
 from idastra.engine.sim import _SimEngine
 from idastra.errors import InsufficientData
 from idastra.features import FEATURES
@@ -164,6 +165,16 @@ def ida_reference(problem, order=None):
 
 # ------------------------------------------------------ sim engine
 
+def live_nodes(cluster):
+    """The nodes of a sim cluster's running pass: those on its members'
+    open lists and those in donations of the pass's epoch still queued
+    in their inboxes."""
+    return sum(len(w.open) + sum(len(payload)
+                                 for _due, epoch, kind, payload in w.inbox
+                                 if kind == "don" and epoch == cluster.epoch)
+               for w in cluster.members)
+
+
 class PlainLoopSim(_SimEngine):
     """The sim engine's tick loop in its plainest form: no awake list,
     every worker stepped every tick in id order, and each step that
@@ -171,20 +182,39 @@ class PlainLoopSim(_SimEngine):
     counts the expansions of nodes whose g + h exceeds the threshold of
     the stepping worker's cluster.  The report carries these counts in
     place of the idle ticks run_sim reads off the clock and of its
-    over_threshold_expansions, which is always 0."""
+    over_threshold_expansions, which is always 0.
+
+    It counts each pass's live nodes itself, around every expansion
+    that is not the goal's, and records in dry_ticks each tick at
+    which one leaves its cluster's pass with none: the ticks at which
+    the pass must end."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.idle_counted = [0] * len(self.workers)
         self.over_threshold = 0
         self.stepping = None
+        self.dry_ticks = []
         expand = self._expand_node
 
         def checked_expand(node, threshold, push, prune):
+            cluster = self.stepping.cluster
             _state, g, h, _op, _parent = node
-            if g + h > self.stepping.cluster.threshold:
+            if g + h > cluster.threshold:
                 self.over_threshold += 1
-            return expand(node, threshold, push, prune)
+            # node is off its list already, and a kept child may go to
+            # a fresh list first, so count the kept children as pushed
+            left = live_nodes(cluster)
+            kept = []
+
+            def counted_push(child):
+                kept.append(child)
+                push(child)
+
+            ops = expand(node, threshold, counted_push, prune)
+            if ops is not GOAL and left + len(kept) == 0:
+                self.dry_ticks.append(self.tick)
+            return ops
 
         self._expand_node = checked_expand
 

@@ -563,6 +563,43 @@ def test_advise_applies_trained_model(run_cli, tmp_path):
     assert config[1] == advised[0].split("=")[1]
 
 
+def test_calls_sharing_the_parser_share_no_state(run_cli, tmp_path,
+                                                 monkeypatch):
+    # main parses every call with one parser, so the first call's flags
+    # must not reach the second: argparse copies an append action's
+    # default list before appending, so --model's default stays empty
+    files = _gen(run_cli, str(tmp_path / "inst"), count=1)
+    everything = tmp_path / "all.tree"
+    everything.write_text("leaf KumarRao:2:on:Random:0.5:HeadOfList:2:Local"
+                          " 1 0\n")
+    seen = []
+    check_run_flags = cli._check_run_flags
+
+    def recording(args):
+        seen.append(dict(vars(args)))
+        check_run_flags(args)
+
+    monkeypatch.setattr(cli, "_check_run_flags", recording)
+    code, out, _err = run_cli(["advise", "--instances", files[0],
+                               "--model", f"all={everything}", "--strict",
+                               "--workers", 8, "--seed", 3, "--budget", 50])
+    assert code == 0
+    assert "config: KumarRao:2:on:Random:0.5:HeadOfList:2:Local" in out
+    argv = ["advise", "--instances", files[0], "--budget", "50"]
+    code, out, _err = run_cli(argv)
+    assert code == 0
+    assert "config: BreadthFirst:1:on:Neighbor:0.3:TailOfList:0:Fixed" in out
+    assert cli._parser() is cli._parser()
+    first, second = seen
+    assert first["model"] == [f"all={everything}"] and second["model"] == []
+    # the second call parsed as a parser of its own would parse it; the
+    # files callback is made afresh with each parser
+    fresh = vars(cli.build_parser().parse_args(argv))
+    for args in (second, fresh):
+        del args["files"]
+    assert second == fresh
+
+
 def test_advise_solved_during_profiling(run_cli, tmp_path):
     easy = str(tmp_path / "easy")
     files = _gen(run_cli, easy, count=1, d="3", density="0.0", herror="0",

@@ -20,7 +20,8 @@ from idastra.engine import (DEFAULT_CONFIG, StrategyConfig,
                             run_parallel, run_sim, validate_config)
 from idastra.engine import threads
 from idastra.engine.parts import donate, poll_target
-from idastra.engine.sim import _Coordinator, _SimEngine
+from idastra.engine.sim import (_NO_PROGRESS_CAP, _Cluster, _Coordinator,
+                                _SimEngine)
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
 from idastra.ordering import OrderPolicy
 from oracles import PlainLoopSim, astar_cost, expand_all
@@ -465,7 +466,7 @@ def test_breadth_first_split_deals_the_lead_list_round_robin():
         for w in others:
             engine._step(w)
     assert tick == 12 and cl.phase == "searching"
-    assert cl.live_nodes == 27
+    assert sum(len(w.open) for w in cl.members) == 27
     assert all(w.stats.nodes_expanded == 0 for w in others)
     assert all(w.stats.messages_sent == 0 and not w.inbox
                for w in engine.workers)
@@ -503,7 +504,8 @@ def test_a_local_step_leaves_its_children_arranged_at_the_head():
     for nodes in (level, below):
         ops = [child[3] for child in nodes]
         assert ops != sorted(ops)
-    assert cl.live_nodes == len(w.open)
+    # the root and level[0] were taken, and their kept children added
+    assert len(w.open) == 1 + len(level) + len(below) - 2
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -588,7 +590,7 @@ def test_report_accounting_invariants():
             == len(report.thresholds_granted)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(spec=st.builds(_spec, d=st.integers(3, 7), b=st.integers(2, 3),
                       g=st.floats(0.0, 1.0), herror=st.integers(0, 3),
                       density=st.sampled_from((0.0, 1e-9)),
@@ -603,18 +605,30 @@ def test_sim_report_equals_the_plain_tick_loop(
     # ticks are read off the clock: the report equals, field for field,
     # that of a loop stepping every worker every tick and counting idle
     # per step, and its over-threshold count of 0 equals the plain
-    # loop's count of expansions above their cluster's threshold
+    # loop's count of expansions above their cluster's threshold.  A
+    # pass ends exactly where the plain loop's own count of its live
+    # nodes falls to 0
     clusters = data.draw(st.integers(1, workers), label="clusters")
     config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
         .with_value("distribution", distribution) \
         .with_value("polling", polling)
     problem = ArtificialProblem(spec)
     serial = serial_idastar(problem)
-    report = run_sim(problem, config, workers, latency=latency,
-                     serial_outcome=serial)
-    plain = PlainLoopSim(problem, config, workers, latency, 0,
-                         serial).run()
+    completed = []
+    original = _SimEngine._pass_complete
+
+    def recording(self, cl):
+        completed.append(self.tick)
+        original(self, cl)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_SimEngine, "_pass_complete", recording)
+        report = run_sim(problem, config, workers, latency=latency,
+                         serial_outcome=serial)
+    engine = PlainLoopSim(problem, config, workers, latency, 0, serial)
+    plain = engine.run()
     assert report == plain
+    assert completed == engine.dry_ticks
     # the plain loop ends inside the accepting step's tick: the workers
     # before it make makespan steps and the rest one fewer, whether
     # their cluster was searching, pending or done
@@ -728,6 +742,55 @@ def test_engine_failures_raise_in_both_modes(monkeypatch):
     with pytest.raises(EngineStall):
         run_parallel(problem, DEFAULT_CONFIG, 2,
                      mode="threads", serial_outcome=baseline)
+
+
+@pytest.mark.parametrize("distribution", ("KumarRao", "BreadthFirst"))
+@pytest.mark.parametrize("workers, clusters, latency, granted", [
+    (1, 1, 0, [0, 1, 2]), (2, 1, 1, [0, 1, 2]), (2, 1, 3, [0, 1, 2]),
+    (4, 4, 1, [0, 1, 2, 3])])
+def test_a_goalless_run_ends_at_the_first_pass_that_prunes_nothing(
+        distribution, workers, clusters, latency, granted):
+    # NoGoalProblem's nodes have f 0, 1 and 2 by depth: the passes at 0
+    # and 1 prune, and the pass at 2 prunes nothing and ends the run.
+    # With four clusters the pass at 1 ends while another cluster holds
+    # 2, so it extrapolates to 3, and the run ends at whichever of the
+    # passes at 2 and 3 ends first: neither prunes
+    config = DEFAULT_CONFIG.with_value("clusters", str(clusters)) \
+        .with_value("distribution", distribution)
+    baseline = SearchOutcome((), 0, [], 1, 0)
+    engine = _SimEngine(NoGoalProblem(), config, workers, latency, 0,
+                        baseline)
+    with pytest.raises(SpaceExhausted):
+        engine.run()
+    assert engine.coord.granted == granted
+
+
+def test_a_run_whose_passes_never_end_stalls_at_the_progress_cap():
+    # with quiet() never true no KumarRao pass ends: once the first
+    # pass's nodes (eight, no goal among them) are expanded the workers
+    # only ask for work and refuse it, and the run stalls
+    # _NO_PROGRESS_CAP ticks after its last expansion
+    problem = ArtificialProblem(_spec(d=6, herror=4, seed=3))
+    config = DEFAULT_CONFIG.with_value("distribution", "KumarRao")
+    engine = _SimEngine(problem, config, 4, 1, 0)
+    expand = engine._expand_node
+    ticks = []
+
+    def recording(node, threshold, push, prune):
+        ticks.append(engine.tick)
+        return expand(node, threshold, push, prune)
+
+    engine._expand_node = recording
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Cluster, "quiet", lambda self: False)
+        with pytest.raises(EngineStall) as stall:
+            engine.run()
+    last = ticks[-1]
+    assert engine.coord.granted == [problem.initial_h()]
+    assert len(ticks) == 8 and last > 0
+    assert str(stall.value) \
+        == (f"no acceptance after {last + _NO_PROGRESS_CAP + 1} ticks "
+            f"(last progress at tick {last})")
 
 
 def test_threads_speedup_is_against_serial_wall_time():
@@ -867,7 +930,7 @@ def test_coordinator_holds_one_best_solution_and_gates_on_the_pool():
 # Every pass a cluster completes expands exactly the nodes of the serial
 # pass at its threshold, and that pass finds no goal: ties the sim's
 # goal test to the serial pass's.
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=3 * settings.default.max_examples, deadline=None)
 @given(d=st.integers(4, 7), b=st.integers(2, 3), g=st.floats(0.0, 1.0),
        herror=st.integers(2, 6), density=st.sampled_from((1e-9, 0.05)),
        imbalance=st.sampled_from((0.0, 0.6)), seed=st.integers(0, 99),
