@@ -32,6 +32,16 @@ below it.  Each add, shift and multiply is followed by & lanes, which
 clears the gaps, save the last shift, whose gap bits the & _LANES that
 takes a key out of its slot clears.
 
+A node's packed pass is a function of its path alone: the path fixes
+the node's key, its depth and whether it is on the goal path, and so
+the index table entry the pass reads.  Each ArtificialProblem therefore
+keeps a table, a dict from a node's path to the pass's result z, which
+synthetic_expand looks up before hashing: a hit skips the pass and
+returns exactly the z the pass would compute, and a miss runs the pass
+and stores z while the table holds fewer than PASS_TABLE_CAP entries.
+IDA* re-expands the top of the tree on every pass, and a sweep runs
+several searches on each instance, so most expansions hit.
+
 synthetic_expand computes only what its children need.  A node at the
 tree's depth d is a leaf: it returns GOAL or () at once.  With extra
 goals about (density > 0), every child of a node is the remaining depth
@@ -184,6 +194,12 @@ _SLOT = 256
 _STEP_ADD2 = tuple((_GAMMA * (c + 1) & _MASK) * ((1 << 128) + 1)
                    for c in range(256))
 _BYTE = tuple(bytes((c,)) for c in range(256))
+# most nodes whose packed pass an ArtificialProblem keeps (see the module
+# docstring).  A stored pass is 32 bytes per child, so the cap holds one
+# problem's table to about 0.25 MB at b = 3 and 8.5 MB at b = 256, and
+# the first passes made, the top of the tree that every IDA* pass
+# re-expands, are the ones kept.
+PASS_TABLE_CAP = 1024
 
 
 def synthetic_slots(indices):
@@ -209,14 +225,17 @@ def synthetic_expand(node, threshold, push, prune, tables):
     node's child-index bytes, its common-prefix length with the goal
     path and its packed error- and goal-stream hash key.  tables is
     ArtificialProblem's (on_path, off_path, goal_path, d, goal_below,
-    emod): per parent depth on and off the goal path, synthetic_slots'
-    entry (indices, spread, add, lanes) for the surviving child
-    indices, last index first; the goal path; the spec's d; its density
-    threshold shifted into the goal lane (threshold << 128), so that a
-    key is below it exactly when its goal stream is below the
-    threshold; and herror + 1.  Each child costs 1, its
-    key is one hash_step of its parent's in both lanes, taken for all
-    children at once in one packed pass, and its h is as
+    emod, passes): per parent depth on and off the goal path,
+    synthetic_slots' entry (indices, spread, add, lanes) for the
+    surviving child indices, last index first; the goal path; the
+    spec's d; its density threshold shifted into the goal lane
+    (threshold << 128), so that a key is below it exactly when its goal
+    stream is below the threshold; herror + 1; and the problem's table
+    of packed passes, a dict from a node's path to its pass's result,
+    which the kernel reads and fills up to PASS_TABLE_CAP entries (see
+    the module docstring).  Each child costs 1, its key is one
+    hash_step of its parent's in both lanes, taken for all children at
+    once in one packed pass or read from passes, and its h is as
     ArtificialProblem._h computes it.  A child i with
     f <= threshold is passed to push as the node
     ((path + bytes((i,)), its shared, its key), g + 1, h, i, node); any
@@ -246,7 +265,7 @@ def synthetic_expand(node, threshold, push, prune, tables):
         if shared == depth or key < tables[4]:
             return GOAL
         return ()
-    on_path, off_path, goal_path, d, goal_below, emod = tables
+    on_path, off_path, goal_path, d, goal_below, emod, passes = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices, spread, add, lanes = on_path[depth]
@@ -264,11 +283,16 @@ def synthetic_expand(node, threshold, push, prune, tables):
         for _i in indices:
             prune(g)
         return indices
-    # every child's key in one pass, child j's in slot j
-    z = (key * spread + add) & lanes
-    z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
-    z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
-    z ^= z >> 31
+    # every child's key in one pass, child j's in slot j, or the pass an
+    # earlier expansion of this node stored
+    z = passes.get(path)
+    if z is None:
+        z = (key * spread + add) & lanes
+        z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
+        z ^= z >> 31
+        if len(passes) < PASS_TABLE_CAP:
+            passes[path] = z
     if not off:
         for i in indices:
             push(((path + _BYTE[i], shared + (i == goal_next), z & _LANES),

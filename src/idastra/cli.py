@@ -333,7 +333,12 @@ def cmd_sweep(args):
     # each record and case is on disk as soon as its run or instance
     # ends, so an exception loses none of what finished before it
     failed = cases = dupes = 0
-    for iid, problem in instances:
+    runs = len(instances) * len(grid)
+    # each problem is dropped before the next instance's runs, so that a
+    # sweep holds one problem's table of packed passes at a time
+    instances.reverse()
+    while instances:
+        iid, problem = instances.pop()
         features, timings, failures = _sweep_instance(args, iid, problem,
                                                       grid, base)
         failed += failures
@@ -347,7 +352,6 @@ def cmd_sweep(args):
             dupes += append_cases(args.store, [case], stored)[1]
             cases += 1
 
-    runs = len(instances) * len(grid)
     print(f"appended {runs} run record(s) to {args.out}"
           + (f" ({failed} failed)" if failed else ""))
     if args.store:

@@ -47,6 +47,7 @@ class ArtificialSpec:
         # a node holds its path of up to d bytes and its parent, so one
         # root-to-leaf chain holds d^2 / 2 bytes (8 MB at this bound), and
         # ArtificialProblem keeps 2 d tables of up to b child indices
+        # (and at most PASS_TABLE_CAP packed passes of 32 b bytes each)
         if not 1 <= self.d <= MAX_DEPTH:
             raise DataError(f"d must be in [1, {MAX_DEPTH}], got {self.d}")
         # a child index is one byte of a path
@@ -134,6 +135,14 @@ class ArtificialProblem:
     streams (err | goal << 128); expand's kernel steps it for all of a
     node's children in one packed pass and computes each child's h as _h
     does.
+
+    The problem keeps each node's packed pass in a table keyed by the
+    node's path, so that every later expansion of the node, in this
+    search or another on the same problem, skips the pass.  The path
+    fixes the node's key, depth and place on or off the goal path, so a
+    stored pass is exactly the one the kernel would compute.  The table
+    keeps the first PASS_TABLE_CAP (1,024) nodes' passes, the top of
+    the tree, and then stops growing.
     """
 
     def __init__(self, spec):
@@ -164,10 +173,11 @@ class ArtificialProblem:
         slots = {t: kernels.synthetic_slots(t)
                  for t in {*on_path, *off_path}}
         # everything synthetic_expand reads besides the state; a key is
-        # below the shifted threshold exactly when its goal lane is
+        # below the shifted threshold exactly when its goal lane is, and
+        # the last entry is the table of packed passes it fills
         self._tables = (tuple(slots[t] for t in on_path),
                         tuple(slots[t] for t in off_path), self.goal_path,
-                        d, self.density_threshold << 128, self._emod)
+                        d, self.density_threshold << 128, self._emod, {})
 
     def state_at(self, path):
         """The state of the node at path, its key hashed from scratch."""

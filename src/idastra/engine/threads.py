@@ -13,8 +13,12 @@ is accepted, and otherwise runs `_grant_pending` then `_step` of its own
 worker, counting a step that expands nothing as an idle poll in the
 worker's `idle_ticks`.  Nothing else touches engine state until every
 worker thread is joined; only then does the calling thread read the
-engine to build the report.  A step that exhausts the space raises SpaceExhausted in its
-worker thread, which stops the run and re-raises it in the caller.
+engine to build the report.  The one piece of problem state a search
+writes, an ArtificialProblem's table of packed hash passes, is written
+only by its expand, so only inside a step, under the engine lock (the
+serial baseline fills it before any worker thread starts).  A step that
+exhausts the space raises SpaceExhausted in its worker thread, which
+stops the run and re-raises it in the caller.
 Messages are delivered at the recipient's next step (latency 0):
 run_parallel's `latency` (the CLI's `--latency`) applies to "sim" only.
 """

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import settings
 
 # a larger sample for the tests that scale their example count by the
-# loaded profile (tests/test_cli_bounds.py and two sim property tests
-# in tests/test_engine.py); load with
+# loaded profile (tests/test_cli_bounds.py, two sim property tests in
+# tests/test_engine.py and the pass-table test in tests/test_kernels.py);
+# load with
 # --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000)
 

@@ -3,10 +3,12 @@ solve, report, curves."""
 
 import csv
 import dataclasses
+import gc
 import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -195,6 +197,30 @@ def test_sweep_reads_a_prefilled_store_once(run_cli, tmp_path, monkeypatch):
     # one read for the whole sweep, and every rerun case still counts
     assert reads == ["r"]
     assert "store already held 3 identical case line(s)" in err
+
+
+def test_sweep_keeps_one_instance_problem_alive(run_cli, tmp_path,
+                                               monkeypatch):
+    # a problem keeps a table of packed passes, so a sweep must drop each
+    # instance's problem before it runs the next instance
+    files = _gen(run_cli, str(tmp_path / "inst"), count=3)
+    earlier = []
+    alive = []
+    sweep_instance = cli._sweep_instance
+
+    def checking(args, iid, problem, grid, base):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in earlier))
+        earlier.append(weakref.ref(problem))
+        return sweep_instance(args, iid, problem, grid, base)
+
+    monkeypatch.setattr(cli, "_sweep_instance", checking)
+    code, out, _err = run_cli(["sweep", "--instances", *files,
+                               "--axis", "clusters", "--grid", "1,2",
+                               "--workers", 2, "--budget", 50,
+                               "--out", tmp_path / "records.csv"])
+    assert code == 0 and "appended 6 run record(s)" in out
+    assert alive == [0, 0, 0]
 
 
 def test_sweep_bad_output_path_fails_before_any_search(run_cli, tmp_path,

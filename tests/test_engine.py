@@ -5,12 +5,14 @@ oracles."""
 import dataclasses
 import hashlib
 import random
+import sys
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idastra import _kernels_py
 from idastra.core import (SearchOutcome, cost_bounded_dfs, make_root,
                           serial_idastar)
 from idastra.domains.puzzle import PuzzleProblem, scramble
@@ -714,6 +716,26 @@ def test_threads_mode_finds_optimal_cost():
                           2, mode="threads", seed=0)
     assert report.solution_cost == want
     assert report.mode == "threads"
+
+
+def test_threads_fill_the_shared_pass_table_to_its_cap(monkeypatch):
+    # every worker thread's expand fills the problem's one table of
+    # packed passes, inside a step and so under the engine lock: however
+    # the threads interleave, the table stops at its cap
+    monkeypatch.setattr(_kernels_py, "PASS_TABLE_CAP", 40)
+    spec = _spec(d=7, g=0.9, density=1e-12, seed=2)
+    baseline = serial_idastar(ArtificialProblem(spec))
+    # the threads, not the serial baseline, fill this problem's table
+    problem = ArtificialProblem(spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = run_parallel(problem, DEFAULT_CONFIG, 4, mode="threads",
+                              serial_outcome=baseline)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report.solution_cost == baseline.cost
+    assert len(problem._tables[-1]) == 40
 
 
 def test_engine_failures_raise_in_both_modes(monkeypatch):

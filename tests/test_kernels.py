@@ -5,13 +5,17 @@ import random
 import sys
 from itertools import product
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from idastra import _kernels_py
-from idastra.core import GOAL, make_root
+from idastra.core import GOAL, make_root, serial_idastar
 from idastra.domains.puzzle import GOAL_TILES, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
+from idastra.engine import DEFAULT_CONFIG, run_sim
+from idastra.features import shallow_search
+from idastra.ordering import OrderPolicy
 from oracles import apply_op_reference, expand_all, manhattan_reference
 
 
@@ -128,7 +132,7 @@ def test_packed_step_advances_each_lane_alone(err, goal):
     for indices in walks:
         # the children of the root of a depth-1 tree
         entry = _kernels_py.synthetic_slots(indices)
-        tables = ((entry,), (entry,), bytes(indices[:1]), 1, 0, 1)
+        tables = ((entry,), (entry,), bytes(indices[:1]), 1, 0, 1, {})
         children = []
         _kernels_py.synthetic_expand(((b"", 0, key), 0, 0, -1, None),
                                      sys.maxsize, children.append, None,
@@ -232,3 +236,93 @@ def test_synthetic_expand_at_every_tight_threshold():
                 assert pruned == [c[1] + c[2] for c in walked
                                   if c[1] + c[2] > threshold]
             stack.extend(walked)
+
+
+def _expanded_paths(problem):
+    """Wrap problem's expand to collect the path of every node it is
+    given; returns the set it fills."""
+    paths = set()
+    expand = problem.expand
+
+    def recording(node, threshold, push, prune):
+        paths.add(node[0][0])
+        return expand(node, threshold, push, prune)
+
+    problem.expand = recording
+    return paths
+
+
+def _stored_pass(problem, path):
+    """The packed pass synthetic_expand stores for the node at path when
+    it expands that node first, on an empty table."""
+    tables = problem._tables[:-1] + ({},)
+    _kernels_py.synthetic_expand((problem.state_at(path), 0, 0, -1, None),
+                                 sys.maxsize, lambda _c: None, None, tables)
+    (z,) = tables[-1].values()
+    return z
+
+
+def _searches(permutation):
+    """Every search whose result the pass table must leave unchanged, as
+    functions of a problem."""
+    searches = [lambda p, o=order: serial_idastar(p, order=o)
+                for order in (OrderPolicy.fixed(), OrderPolicy.local(),
+                              OrderPolicy.fixed(permutation))]
+    searches.append(lambda p: shallow_search(p, budget=300))
+    for distribution in ("KumarRao", "BreadthFirst"):
+        config = DEFAULT_CONFIG.with_value("distribution", distribution)
+        searches.append(lambda p, c=config: run_sim(p, c, 4, seed=1))
+    return searches
+
+
+# A problem's table of packed passes is invisible to every result: a
+# search gives the same outcome on a fresh problem, on one whose table
+# other searches filled first, and on one whose table stops at 3 nodes.
+# Every entry is a path the searches expanded, holding the pass the
+# kernel computes for that node.
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(d=st.integers(1, 7), b=st.integers(2, 4), g=st.floats(0.0, 1.0),
+       density=st.sampled_from((0.0, 1e-9, 0.05)),
+       imbalance=st.sampled_from((0.0, 0.6)), herror=st.integers(0, 4),
+       seed=st.integers(0, 2**32), data=st.data())
+def test_the_pass_table_leaves_every_result_unchanged(
+        d, b, g, density, imbalance, herror, seed, data):
+    spec = ArtificialSpec(d=d, g=g, b=b, imbalance=imbalance,
+                          density=density, herror=herror, seed=seed)
+    permutation = data.draw(st.permutations(range(b)))
+    searches = _searches(permutation)
+    fresh = [search(ArtificialProblem(spec)) for search in searches]
+
+    warm = ArtificialProblem(spec)
+    expanded = _expanded_paths(warm)
+    serial_idastar(warm, order=OrderPolicy.fixed(permutation[::-1]))
+    run_sim(warm, DEFAULT_CONFIG.with_value("ordering", "Local"), 3)
+    assert [search(warm) for search in searches] == fresh
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels_py, "PASS_TABLE_CAP", 3)
+        capped = ArtificialProblem(spec)
+        assert [search(capped) for search in searches] == fresh
+        assert len(capped._tables[-1]) <= 3
+
+    table = warm._tables[-1]
+    assert table.keys() <= expanded
+    for path, z in table.items():
+        assert z == _stored_pass(warm, path)
+
+
+def test_the_pass_table_stops_at_its_cap():
+    # a search over more internal nodes than the cap fills the table to
+    # exactly the cap, with passes of nodes it expanded
+    # with density > 0 every node's f is at most d, so the pass at
+    # threshold d walks the whole tree of 3,280 internal nodes
+    spec = ArtificialSpec(d=8, g=0.9, b=3, imbalance=0.0, density=1e-12,
+                          herror=0, seed=2)
+    problem = ArtificialProblem(spec)
+    expanded = _expanded_paths(problem)
+    serial_idastar(problem)
+    internal = {path for path in expanded if len(path) < spec.d}
+    assert len(internal) > _kernels_py.PASS_TABLE_CAP
+    table = problem._tables[-1]
+    assert len(table) == _kernels_py.PASS_TABLE_CAP
+    assert table.keys() <= internal
