@@ -132,17 +132,19 @@ class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
     A state's key packs path_hash(seed, tag, path) for the error and goal
-    streams (err | goal << 128); expand's kernel steps it for all of a
-    node's children in one packed pass and computes each child's h as _h
-    does.
+    streams (err | goal << 128); expand's kernel steps it for each of a
+    node's children, the Python kernel for all of them in one packed
+    pass, and computes each child's h as _h does.
 
-    The problem keeps each node's packed pass in a table keyed by the
-    node's path, so that every later expansion of the node, in this
-    search or another on the same problem, skips the pass.  The path
-    fixes the node's key, depth and place on or off the goal path, so a
-    stored pass is exactly the one the kernel would compute.  The table
-    keeps the first PASS_TABLE_CAP (1,024) nodes' passes, the top of
-    the tree, and then stops growing.
+    Under the Python kernel, the problem keeps each node's packed pass
+    in a table keyed by the node's path, so that every later expansion
+    of the node, in this search or another on the same problem, skips
+    the pass.  The path fixes the node's key, depth and place on or off
+    the goal path, so a stored pass is exactly the one the kernel would
+    compute.  The table keeps the first PASS_TABLE_CAP (1,024) nodes'
+    passes, the top of the tree, and then stops growing.  The compiled
+    kernel steps each child's two lanes on their own and leaves the
+    table empty.
     """
 
     def __init__(self, spec):

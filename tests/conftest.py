@@ -15,6 +15,7 @@ settings.register_profile("ci", max_examples=1000)
 # make `import oracles` work regardless of how pytest was invoked
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
+from idastra import _backend, _kernels_py  # noqa: E402
 from idastra.cli import main as cli_main  # noqa: E402
 
 # seconds a test may run before the run is ended with every thread's
@@ -50,3 +51,23 @@ def run_cli(capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
     return run
+
+
+@pytest.fixture
+def synthetic_kernels(monkeypatch):
+    """Every synthetic_expand a test holds to the same results: the Python
+    kernel, and the compiled one where it loaded (tests/test_backend.py
+    fails where a compiler is present and it did not).  Iterating installs
+    each in turn on idastra._backend.kernels, where ArtificialProblem.expand
+    looks it up, and yields it; the test's teardown puts back the one the
+    package loaded.  A Hypothesis test may take this fixture across its
+    examples, since each iteration installs its kernel afresh."""
+    loaded = [_kernels_py.synthetic_expand]
+    if _backend.compiled is not None:
+        loaded.append(_backend.compiled.synthetic_expand)
+
+    def each():
+        for kernel in loaded:
+            monkeypatch.setattr(_backend.kernels, "synthetic_expand", kernel)
+            yield kernel
+    return each

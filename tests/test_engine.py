@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idastra import _kernels_py
+from idastra import _backend, _kernels_py
 from idastra.core import (SearchOutcome, cost_bounded_dfs, make_root,
                           serial_idastar)
 from idastra.domains.puzzle import PuzzleProblem, scramble
@@ -721,7 +721,10 @@ def test_threads_mode_finds_optimal_cost():
 def test_threads_fill_the_shared_pass_table_to_its_cap(monkeypatch):
     # every worker thread's expand fills the problem's one table of
     # packed passes, inside a step and so under the engine lock: however
-    # the threads interleave, the table stops at its cap
+    # the threads interleave, the table stops at its cap.  Only the
+    # Python kernel fills the table
+    monkeypatch.setattr(_backend.kernels, "synthetic_expand",
+                        _kernels_py.synthetic_expand)
     monkeypatch.setattr(_kernels_py, "PASS_TABLE_CAP", 40)
     spec = _spec(d=7, g=0.9, density=1e-12, seed=2)
     baseline = serial_idastar(ArtificialProblem(spec))

@@ -6,10 +6,10 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from idastra import _kernels_py
+from idastra import _backend, _kernels_py
 from idastra.core import GOAL, make_root, serial_idastar
 from idastra.domains.puzzle import GOAL_TILES, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
@@ -118,25 +118,30 @@ def test_hash_step_extends_path_hash_by_one_byte(seed, tag, path):
 _TOP = (1 << 64) - 1
 
 
+# every synthetic-kernel test below runs each loaded kernel through the
+# synthetic_kernels fixture (see tests/conftest.py)
+_EACH_KERNEL = [HealthCheck.function_scoped_fixture]
+
+
+@settings(suppress_health_check=_EACH_KERNEL)
 @example(err=0, goal=_TOP)
 @example(err=_TOP, goal=0)
 @example(err=_TOP, goal=_TOP)
 @example(err=0, goal=0)
 @given(err=st.integers(0, _TOP), goal=st.integers(0, _TOP))
-def test_packed_step_advances_each_lane_alone(err, goal):
-    # synthetic_expand's packed pass is hash_step in each lane of every
-    # child's slot; a lane mask left out lets carries or shifted bits
-    # cross between lanes or slots
+def test_packed_step_advances_each_lane_alone(err, goal, synthetic_kernels):
+    # each child's key is hash_step of its parent's in each lane: in the
+    # Python kernel's packed pass a lane mask left out lets carries or
+    # shifted bits cross between lanes or slots
     key = err | goal << 128
     walks = [(c,) for c in range(256)] + [tuple(reversed(range(256)))]
-    for indices in walks:
+    for kernel, indices in product(synthetic_kernels(), walks):
         # the children of the root of a depth-1 tree
         entry = _kernels_py.synthetic_slots(indices)
         tables = ((entry,), (entry,), bytes(indices[:1]), 1, 0, 1, {})
         children = []
-        _kernels_py.synthetic_expand(((b"", 0, key), 0, 0, -1, None),
-                                     sys.maxsize, children.append, None,
-                                     tables)
+        kernel(((b"", 0, key), 0, 0, -1, None), sys.maxsize,
+               children.append, None, tables)
         assert tuple(op for _s, _g, _h, op, _p in children) == indices
         for (_path, _shared, stepped), _g, _h, c, _parent in children:
             assert stepped & _TOP == _kernels_py.hash_step(err, c)
@@ -146,22 +151,26 @@ def test_packed_step_advances_each_lane_alone(err, goal):
             assert stepped >> 192 == 0
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=_EACH_KERNEL)
 @given(b=st.integers(2, 5), d=st.integers(1, 9),
        g=st.floats(0.0, 1.0), herror=st.integers(0, 6),
        density=st.sampled_from((0.0, 1e-9, 0.05, 1.0)),
        imbalance=st.sampled_from((0.0, 0.6)),
        seed=st.integers(0, 2**32), data=st.data())
 def test_synthetic_expand_matches_states_built_from_scratch(
-        b, d, g, herror, density, imbalance, seed, data):
+        b, d, g, herror, density, imbalance, seed, data, synthetic_kernels):
     # walk down from the root; every child the kernel returns is the
-    # state, h and goal flag its path gives when computed from nothing
+    # state, h and goal flag its path gives when computed from nothing.
+    # Every kernel expands each node of the walk alike
     problem = ArtificialProblem(ArtificialSpec(
         d=d, g=g, b=b, imbalance=imbalance, density=density,
         herror=herror, seed=seed))
     node = make_root(problem)
     while True:
-        children = expand_all(problem, node)
+        children, *others = [expand_all(problem, node)
+                             for _kernel in synthetic_kernels()]
+        assert all(other == children for other in others)
         if not children:
             break
         path = node[0][0]
@@ -176,66 +185,69 @@ def test_synthetic_expand_matches_states_built_from_scratch(
         node = data.draw(st.sampled_from(children))
 
 
-def test_synthetic_expand_on_every_node_of_small_trees():
+def test_synthetic_expand_on_every_node_of_small_trees(synthetic_kernels):
     # the exhaustive companion of the test above: every node of full
     # small trees, leaves included, against states built from scratch
-    for d, b, density, imbalance, herror in product(
-            range(1, 7), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
-            (0, 5)):
-        problem = ArtificialProblem(ArtificialSpec(
-            d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
-            density=density, herror=herror, seed=10 * d + b))
-        goals = 0
-        stack = [make_root(problem)]
-        while stack:
-            node = stack.pop()
-            path = node[0][0]
-            children = expand_all(problem, node)
-            if len(path) == d:
-                assert children == []
-            for child, g, h, i, _parent in children:
-                assert g == node[1] + 1
-                assert child == problem.state_at(path + bytes((i,)))
-                assert h == problem._h(len(child[0]), *child[1:]) \
-                    == problem.heuristic(child)
-                if problem.is_goal(child):
-                    assert h == 0
-                    goals += 1
-            stack.extend(children)
-        # the designated goal path survives every depth limit
-        assert goals >= 1, (d, b, density, imbalance, herror)
+    for _kernel in synthetic_kernels():
+        for d, b, density, imbalance, herror in product(
+                range(1, 7), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
+                (0, 5)):
+            problem = ArtificialProblem(ArtificialSpec(
+                d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
+                density=density, herror=herror, seed=10 * d + b))
+            goals = 0
+            stack = [make_root(problem)]
+            while stack:
+                node = stack.pop()
+                path = node[0][0]
+                children = expand_all(problem, node)
+                if len(path) == d:
+                    assert children == []
+                for child, g, h, i, _parent in children:
+                    assert g == node[1] + 1
+                    assert child == problem.state_at(path + bytes((i,)))
+                    assert h == problem._h(len(child[0]), *child[1:]) \
+                        == problem.heuristic(child)
+                    if problem.is_goal(child):
+                        assert h == 0
+                        goals += 1
+                stack.extend(children)
+            # the designated goal path survives every depth limit
+            assert goals >= 1, (d, b, density, imbalance, herror)
 
 
-def test_synthetic_expand_at_every_tight_threshold():
+def test_synthetic_expand_at_every_tight_threshold(synthetic_kernels):
     # every node of full small trees, expanded at each threshold from
     # just below its own f to just above the deepest f: the children
     # with f within the threshold are pushed, as built from scratch, and
     # every other child's f goes to prune once, in walk order
-    for d, b, density, imbalance, herror in product(
-            range(1, 6), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
-            (0, 3)):
-        problem = ArtificialProblem(ArtificialSpec(
-            d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
-            density=density, herror=herror, seed=10 * d + b))
-        stack = [make_root(problem)]
-        while stack:
-            node = stack.pop()
-            path, g, h = node[0][0], node[1], node[2]
-            walked = []
-            want_ops = problem.expand(node, sys.maxsize, walked.append,
-                                      None)
-            for child in walked:
-                assert child[0] == problem.state_at(path + bytes((child[3],)))
-            for threshold in range(g + h - 1, d + 2):
-                pushed, pruned = [], []
-                ops = problem.expand(node, threshold, pushed.append,
-                                     pruned.append)
-                assert ops == want_ops
-                assert pushed == [c for c in walked
-                                  if c[1] + c[2] <= threshold]
-                assert pruned == [c[1] + c[2] for c in walked
-                                  if c[1] + c[2] > threshold]
-            stack.extend(walked)
+    for _kernel in synthetic_kernels():
+        for d, b, density, imbalance, herror in product(
+                range(1, 6), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
+                (0, 3)):
+            problem = ArtificialProblem(ArtificialSpec(
+                d=d, g=(d + b) % 4 / 3, b=b, imbalance=imbalance,
+                density=density, herror=herror, seed=10 * d + b))
+            stack = [make_root(problem)]
+            while stack:
+                node = stack.pop()
+                path, g, h = node[0][0], node[1], node[2]
+                walked = []
+                want_ops = problem.expand(node, sys.maxsize, walked.append,
+                                          None)
+                for child in walked:
+                    assert child[0] == problem.state_at(
+                        path + bytes((child[3],)))
+                for threshold in range(g + h - 1, d + 2):
+                    pushed, pruned = [], []
+                    ops = problem.expand(node, threshold, pushed.append,
+                                         pruned.append)
+                    assert ops == want_ops
+                    assert pushed == [c for c in walked
+                                      if c[1] + c[2] <= threshold]
+                    assert pruned == [c[1] + c[2] for c in walked
+                                      if c[1] + c[2] > threshold]
+                stack.extend(walked)
 
 
 def _expanded_paths(problem):
@@ -279,7 +291,8 @@ def _searches(permutation):
 # search gives the same outcome on a fresh problem, on one whose table
 # other searches filled first, and on one whose table stops at 3 nodes.
 # Every entry is a path the searches expanded, holding the pass the
-# kernel computes for that node.
+# kernel computes for that node.  Only the Python kernel fills the
+# table, so these tests install it whichever kernel loaded.
 @settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(d=st.integers(1, 7), b=st.integers(2, 4), g=st.floats(0.0, 1.0),
        density=st.sampled_from((0.0, 1e-9, 0.05)),
@@ -291,15 +304,17 @@ def test_the_pass_table_leaves_every_result_unchanged(
                           density=density, herror=herror, seed=seed)
     permutation = data.draw(st.permutations(range(b)))
     searches = _searches(permutation)
-    fresh = [search(ArtificialProblem(spec)) for search in searches]
-
-    warm = ArtificialProblem(spec)
-    expanded = _expanded_paths(warm)
-    serial_idastar(warm, order=OrderPolicy.fixed(permutation[::-1]))
-    run_sim(warm, DEFAULT_CONFIG.with_value("ordering", "Local"), 3)
-    assert [search(warm) for search in searches] == fresh
-
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_backend.kernels, "synthetic_expand",
+                   _kernels_py.synthetic_expand)
+        fresh = [search(ArtificialProblem(spec)) for search in searches]
+
+        warm = ArtificialProblem(spec)
+        expanded = _expanded_paths(warm)
+        serial_idastar(warm, order=OrderPolicy.fixed(permutation[::-1]))
+        run_sim(warm, DEFAULT_CONFIG.with_value("ordering", "Local"), 3)
+        assert [search(warm) for search in searches] == fresh
+
         mp.setattr(_kernels_py, "PASS_TABLE_CAP", 3)
         capped = ArtificialProblem(spec)
         assert [search(capped) for search in searches] == fresh
@@ -311,11 +326,13 @@ def test_the_pass_table_leaves_every_result_unchanged(
         assert z == _stored_pass(warm, path)
 
 
-def test_the_pass_table_stops_at_its_cap():
+def test_the_pass_table_stops_at_its_cap(monkeypatch):
     # a search over more internal nodes than the cap fills the table to
     # exactly the cap, with passes of nodes it expanded
     # with density > 0 every node's f is at most d, so the pass at
     # threshold d walks the whole tree of 3,280 internal nodes
+    monkeypatch.setattr(_backend.kernels, "synthetic_expand",
+                        _kernels_py.synthetic_expand)
     spec = ArtificialSpec(d=8, g=0.9, b=3, imbalance=0.0, density=1e-12,
                           herror=0, seed=2)
     problem = ArtificialProblem(spec)

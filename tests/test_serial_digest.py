@@ -134,15 +134,17 @@ def _read_cases():
         return [tuple(line.rstrip("\n").rsplit(" = ", 1)) for line in fh]
 
 
-def test_serial_digest_matches_pin():
-    digest, cases = _run_cases()
-    pinned = _read_cases()
-    moved = next((f"{label}: {short} (pinned {want})"
-                  for (label, short), (_, want) in zip(cases, pinned)
-                  if short != want), None)
-    assert moved is None, f"first moved case: {moved}"
-    assert [label for label, _ in cases] == [label for label, _ in pinned]
-    assert digest == DIGEST
+def test_serial_digest_matches_pin(synthetic_kernels):
+    # the same pin on every synthetic kernel
+    for kernel in synthetic_kernels():
+        digest, cases = _run_cases()
+        pinned = _read_cases()
+        moved = next((f"{label}: {short} (pinned {want})"
+                      for (label, short), (_, want) in zip(cases, pinned)
+                      if short != want), None)
+        assert moved is None, f"{kernel}: first moved case: {moved}"
+        assert [label for label, _ in cases] == [label for label, _ in pinned]
+        assert digest == DIGEST
 
 
 if __name__ == "__main__":

@@ -118,15 +118,17 @@ def _read_runs():
         return [tuple(line.rstrip("\n").rsplit(" = ", 1)) for line in fh]
 
 
-def test_sim_report_digest_matches_pin():
-    digest, runs = _run_matrix()
-    pinned = _read_runs()
-    moved = next((f"{label}: {short} (pinned {want})"
-                  for (label, short), (_, want) in zip(runs, pinned)
-                  if short != want), None)
-    assert moved is None, f"first moved run: {moved}"
-    assert [label for label, _ in runs] == [label for label, _ in pinned]
-    assert digest == DIGEST
+def test_sim_report_digest_matches_pin(synthetic_kernels):
+    # the same pin on every synthetic kernel
+    for kernel in synthetic_kernels():
+        digest, runs = _run_matrix()
+        pinned = _read_runs()
+        moved = next((f"{label}: {short} (pinned {want})"
+                      for (label, short), (_, want) in zip(runs, pinned)
+                      if short != want), None)
+        assert moved is None, f"{kernel}: first moved run: {moved}"
+        assert [label for label, _ in runs] == [label for label, _ in pinned]
+        assert digest == DIGEST
 
 
 if __name__ == "__main__":
