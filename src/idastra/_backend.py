@@ -119,7 +119,6 @@ vars(kernels).update(
     puzzle_expand=_kernels_py.puzzle_expand,
     manhattan=_kernels_py.manhattan,
     path_hash=_kernels_py.path_hash,
-    synthetic_slots=_kernels_py.synthetic_slots,
     synthetic_expand=(compiled or _kernels_py).synthetic_expand)
 
 

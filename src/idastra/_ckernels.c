@@ -5,8 +5,8 @@
  * push and prune order, returns GOAL or () at a leaf and otherwise the
  * same index tuple, and raises where the Python kernel's inputs are
  * malformed.  A child's key is one hash_step of its parent's in each
- * 64-bit lane, stepped on two plain uint64_t values, so it needs no
- * packed pass and never reads or fills the pass table, tables[6].
+ * 64-bit lane, stepped on two plain uint64_t values, as the Python
+ * kernel steps them.
  *
  * idastra._backend builds this file on first import with the
  * interpreter's own compiler and headers (see its docstring).
@@ -226,10 +226,8 @@ fail_state:
 PyDoc_STRVAR(synthetic_expand_doc,
 "synthetic_expand(node, threshold, push, prune, tables)\n--\n\n"
 "idastra._kernels_py.synthetic_expand, compiled: the same children,\n"
-"pushed and pruned in the same order, and the same result.  Each\n"
-"child's key is stepped on its own, so the pass table, tables[6], is\n"
-"neither read nor filled.  A node or tables tuple of the wrong shape\n"
-"or types raises TypeError.");
+"pushed and pruned in the same order, and the same result.  A node or\n"
+"tables tuple of the wrong shape or types raises TypeError.");
 
 static PyObject *
 synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
@@ -251,9 +249,9 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (!PyBytes_Check(path) || !PyLong_Check(shared_obj)
             || !PyLong_Check(key) || !PyLong_Check(g_obj))
         return malformed("path must be bytes and shared, key and g ints");
-    if (!PyTuple_Check(tables) || PyTuple_GET_SIZE(tables) != 7)
+    if (!PyTuple_Check(tables) || PyTuple_GET_SIZE(tables) != 6)
         return malformed("tables must be a tuple (on_path, off_path, "
-                         "goal_path, d, goal_below, emod, passes)");
+                         "goal_path, d, goal_below, emod)");
     PyObject *on_path = PyTuple_GET_ITEM(tables, 0);
     PyObject *off_path = PyTuple_GET_ITEM(tables, 1);
     PyObject *goal_path = PyTuple_GET_ITEM(tables, 2);
@@ -289,12 +287,9 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
                         "synthetic_expand: path is deeper than the tables");
         return NULL;
     }
-    PyObject *entry = PyTuple_GET_ITEM(table, depth);
-    if (!PyTuple_Check(entry) || PyTuple_GET_SIZE(entry) < 1
-            || !PyTuple_Check(PyTuple_GET_ITEM(entry, 0)))
-        return malformed("a table entry must be a tuple whose first item "
-                         "is the index tuple");
-    PyObject *indices = PyTuple_GET_ITEM(entry, 0);
+    PyObject *indices = PyTuple_GET_ITEM(table, depth);
+    if (!PyTuple_Check(indices))
+        return malformed("a table entry must be a tuple of indices");
     Py_ssize_t n = PyTuple_GET_SIZE(indices);
     if (n > MAX_CHILDREN)
         return malformed("an index tuple holds at most 256 indices");

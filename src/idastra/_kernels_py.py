@@ -11,53 +11,20 @@ draws depend on them bit for bit), so its arithmetic is done on 64-bit
 masked integers.  It is a left fold of hash_step, so a child's hash is
 one step of its parent's.
 
-synthetic_expand steps all of a node's children's hash streams in one
-pass.  A synthetic state packs its two path_hash values into one key,
-the error stream in bits 0-63 and the goal stream in bits 128-191
-(err | goal << 128); _LANES masks those two 64-bit lanes.  The pass
-works on one integer with a 256-bit slot per child: child j, counted in
-walk order, has bits 256j to 256j+255, laid out as a key is, its error
-lane at 256j and its goal lane at 256j+128.  key * spread + add copies
-the parent key into every slot and adds each child's step constant, and
-hash_step's three mixing rounds then run once over all slots, with the
-all-slot mask lanes in place of _LANES (synthetic_slots builds spread,
-add and lanes for an index tuple).  Child j's key is then z & _LANES
-after j shifts of z by 256.
-
-No bit of one lane reaches another.  The 64 bits above each lane are a
-gap.  Every value multiplied or added is masked to the lanes first, so
-a lane's sum or product stays below 2^128 and fits the lane and its gap;
-a right shift by 27 to 31 moves a lane's bits no lower than the gap
-below it.  Each add, shift and multiply is followed by & lanes, which
-clears the gaps, save the last shift, whose gap bits the & _LANES that
-takes a key out of its slot clears.
-
-A node's packed pass is a function of its path alone: the path fixes
-the node's key, its depth and whether it is on the goal path, and so
-the index table entry the pass reads.  Each ArtificialProblem therefore
-keeps a table, a dict from a node's path to the pass's result z, which
-synthetic_expand looks up before hashing: a hit skips the pass and
-returns exactly the z the pass would compute, and a miss runs the pass
-and stores z while the table holds fewer than PASS_TABLE_CAP entries.
-IDA* re-expands the top of the tree on every pass, and a sweep runs
-several searches on each instance, so most expansions hit.
+synthetic_expand is the reference the compiled kernel in _ckernels.c
+is held to.  A synthetic state packs its two path_hash values into one
+key, the error stream in bits 0-63 and the goal stream in bits 128-191
+(err | goal << 128), and each child's key is one hash_step of its
+parent's in each of those lanes.
 
 synthetic_expand computes only what its children need.  A node at the
-tree's depth d is a leaf: it returns GOAL or () at once.  With extra
-goals about (density > 0), every child of a node is the remaining depth
-away from a possible goal, so a child at depth d gets h 0 with no goal
-test and no error draw; its key is still stepped, since a child is the
-state its path gives.  With density 0, a child at depth d is a goal
-only where it ends the goal path.
-
-Those leaf children under density > 0 take a path of their own.  Every
-one has h 0 and f = g + 1, so no distance is computed and no error
-stream read: when f is over the threshold each child's f goes to prune
-and the packed pass is skipped, since no key is read; otherwise the
-packed pass runs and each child is pushed with h 0.  The kernel tells
-them by off, the distance of a child off the goal path, being 0: with
-density > 0 it is the remaining depth, and with density 0 it is
-depth + d - 2 * shared, which is at least 2.
+tree's depth d is a leaf and returns GOAL or () at once.  With
+density > 0 every child of a node at depth d - 1 has h 0, with no goal
+test and no error draw, and f = g + 1.  The kernel tells these leaf
+children by off, the distance of a child off the goal path, being 0
+(with density 0 it is depth + d - 2 * shared, which is at least 2), and
+where their f is over the threshold it prunes them all and steps no
+key.
 """
 
 from idastra.core import GOAL
@@ -185,37 +152,8 @@ def path_hash(seed, tag, path):
     return h
 
 
-# both lanes of a packed key (see the module docstring)
-_LANES = _MASK | _MASK << 128
-# bits per child in a packed pass
-_SLOT = 256
-# hash_step's additive constant per byte, in both lanes, and each byte as
-# a bytes object
-_STEP_ADD2 = tuple((_GAMMA * (c + 1) & _MASK) * ((1 << 128) + 1)
-                   for c in range(256))
+# each byte as a bytes object
 _BYTE = tuple(bytes((c,)) for c in range(256))
-# most nodes whose packed pass an ArtificialProblem keeps (see the module
-# docstring).  A stored pass is 32 bytes per child, so the cap holds one
-# problem's table to about 0.25 MB at b = 3 and 8.5 MB at b = 256, and
-# the first passes made, the top of the tree that every IDA* pass
-# re-expands, are the ones kept.
-PASS_TABLE_CAP = 1024
-
-
-def synthetic_slots(indices):
-    """synthetic_expand's table entry for a node whose surviving child
-    indices, last index first, are the tuple indices: (indices, spread,
-    add, lanes).  Child j of indices has slot j of a packed pass (see the
-    module docstring); key * spread holds key in every slot, add holds
-    child j's hash_step constant in both lanes of slot j, and lanes masks
-    both lanes of every slot."""
-    spread = add = lanes = 0
-    for j, i in enumerate(indices):
-        shift = _SLOT * j
-        spread |= 1 << shift
-        add |= _STEP_ADD2[i] << shift
-        lanes |= _LANES << shift
-    return indices, spread, add, lanes
 
 
 def synthetic_expand(node, threshold, push, prune, tables):
@@ -225,18 +163,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
     node's child-index bytes, its common-prefix length with the goal
     path and its packed error- and goal-stream hash key.  tables is
     ArtificialProblem's (on_path, off_path, goal_path, d, goal_below,
-    emod, passes): per parent depth on and off the goal path,
-    synthetic_slots' entry (indices, spread, add, lanes) for the
+    emod): per parent depth on and off the goal path, the tuple of
     surviving child indices, last index first; the goal path; the
     spec's d; its density threshold shifted into the goal lane
     (threshold << 128), so that a key is below it exactly when its goal
-    stream is below the threshold; herror + 1; and the problem's table
-    of packed passes, a dict from a node's path to its pass's result,
-    which the kernel reads and fills up to PASS_TABLE_CAP entries (see
-    the module docstring).  Each child costs 1, its key is one
-    hash_step of its parent's in both lanes, taken for all children at
-    once in one packed pass or read from passes, and its h is as
-    ArtificialProblem._h computes it.  A child i with
+    stream is below the threshold; and herror + 1.  Each child costs 1,
+    its key is one hash_step of its parent's in each lane, and its h is
+    as ArtificialProblem._h computes it.  A child i with
     f <= threshold is passed to push as the node
     ((path + bytes((i,)), its shared, its key), g + 1, h, i, node); any
     other child's f alone is passed to prune, and its path and state are
@@ -265,13 +198,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
         if shared == depth or key < tables[4]:
             return GOAL
         return ()
-    on_path, off_path, goal_path, d, goal_below, emod, passes = tables
+    on_path, off_path, goal_path, d, goal_below, emod = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
-        indices, spread, add, lanes = on_path[depth]
+        indices = on_path[depth]
         goal_next = goal_path[depth]
     else:
-        indices, spread, add, lanes = off_path[depth]
+        indices = off_path[depth]
         goal_next = -1
     depth += 1
     g += 1
@@ -283,23 +216,10 @@ def synthetic_expand(node, threshold, push, prune, tables):
         for _i in indices:
             prune(g)
         return indices
-    # every child's key in one pass, child j's in slot j, or the pass an
-    # earlier expansion of this node stored
-    z = passes.get(path)
-    if z is None:
-        z = (key * spread + add) & lanes
-        z = ((z ^ (z >> 30)) & lanes) * _MIX1 & lanes
-        z = ((z ^ (z >> 27)) & lanes) * _MIX2 & lanes
-        z ^= z >> 31
-        if len(passes) < PASS_TABLE_CAP:
-            passes[path] = z
-    if not off:
-        for i in indices:
-            push(((path + _BYTE[i], shared + (i == goal_next), z & _LANES),
-                  g, 0, i, node))
-            z >>= _SLOT
-        return indices
+    err = key & _MASK
+    goal = key >> 128
     for i in indices:
+        c_err = hash_step(err, i)
         if i == goal_next:
             c_shared = shared + 1
             h = on
@@ -307,13 +227,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
             c_shared = shared
             h = off
         if h:
-            # the error lane is bits 0-63 of the child's slot
-            h -= (z & _MASK) % emod
+            # the error draw, from the child's error lane
+            h -= c_err % emod
             if h < 0:
                 h = 0
         if g + h > threshold:
             prune(g + h)
         else:
-            push(((path + _BYTE[i], c_shared, z & _LANES), g, h, i, node))
-        z >>= _SLOT
+            push(((path + _BYTE[i], c_shared,
+                   c_err | hash_step(goal, i) << 128), g, h, i, node))
     return indices

@@ -335,7 +335,7 @@ def cmd_sweep(args):
     failed = cases = dupes = 0
     runs = len(instances) * len(grid)
     # each problem is dropped before the next instance's runs, so that a
-    # sweep holds one problem's table of packed passes at a time
+    # sweep holds one problem's 2 d index tuples (d up to 4,096) at a time
     instances.reverse()
     while instances:
         iid, problem = instances.pop()

@@ -16,8 +16,8 @@ bits 0-63 and the goal stream in bits 128-191:
 path_hash(seed, 1, path) | path_hash(seed, 2, path) << 128.  Every field
 is a function of the path, so the path alone still identifies the node;
 the other two are carried so that a child's heuristic and goal test
-cost its share of one packed hash pass over its parent's children (see
-idastra._kernels_py), not a rehash of the whole path.
+cost one hash_step of its parent's key per lane (see idastra._kernels_py),
+not a rehash of the whole path.
 """
 
 import math
@@ -47,7 +47,6 @@ class ArtificialSpec:
         # a node holds its path of up to d bytes and its parent, so one
         # root-to-leaf chain holds d^2 / 2 bytes (8 MB at this bound), and
         # ArtificialProblem keeps 2 d tables of up to b child indices
-        # (and at most PASS_TABLE_CAP packed passes of 32 b bytes each)
         if not 1 <= self.d <= MAX_DEPTH:
             raise DataError(f"d must be in [1, {MAX_DEPTH}], got {self.d}")
         # a child index is one byte of a path
@@ -132,19 +131,9 @@ class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
     A state's key packs path_hash(seed, tag, path) for the error and goal
-    streams (err | goal << 128); expand's kernel steps it for each of a
-    node's children, the Python kernel for all of them in one packed
-    pass, and computes each child's h as _h does.
-
-    Under the Python kernel, the problem keeps each node's packed pass
-    in a table keyed by the node's path, so that every later expansion
-    of the node, in this search or another on the same problem, skips
-    the pass.  The path fixes the node's key, depth and place on or off
-    the goal path, so a stored pass is exactly the one the kernel would
-    compute.  The table keeps the first PASS_TABLE_CAP (1,024) nodes'
-    passes, the top of the tree, and then stops growing.  The compiled
-    kernel steps each child's two lanes on their own and leaves the
-    table empty.
+    streams (err | goal << 128); expand's kernel steps it once per lane
+    for each of a node's children and computes each child's h as _h
+    does.  Once built, a problem holds no state that a search writes.
     """
 
     def __init__(self, spec):
@@ -160,8 +149,7 @@ class ArtificialProblem:
             for i in range(b))
         # surviving child indices per parent depth below d, last index
         # first, for parents on and off the goal path (a depth-d node is
-        # a leaf); synthetic_expand reads each as synthetic_slots' entry,
-        # shared by every depth with equal indices
+        # a leaf)
         off_path = tuple(
             tuple(i for i in reversed(range(b)) if k < self.depth_limit[i])
             for k in range(d))
@@ -172,14 +160,10 @@ class ArtificialProblem:
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
-        slots = {t: kernels.synthetic_slots(t)
-                 for t in {*on_path, *off_path}}
         # everything synthetic_expand reads besides the state; a key is
-        # below the shifted threshold exactly when its goal lane is, and
-        # the last entry is the table of packed passes it fills
-        self._tables = (tuple(slots[t] for t in on_path),
-                        tuple(slots[t] for t in off_path), self.goal_path,
-                        d, self.density_threshold << 128, self._emod, {})
+        # below the shifted threshold exactly when its goal lane is
+        self._tables = (on_path, off_path, self.goal_path, d,
+                        self.density_threshold << 128, self._emod)
 
     def state_at(self, path):
         """The state of the node at path, its key hashed from scratch."""

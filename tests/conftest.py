@@ -7,9 +7,8 @@ from hypothesis import settings
 
 # a larger sample for the tests that scale their example count by the
 # loaded profile (tests/test_cli_bounds.py, two sim property tests in
-# tests/test_engine.py and the pass-table test in tests/test_kernels.py);
-# load with
-# --hypothesis-profile=ci
+# tests/test_engine.py and the lane test in tests/test_kernels.py); load
+# with --hypothesis-profile=ci
 settings.register_profile("ci", max_examples=1000)
 
 # make `import oracles` work regardless of how pytest was invoked

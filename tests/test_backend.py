@@ -38,8 +38,7 @@ def test_the_compiled_kernel_loads_wherever_it_can_be_built():
     else:
         assert backend_name() == "python"
     # every other kernel is the Python one
-    for name in ("puzzle_expand", "manhattan", "path_hash",
-                 "synthetic_slots"):
+    for name in ("puzzle_expand", "manhattan", "path_hash"):
         assert getattr(_backend.kernels, name) is getattr(_kernels_py, name)
 
 
@@ -83,7 +82,7 @@ def test_a_cold_cache_builds_once_and_a_warm_one_never(source, builds):
     again = _backend.load_compiled(source)
     assert builds == [source]
     assert again.synthetic_expand(((b"", 0, 0), 0, 0, -1, None), 0, None,
-                                  None, ((), (), b"", 0, 0, 1, {})) is GOAL
+                                  None, ((), (), b"", 0, 0, 1)) is GOAL
     assert module.__doc__ == again.__doc__
 
 
@@ -192,32 +191,24 @@ def _malformed_calls(problem):
     state, g, h, op, parent = root
     path, shared, key = state
     tables = problem._tables
-    on_path, off_path = tables[0], tables[1]
-    entry = on_path[0]
+    on_path = tables[0]
+    indices = on_path[0]
     nodes = [None, [state, g, h, op, parent], root[:4], root + (None,),
              (list(state), g, h, op, parent), (state[:2], g, h, op, parent),
              ((bytearray(path), shared, key), g, h, op, parent),
              ((path, 0.0, key), g, h, op, parent),
              ((path, shared, str(key)), g, h, op, parent),
              (state, 1.0, h, op, parent)]
-    bad_tables = [None, list(tables), tables[:6], tables + (None,),
+    bad_indices = [None, list(indices), ("0",) + indices[1:],
+                   tuple(range(257)), indices + (256,), indices + (-1,)]
+    bad_tables = [None, list(tables), tables[:5], tables + (None,),
                   (list(on_path),) + tables[1:],
                   ((None,) * len(on_path),) + tables[1:],
-                  (((),) + on_path[1:],) + tables[1:],
-                  (((list(entry[0]),) + entry[1:],) + on_path[1:],)
-                  + tables[1:],
-                  (((("0",) + entry[0][1:],) + entry[1:],) + on_path[1:],)
-                  + tables[1:],
-                  (((tuple(range(257)),) + entry[1:],) + on_path[1:],)
-                  + tables[1:],
-                  (((entry[0] + (256,),) + entry[1:],) + on_path[1:],)
-                  + tables[1:],
-                  (((entry[0] + (-1,),) + entry[1:],) + on_path[1:],)
-                  + tables[1:],
                   tables[:2] + (list(tables[2]),) + tables[3:],
                   tables[:3] + (float(tables[3]),) + tables[4:],
                   tables[:4] + (float(tables[4]),) + tables[5:],
-                  tables[:5] + (float(tables[5]),) + tables[6:]]
+                  tables[:5] + (float(tables[5]),)] \
+        + [((bad,) + on_path[1:],) + tables[1:] for bad in bad_indices]
     return [(node, tables) for node in nodes] \
         + [(root, bad) for bad in bad_tables]
 
@@ -259,7 +250,7 @@ def test_out_of_range_input_raises_as_the_python_kernel_does(compiled):
                  [].append, tables)
     with pytest.raises(ValueError):
         compiled(make_root(problem), 10, [].append, [].append,
-                 tables[:5] + (0,) + tables[6:])
+                 tables[:5] + (0,))
 
 
 def _all_nodes(problem):
@@ -269,7 +260,7 @@ def _all_nodes(problem):
         node = stack.pop()
         nodes.append(node)
         _kernels_py.synthetic_expand(node, sys.maxsize, stack.append, None,
-                                     problem._tables[:6] + ({},))
+                                     problem._tables)
     return nodes
 
 
@@ -280,8 +271,8 @@ def test_refcounts_hold_over_many_expansions(compiled):
     calls = [(node, problem._tables) for problem in problems
              for node in _all_nodes(problem)]
     watched = [GOAL] + [node for node, _tables in calls] \
-        + [entry[0] for problem in problems
-           for entry in problem._tables[0] + problem._tables[1]]
+        + [indices for problem in problems
+           for indices in problem._tables[0] + problem._tables[1]]
     before = [sys.getrefcount(obj) for obj in watched]
     children, pruned = [], []
     expansions = 0
@@ -315,7 +306,7 @@ def test_the_kernels_agree_at_extreme_thresholds_and_moduli(compiled):
                                   got[1].append, problem._tables)
                 expected = _kernels_py.synthetic_expand(
                     node, threshold, want[0].append, want[1].append,
-                    problem._tables[:6] + ({},))
+                    problem._tables)
                 # GOAL is an empty tuple, so == alone does not tell it
                 assert result == expected
                 assert type(result) is type(expected)

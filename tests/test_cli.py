@@ -4,6 +4,7 @@ solve, report, curves."""
 import csv
 import dataclasses
 import gc
+import importlib
 import json
 import os
 import subprocess
@@ -201,8 +202,8 @@ def test_sweep_reads_a_prefilled_store_once(run_cli, tmp_path, monkeypatch):
 
 def test_sweep_keeps_one_instance_problem_alive(run_cli, tmp_path,
                                                monkeypatch):
-    # a problem keeps a table of packed passes, so a sweep must drop each
-    # instance's problem before it runs the next instance
+    # a problem holds 2 d index tuples, with d up to 4,096, so a sweep
+    # must drop each instance's problem before it runs the next instance
     files = _gen(run_cli, str(tmp_path / "inst"), count=3)
     earlier = []
     alive = []
@@ -1089,6 +1090,36 @@ def test_help_and_bad_flag_exit_codes(run_cli):
     assert code == 1
     code, _out, _err = run_cli([])
     assert code == 1
+
+
+def _console_scripts():
+    """pyproject.toml's [project.scripts] table, name to target, read
+    line by line, since Python 3.10 has no tomllib."""
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "pyproject.toml")
+    scripts = {}
+    section = None
+    with open(pyproject) as fh:
+        for line in fh:
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line
+            elif section == "[project.scripts]" and "=" in line:
+                name, _, target = line.partition("=")
+                scripts[name.strip()] = target.strip().strip('"')
+    return scripts
+
+
+def test_the_console_script_runs_the_cli(capsys, monkeypatch):
+    # the installed idastra script calls its target with no arguments,
+    # as sys.exit(main()), so the flags come from sys.argv
+    scripts = _console_scripts()
+    assert scripts == {"idastra": "idastra.cli:main"}
+    module, _, name = scripts["idastra"].partition(":")
+    main = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv", ["idastra", "--help"])
+    assert main() == 0
+    assert capsys.readouterr().out.startswith("usage: idastra ")
 
 
 def test_unreadable_or_unwritable_path_is_a_data_error(run_cli, tmp_path):

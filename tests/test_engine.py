@@ -2,6 +2,7 @@
 deterministic simulator and threads driver against serial and A*
 oracles."""
 
+import copy
 import dataclasses
 import hashlib
 import random
@@ -12,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idastra import _backend, _kernels_py
 from idastra.core import (SearchOutcome, cost_bounded_dfs, make_root,
                           serial_idastar)
 from idastra.domains.puzzle import PuzzleProblem, scramble
@@ -25,6 +25,7 @@ from idastra.engine.parts import donate, poll_target
 from idastra.engine.sim import (_NO_PROGRESS_CAP, _Cluster, _Coordinator,
                                 _SimEngine)
 from idastra.errors import EngineStall, InvalidConfig, SpaceExhausted
+from idastra.features import shallow_search
 from idastra.ordering import OrderPolicy
 from oracles import PlainLoopSim, astar_cost, expand_all
 from test_core import NoGoalProblem
@@ -718,18 +719,18 @@ def test_threads_mode_finds_optimal_cost():
     assert report.mode == "threads"
 
 
-def test_threads_fill_the_shared_pass_table_to_its_cap(monkeypatch):
-    # every worker thread's expand fills the problem's one table of
-    # packed passes, inside a step and so under the engine lock: however
-    # the threads interleave, the table stops at its cap.  Only the
-    # Python kernel fills the table
-    monkeypatch.setattr(_backend.kernels, "synthetic_expand",
-                        _kernels_py.synthetic_expand)
-    monkeypatch.setattr(_kernels_py, "PASS_TABLE_CAP", 40)
-    spec = _spec(d=7, g=0.9, density=1e-12, seed=2)
-    baseline = serial_idastar(ArtificialProblem(spec))
-    # the threads, not the serial baseline, fill this problem's table
-    problem = ArtificialProblem(spec)
+def _assert_searches_write_no_state(problem):
+    """Run every kind of search on problem; none may rebind or change
+    any of its attributes."""
+    before = dict(vars(problem))
+    copied = copy.deepcopy(before)
+    baseline = serial_idastar(problem)
+    serial_idastar(problem, order=OrderPolicy.local())
+    shallow_search(problem, budget=300)
+    for distribution in ("KumarRao", "BreadthFirst"):
+        run_sim(problem,
+                DEFAULT_CONFIG.with_value("distribution", distribution), 4,
+                seed=1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -738,7 +739,20 @@ def test_threads_fill_the_shared_pass_table_to_its_cap(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert report.solution_cost == baseline.cost
-    assert len(problem._tables[-1]) == 40
+    after = vars(problem)
+    assert after.keys() == before.keys()
+    for name, value in before.items():
+        assert after[name] is value, name
+        assert after[name] == copied[name], name
+
+
+def test_a_search_writes_no_problem_state(synthetic_kernels):
+    # threads mode shares one problem between its worker threads with
+    # no lock of its own, so no search may write to it
+    spec = _spec(d=7, g=0.9, herror=2, density=1e-12, seed=2)
+    for _kernel in synthetic_kernels():
+        _assert_searches_write_no_state(ArtificialProblem(spec))
+    _assert_searches_write_no_state(PuzzleProblem(scramble(20, 1)))
 
 
 def test_engine_failures_raise_in_both_modes(monkeypatch):
