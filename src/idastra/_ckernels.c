@@ -4,9 +4,9 @@
  * It takes the same arguments, expands to the same children in the same
  * push and prune order, returns GOAL or () at a leaf and otherwise the
  * same index tuple, and raises where the Python kernel's inputs are
- * malformed.  A child's key is one hash_step of its parent's in each
- * 64-bit lane, stepped on two plain uint64_t values, as the Python
- * kernel steps them.
+ * malformed.  A state's error and goal hashes are two ints in
+ * [0, 2^64), read and built as uint64_t, and each of a child's is one
+ * hash_step of its parent's, as the Python kernel steps them.
  *
  * idastra._backend builds this file on first import with the
  * interpreter's own compiler and headers (see its docstring).
@@ -37,64 +37,6 @@ hash_step(uint64_t h, unsigned c)
     z = (z ^ (z >> 30)) * MIX1;
     z = (z ^ (z >> 27)) * MIX2;
     return z ^ (z >> 31);
-}
-
-static uint64_t
-get_le64(const unsigned char *p)
-{
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; i--)
-        v = v << 8 | p[i];
-    return v;
-}
-
-static void
-put_le64(unsigned char *p, uint64_t v)
-{
-    for (int i = 0; i < 8; i++, v >>= 8)
-        p[i] = (unsigned char)v;
-}
-
-/* A key's error lane (bits 0-63) and goal lane (bits 128-191).  A key
- * must be a non-negative int below 2^256. */
-static int
-key_lanes(PyObject *key, uint64_t *err, uint64_t *goal)
-{
-    unsigned char buf[32];
-#if PY_VERSION_HEX >= 0x030D0000
-    Py_ssize_t n = PyLong_AsNativeBytes(
-        key, buf, 32, Py_ASNATIVEBYTES_LITTLE_ENDIAN
-        | Py_ASNATIVEBYTES_UNSIGNED_BUFFER
-        | Py_ASNATIVEBYTES_REJECT_NEGATIVE);
-    if (n < 0)
-        return -1;
-    if (n > 32) {
-        PyErr_SetString(PyExc_OverflowError, "key is not below 2**256");
-        return -1;
-    }
-#else
-    if (_PyLong_AsByteArray((PyLongObject *)key, buf, 32, 1, 0) < 0)
-        return -1;
-#endif
-    *err = get_le64(buf);
-    *goal = get_le64(buf + 16);
-    return 0;
-}
-
-/* The key err | goal << 128. */
-static PyObject *
-make_key(uint64_t err, uint64_t goal)
-{
-    unsigned char buf[24];
-    put_le64(buf, err);
-    memset(buf + 8, 0, 8);
-    put_le64(buf + 16, goal);
-#if PY_VERSION_HEX >= 0x030D0000
-    return PyLong_FromUnsignedNativeBytes(buf, 24,
-                                          Py_ASNATIVEBYTES_LITTLE_ENDIAN);
-#else
-    return _PyLong_FromByteArray(buf, 24, 1, 0);
-#endif
 }
 
 static PyObject *
@@ -178,8 +120,8 @@ call_one(PyObject *fn, PyObject *arg)
     return 0;
 }
 
-/* The child node ((path + bytes((c,)), shared, key), g, h, op, parent),
- * path being len - 1 bytes at p; g and op are borrowed. */
+/* The child node ((path + bytes((c,)), shared, err, goal), g, h, op,
+ * parent), path being len - 1 bytes at p; g and op are borrowed. */
 static PyObject *
 make_child(const char *p, Py_ssize_t len, unsigned char c,
            long long shared, uint64_t err, uint64_t goal, PyObject *g,
@@ -190,7 +132,7 @@ make_child(const char *p, Py_ssize_t len, unsigned char c,
         return NULL;
     memcpy(PyBytes_AS_STRING(path), p, len - 1);
     PyBytes_AS_STRING(path)[len - 1] = (char)c;
-    PyObject *state = PyTuple_New(3);
+    PyObject *state = PyTuple_New(4);
     if (state == NULL) {
         Py_DECREF(path);
         return NULL;
@@ -200,10 +142,14 @@ make_child(const char *p, Py_ssize_t len, unsigned char c,
     if (item == NULL)
         goto fail_state;
     PyTuple_SET_ITEM(state, 1, item);
-    item = make_key(err, goal);
+    item = PyLong_FromUnsignedLongLong(err);
     if (item == NULL)
         goto fail_state;
     PyTuple_SET_ITEM(state, 2, item);
+    item = PyLong_FromUnsignedLongLong(goal);
+    if (item == NULL)
+        goto fail_state;
+    PyTuple_SET_ITEM(state, 3, item);
     PyObject *child = PyTuple_New(5);
     if (child == NULL)
         goto fail_state;
@@ -241,28 +187,31 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         return malformed("node must be a tuple (state, g, h, op, parent)");
     PyObject *state = PyTuple_GET_ITEM(node, 0);
     PyObject *g_obj = PyTuple_GET_ITEM(node, 1);
-    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 3)
-        return malformed("state must be a tuple (path, shared, key)");
+    if (!PyTuple_Check(state) || PyTuple_GET_SIZE(state) != 4)
+        return malformed("state must be a tuple (path, shared, err, goal)");
     PyObject *path = PyTuple_GET_ITEM(state, 0);
     PyObject *shared_obj = PyTuple_GET_ITEM(state, 1);
-    PyObject *key = PyTuple_GET_ITEM(state, 2);
+    PyObject *err_obj = PyTuple_GET_ITEM(state, 2);
+    PyObject *goal_obj = PyTuple_GET_ITEM(state, 3);
     if (!PyBytes_Check(path) || !PyLong_Check(shared_obj)
-            || !PyLong_Check(key) || !PyLong_Check(g_obj))
-        return malformed("path must be bytes and shared, key and g ints");
+            || !PyLong_Check(err_obj) || !PyLong_Check(goal_obj)
+            || !PyLong_Check(g_obj))
+        return malformed("path must be bytes and shared, err, goal and g "
+                         "ints");
     if (!PyTuple_Check(tables) || PyTuple_GET_SIZE(tables) != 6)
         return malformed("tables must be a tuple (on_path, off_path, "
-                         "goal_path, d, goal_below, emod)");
+                         "goal_path, d, density_threshold, emod)");
     PyObject *on_path = PyTuple_GET_ITEM(tables, 0);
     PyObject *off_path = PyTuple_GET_ITEM(tables, 1);
     PyObject *goal_path = PyTuple_GET_ITEM(tables, 2);
     PyObject *d_obj = PyTuple_GET_ITEM(tables, 3);
-    PyObject *goal_below = PyTuple_GET_ITEM(tables, 4);
+    PyObject *density_threshold = PyTuple_GET_ITEM(tables, 4);
     PyObject *emod_obj = PyTuple_GET_ITEM(tables, 5);
     if (!PyTuple_Check(on_path) || !PyTuple_Check(off_path)
             || !PyBytes_Check(goal_path) || !PyLong_Check(d_obj)
-            || !PyLong_Check(goal_below) || !PyLong_Check(emod_obj))
+            || !PyLong_Check(density_threshold) || !PyLong_Check(emod_obj))
         return malformed("on_path and off_path must be tuples, goal_path "
-                         "bytes and d, goal_below and emod ints");
+                         "bytes and d, density_threshold and emod ints");
     long long shared, g, d, threshold;
     if (small_int(shared_obj, "shared", &shared) < 0
             || small_int(g_obj, "g", &g) < 0
@@ -273,10 +222,12 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 
     if (depth == d) {
         /* a leaf: the goal where it ends the goal path or its goal
-         * stream is below the density threshold */
+         * hash is below the density threshold, which is 2^64 at
+         * density 1 */
         if (shared == depth)
             return Py_NewRef(GOAL);
-        int below = PyObject_RichCompareBool(key, goal_below, Py_LT);
+        int below = PyObject_RichCompareBool(goal_obj, density_threshold,
+                                             Py_LT);
         if (below < 0)
             return NULL;
         return below ? Py_NewRef(GOAL) : PyTuple_New(0);
@@ -312,7 +263,7 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         }
         goal_next = (unsigned char)PyBytes_AS_STRING(goal_path)[depth];
     }
-    int extra_goals = PyObject_RichCompareBool(goal_below, ZERO, Py_GT);
+    int extra_goals = PyObject_RichCompareBool(density_threshold, ZERO, Py_GT);
     if (extra_goals < 0)
         return NULL;
     uint64_t emod;
@@ -336,8 +287,12 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         Py_DECREF(g_child);
         return Py_NewRef(indices);
     }
-    uint64_t err, goal;
-    if (key_lanes(key, &err, &goal) < 0)
+    /* OverflowError for a hash outside [0, 2^64) */
+    uint64_t err = PyLong_AsUnsignedLongLong(err_obj);
+    if (err == (uint64_t)-1 && PyErr_Occurred())
+        goto fail;
+    uint64_t goal = PyLong_AsUnsignedLongLong(goal_obj);
+    if (goal == (uint64_t)-1 && PyErr_Occurred())
         goto fail;
     const char *p = PyBytes_AS_STRING(path);
     for (Py_ssize_t j = 0; j < n; j++) {
@@ -349,7 +304,7 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
         if (off) {
             h = c == goal_next ? on : off;
             if (h > 0) {
-                /* the error draw, from the child's error lane */
+                /* the error draw, from the child's error hash */
                 uint64_t r = emod_big ? c_err : c_err % emod;
                 h = r >= (uint64_t)h ? 0 : h - (long long)r;
             }

@@ -12,10 +12,9 @@ masked integers.  It is a left fold of hash_step, so a child's hash is
 one step of its parent's.
 
 synthetic_expand is the reference the compiled kernel in _ckernels.c
-is held to.  A synthetic state packs its two path_hash values into one
-key, the error stream in bits 0-63 and the goal stream in bits 128-191
-(err | goal << 128), and each child's key is one hash_step of its
-parent's in each of those lanes.
+is held to.  A synthetic state carries its two path_hash values, the
+error and goal streams, as two ints, and each of a child's is one
+hash_step of its parent's.
 
 synthetic_expand computes only what its children need.  A node at the
 tree's depth d is a leaf and returns GOAL or () at once.  With
@@ -24,7 +23,7 @@ test and no error draw, and f = g + 1.  The kernel tells these leaf
 children by off, the distance of a child off the goal path, being 0
 (with density 0 it is depth + d - 2 * shared, which is at least 2), and
 where their f is over the threshold it prunes them all and steps no
-key.
+hash.
 """
 
 from idastra.core import GOAL
@@ -159,25 +158,23 @@ _BYTE = tuple(bytes((c,)) for c in range(256))
 def synthetic_expand(node, threshold, push, prune, tables):
     """Expand an artificial-tree search node.
 
-    node is ((path, shared, key), g, h, op, parent); its state holds the
-    node's child-index bytes, its common-prefix length with the goal
-    path and its packed error- and goal-stream hash key.  tables is
-    ArtificialProblem's (on_path, off_path, goal_path, d, goal_below,
-    emod): per parent depth on and off the goal path, the tuple of
-    surviving child indices, last index first; the goal path; the
-    spec's d; its density threshold shifted into the goal lane
-    (threshold << 128), so that a key is below it exactly when its goal
-    stream is below the threshold; and herror + 1.  Each child costs 1,
-    its key is one hash_step of its parent's in each lane, and its h is
-    as ArtificialProblem._h computes it.  A child i with
-    f <= threshold is passed to push as the node
-    ((path + bytes((i,)), its shared, its key), g + 1, h, i, node); any
-    other child's f alone is passed to prune, and its path and state are
-    never built.  Children come last index first.  Returns the index tuple
-    walked, whose length is the number of children generated.
+    node is ((path, shared, err, goal), g, h, op, parent); its state
+    holds the node's child-index bytes, its common-prefix length with the
+    goal path and its error- and goal-stream hashes.  tables is
+    ArtificialProblem's (on_path, off_path, goal_path, d,
+    density_threshold, emod): per parent depth on and off the goal path,
+    the tuple of surviving child indices, last index first; the goal
+    path; the spec's d; the bound a goal hash must fall below; and
+    herror + 1.  Each child costs 1, each of its hashes is one hash_step
+    of its parent's, and its h is as ArtificialProblem.heuristic computes
+    it.  A child i with f <= threshold is passed to push as the node
+    ((path + bytes((i,)), its shared, its err, its goal), g + 1, h, i,
+    node); any other child's f alone is passed to prune, and its path and
+    state are never built.  Children come last index first.  Returns the
+    index tuple walked, whose length is the number of children generated.
 
     A node at depth d is a leaf.  It is the goal where it ends the goal
-    path or its goal stream falls below the density threshold, as
+    path or its goal hash falls below the density threshold, as
     ArtificialProblem.is_goal tests, and returns GOAL there and ()
     elsewhere, before any index table is read.  A child's h is its
     distance to the designated goal less its error draw, clamped at 0.
@@ -188,17 +185,16 @@ def synthetic_expand(node, threshold, push, prune, tables):
     and no child is goal-tested as it is built: below depth d no
     distance is 0, and at depth d a distance of 0 is the goal path's end
     when density is 0 (the only goal then) and every child when
-    density > 0 (h 0 whether or not its goal stream makes it a goal).
+    density > 0 (h 0 whether or not its goal hash makes it a goal).
     """
-    (path, shared, key), g, _h, _op, _parent = node
+    (path, shared, err, goal), g, _h, _op, _parent = node
     depth = len(path)
     if depth == tables[3]:
-        # a leaf: d and goal_below are all its goal test reads; the
-        # error lane under the goal lane never lifts a key past it
-        if shared == depth or key < tables[4]:
+        # a leaf: d and the density threshold are all its goal test reads
+        if shared == depth or goal < tables[4]:
             return GOAL
         return ()
-    on_path, off_path, goal_path, d, goal_below, emod = tables
+    on_path, off_path, goal_path, d, density_threshold, emod = tables
     if shared == depth:
         # on the goal path: its next step survives every depth limit
         indices = on_path[depth]
@@ -210,14 +206,12 @@ def synthetic_expand(node, threshold, push, prune, tables):
     g += 1
     # distances to the designated goal, on and off the goal path
     on = d - depth
-    off = on if goal_below > 0 else depth + d - 2 * shared
+    off = on if density_threshold > 0 else depth + d - 2 * shared
     if not off and g > threshold:
         # leaf children with density > 0: h 0 and f g for every child
         for _i in indices:
             prune(g)
         return indices
-    err = key & _MASK
-    goal = key >> 128
     for i in indices:
         c_err = hash_step(err, i)
         if i == goal_next:
@@ -227,13 +221,13 @@ def synthetic_expand(node, threshold, push, prune, tables):
             c_shared = shared
             h = off
         if h:
-            # the error draw, from the child's error lane
+            # the error draw, from the child's error hash
             h -= c_err % emod
             if h < 0:
                 h = 0
         if g + h > threshold:
             prune(g + h)
         else:
-            push(((path + _BYTE[i], c_shared,
-                   c_err | hash_step(goal, i) << 128), g, h, i, node))
+            push(((path + _BYTE[i], c_shared, c_err, hash_step(goal, i)),
+                  g, h, i, node))
     return indices

@@ -8,16 +8,14 @@ heuristic_error subtracts a seeded pseudo-random amount from the exact
 distance-to-designated-goal heuristic.  Everything is a pure function of
 (spec, path), so runs are reproducible byte for byte.
 
-A node's state is the tuple (path, shared, key): the bytes string of
-child indices from the root, its common-prefix length with the
-designated goal path, and its packed hash key.  The key holds the
-node's two path_hash values in two 64-bit lanes, the error stream in
-bits 0-63 and the goal stream in bits 128-191:
-path_hash(seed, 1, path) | path_hash(seed, 2, path) << 128.  Every field
-is a function of the path, so the path alone still identifies the node;
-the other two are carried so that a child's heuristic and goal test
-cost one hash_step of its parent's key per lane (see idastra._kernels_py),
-not a rehash of the whole path.
+A node's state is the tuple (path, shared, err, goal): the bytes string
+of child indices from the root, its common-prefix length with the
+designated goal path, and its error- and goal-stream hashes,
+path_hash(seed, 1, path) and path_hash(seed, 2, path).  Every field is a
+function of the path, so the path alone still identifies the node; the
+others are carried so that a child's heuristic and goal test cost one
+hash_step of each of its parent's hashes (see idastra._kernels_py), not
+a rehash of the whole path.
 """
 
 import math
@@ -29,7 +27,6 @@ from idastra.errors import DataError, MalformedLine, parse_file
 _TAG_ERROR = 1
 _TAG_GOAL = 2
 _TWO64 = 1 << 64
-_LOW64 = _TWO64 - 1            # a packed key's error lane
 MAX_DEPTH = 2 ** 12
 
 
@@ -130,10 +127,10 @@ def goal_path_digits(g, b, d):
 class ArtificialProblem:
     """Search-problem adapter over an ArtificialSpec.
 
-    A state's key packs path_hash(seed, tag, path) for the error and goal
-    streams (err | goal << 128); expand's kernel steps it once per lane
-    for each of a node's children and computes each child's h as _h
-    does.  Once built, a problem holds no state that a search writes.
+    A state carries path_hash(seed, tag, path) for the error and goal
+    streams; expand's kernel steps each once for each of a node's
+    children and computes each child's h as heuristic does.  Once
+    built, a problem holds no state that a search writes.
     """
 
     def __init__(self, spec):
@@ -160,22 +157,20 @@ class ArtificialProblem:
         self.density_threshold = int(spec.density * _TWO64)
         self._seed = spec.seed
         self._emod = spec.herror + 1
-        # everything synthetic_expand reads besides the state; a key is
-        # below the shifted threshold exactly when its goal lane is
+        # everything synthetic_expand reads besides the state
         self._tables = (on_path, off_path, self.goal_path, d,
-                        self.density_threshold << 128, self._emod)
+                        self.density_threshold, self._emod)
 
     def state_at(self, path):
-        """The state of the node at path, its key hashed from scratch."""
+        """The state of the node at path, its hashes made from scratch."""
         path = bytes(path)
         shared = 0
         for a, g in zip(path, self.goal_path):
             if a != g:
                 break
             shared += 1
-        return (path, shared,
-                kernels.path_hash(self._seed, _TAG_ERROR, path)
-                | kernels.path_hash(self._seed, _TAG_GOAL, path) << 128)
+        return (path, shared, kernels.path_hash(self._seed, _TAG_ERROR, path),
+                kernels.path_hash(self._seed, _TAG_GOAL, path))
 
     def initial_state(self):
         return self.state_at(b"")
@@ -185,21 +180,18 @@ class ArtificialProblem:
 
     def is_goal(self, state):
         """The goal test expand makes of its own node, as a predicate."""
-        path, shared, key = state
+        path, shared, _err, goal = state
         d = self._d
         return len(path) == d and (shared == d
-                                   or key >> 128 < self.density_threshold)
+                                   or goal < self.density_threshold)
 
     def heuristic(self, state):
-        path, shared, key = state
-        return self._h(len(path), shared, key)
-
-    def _h(self, depth, shared, key):
-        """The heuristic of the node these fields describe.  It is 0 at
-        every goal without a goal test: the designated goal's distance
-        is 0, and an extra goal exists only with density > 0, which caps
-        every depth-d distance at 0."""
-        d = self._d
+        """The state's heuristic.  It is 0 at every goal without a goal
+        test: the designated goal's distance is 0, and an extra goal
+        exists only with density > 0, which caps every depth-d distance
+        at 0."""
+        path, shared, err, _goal = state
+        depth, d = len(path), self._d
         # exact distance to the designated goal: back out of the
         # non-shared suffix, then down the rest of the goal path
         dist = (depth - shared) + (d - shared)
@@ -207,7 +199,7 @@ class ArtificialProblem:
             # any depth-d node may be a goal, so cap at remaining depth
             dist = min(dist, d - depth)
         # herror = 0 makes _emod 1 and the error 0
-        return max(0, dist - (key & _LOW64) % self._emod)
+        return max(0, dist - err % self._emod)
 
     def expand(self, node, threshold, push, prune):
         return kernels.synthetic_expand(node, threshold, push, prune,

@@ -81,7 +81,7 @@ def test_a_cold_cache_builds_once_and_a_warm_one_never(source, builds):
     assert _cache(source) == [os.path.basename(_backend.build_path(source))]
     again = _backend.load_compiled(source)
     assert builds == [source]
-    assert again.synthetic_expand(((b"", 0, 0), 0, 0, -1, None), 0, None,
+    assert again.synthetic_expand(((b"", 0, 0, 0), 0, 0, -1, None), 0, None,
                                   None, ((), (), b"", 0, 0, 1)) is GOAL
     assert module.__doc__ == again.__doc__
 
@@ -189,15 +189,17 @@ def _malformed_calls(problem):
     with TypeError."""
     root = make_root(problem)
     state, g, h, op, parent = root
-    path, shared, key = state
+    path, shared, err, goal = state
     tables = problem._tables
     on_path = tables[0]
     indices = on_path[0]
     nodes = [None, [state, g, h, op, parent], root[:4], root + (None,),
              (list(state), g, h, op, parent), (state[:2], g, h, op, parent),
-             ((bytearray(path), shared, key), g, h, op, parent),
-             ((path, 0.0, key), g, h, op, parent),
-             ((path, shared, str(key)), g, h, op, parent),
+             (state[:3], g, h, op, parent), (state + (0,), g, h, op, parent),
+             ((bytearray(path), shared, err, goal), g, h, op, parent),
+             ((path, 0.0, err, goal), g, h, op, parent),
+             ((path, shared, str(err), goal), g, h, op, parent),
+             ((path, shared, err, float(goal)), g, h, op, parent),
              (state, 1.0, h, op, parent)]
     bad_indices = [None, list(indices), ("0",) + indices[1:],
                    tuple(range(257)), indices + (256,), indices + (-1,)]
@@ -231,7 +233,7 @@ def test_out_of_range_input_raises_as_the_python_kernel_does(compiled):
     problem = _problem(density=0.0)
     state, *rest = make_root(problem)
     tables = problem._tables
-    deep = (b"\0" * 9, 0, state[2])
+    deep = (b"\0" * 9, 0, *state[2:])
     for kernel in (compiled, _kernels_py.synthetic_expand):
         # a path deeper than the tables
         with pytest.raises(IndexError):
@@ -241,10 +243,12 @@ def test_out_of_range_input_raises_as_the_python_kernel_does(compiled):
             kernel(make_root(problem), 10, lambda _c: 1 / 0, None, tables)
         with pytest.raises(ZeroDivisionError):
             kernel(make_root(problem), 0, None, lambda _f: 1 / 0, tables)
-    for key in (-1, 1 << 256):
-        with pytest.raises((OverflowError, ValueError)):
-            compiled(((b"", 0, key), *rest), 10, [].append, [].append,
-                     tables)
+    # a hash lane outside [0, 2^64)
+    for lane in (-1, 1 << 64, 1 << 200):
+        for lanes in ((lane, state[3]), (state[2], lane)):
+            with pytest.raises(OverflowError):
+                compiled(((b"", 0, *lanes), *rest), 10, [].append,
+                         [].append, tables)
     with pytest.raises(OverflowError):
         compiled((state, 1 << 62, *rest[1:]), 1 << 63, [].append,
                  [].append, tables)
@@ -270,7 +274,9 @@ def test_refcounts_hold_over_many_expansions(compiled):
     problems = [_problem(), _problem(density=0.0, herror=0)]
     calls = [(node, problem._tables) for problem in problems
              for node in _all_nodes(problem)]
+    # each state's two hash lanes are ints of their own
     watched = [GOAL] + [node for node, _tables in calls] \
+        + [lane for node, _tables in calls for lane in node[0][2:]] \
         + [indices for problem in problems
            for indices in problem._tables[0] + problem._tables[1]]
     before = [sys.getrefcount(obj) for obj in watched]
@@ -291,15 +297,17 @@ def test_refcounts_hold_over_many_expansions(compiled):
 def test_the_kernels_agree_at_extreme_thresholds_and_moduli(compiled):
     # every node of small trees, at thresholds past a machine word, and
     # with herror + 1 at and past 2^64, where the error draw is the lane
-    # itself; density 1.0 puts goal_below at 2^192
+    # itself; density 1.0 puts the density threshold at 2^64, above every
+    # goal hash, so every leaf is a goal
     thresholds = (-(1 << 70), -(1 << 63) - 1, -1, 0, 1, 2, 3, 4, 5,
                   (1 << 63) - 1, 1 << 63, 1 << 70)
     for herror, density in product(
             (0, 3, (1 << 64) - 2, (1 << 64) - 1, 1 << 64, 1 << 70),
             (0.0, 0.05, 1.0)):
         problem = _problem(herror=herror, density=density)
-        assert problem._tables[4] == int(density * (1 << 64)) << 128
+        assert problem._tables[4] == int(density * (1 << 64))
         for node in _all_nodes(problem):
+            leaf = len(node[0][0]) == problem.spec.d
             for threshold in thresholds:
                 got, want = ([], []), ([], [])
                 result = compiled(node, threshold, got[0].append,
@@ -311,3 +319,5 @@ def test_the_kernels_agree_at_extreme_thresholds_and_moduli(compiled):
                 assert result == expected
                 assert type(result) is type(expected)
                 assert got == want, (herror, density, node[0], threshold)
+                if leaf and density == 1.0:
+                    assert result is GOAL and expected is GOAL

@@ -107,8 +107,8 @@ def test_expanded_states_carry_keys_hashed_from_scratch():
             seen.append(tuple(path))
             assert state == (
                 path, model.shared_prefix(path),
-                _kernels_py.path_hash(spec.seed, _TAG_ERROR, path)
-                | _kernels_py.path_hash(spec.seed, _TAG_GOAL, path) << 128)
+                _kernels_py.path_hash(spec.seed, _TAG_ERROR, path),
+                _kernels_py.path_hash(spec.seed, _TAG_GOAL, path))
             assert state == problem.state_at(path)
             assert h == problem.heuristic(state) == model.heuristic(path)
             assert problem.is_goal(state) == model.is_goal(path)

@@ -127,23 +127,19 @@ _EACH_KERNEL = [HealthCheck.function_scoped_fixture]
 @given(err=st.integers(0, _TOP), goal=st.integers(0, _TOP))
 def test_each_child_key_is_one_hash_step_per_lane(err, goal,
                                                   synthetic_kernels):
-    # each child's key is hash_step of its parent's in each lane, with
-    # no bit of one lane reaching the other or the gaps between them
-    key = err | goal << 128
+    # each child's error and goal hashes are hash_step of its parent's,
+    # each from its own lane alone
     walks = [(c,) for c in range(256)] + [tuple(reversed(range(256)))]
     for kernel, indices in product(synthetic_kernels(), walks):
         # the children of the root of a depth-1 tree
         tables = ((indices,), (indices,), bytes(indices[:1]), 1, 0, 1)
         children = []
-        kernel(((b"", 0, key), 0, 0, -1, None), sys.maxsize,
+        kernel(((b"", 0, err, goal), 0, 0, -1, None), sys.maxsize,
                children.append, None, tables)
         assert tuple(op for _s, _g, _h, op, _p in children) == indices
-        for (_path, _shared, stepped), _g, _h, c, _parent in children:
-            assert stepped & _TOP == _kernels_py.hash_step(err, c)
-            assert stepped >> 128 & _TOP == _kernels_py.hash_step(goal, c)
-            # both gaps stay clear
-            assert stepped >> 64 & _TOP == 0
-            assert stepped >> 192 == 0
+        for (_path, _shared, c_err, c_goal), _g, _h, c, _p in children:
+            assert c_err == _kernels_py.hash_step(err, c)
+            assert c_goal == _kernels_py.hash_step(goal, c)
 
 
 @settings(max_examples=80, deadline=None,
@@ -173,8 +169,7 @@ def test_synthetic_expand_matches_states_built_from_scratch(
             assert g == node[1] + 1 and parent is node
             assert child[0] == path + bytes((i,))
             assert child == problem.state_at(child[0])
-            assert h == problem._h(len(child[0]), *child[1:]) \
-                == problem.heuristic(child)
+            assert h == problem.heuristic(child)
             if problem.is_goal(child):
                 assert h == 0
         node = data.draw(st.sampled_from(children))
@@ -201,8 +196,7 @@ def test_synthetic_expand_on_every_node_of_small_trees(synthetic_kernels):
                 for child, g, h, i, _parent in children:
                     assert g == node[1] + 1
                     assert child == problem.state_at(path + bytes((i,)))
-                    assert h == problem._h(len(child[0]), *child[1:]) \
-                        == problem.heuristic(child)
+                    assert h == problem.heuristic(child)
                     if problem.is_goal(child):
                         assert h == 0
                         goals += 1
