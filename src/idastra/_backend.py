@@ -1,7 +1,12 @@
 """The hot kernels the domains call.
 
-Domains call them as ``kernels.<name>``, looked up on every call, so a
-wrapper set on ``kernels`` sees every call.  Every kernel is
+Domains read them as ``kernels.<name>``.  A domain's expand is a
+KernelExpand, which looks its kernel up when a search binds it, that is
+when the search reads ``problem.expand``: once per serial or profiling
+pass, and once per sim or threads run.  So a wrapper set on ``kernels``
+before a search starts sees every call that search makes, while one set
+in the middle of a pass or run misses the rest of it.  manhattan and
+path_hash are looked up on every call.  Every kernel is
 idastra._kernels_py's, save synthetic_expand where the compiled one in
 _ckernels.c loads; backend_name() then reports "c", and otherwise
 "python".
@@ -22,6 +27,7 @@ directory it cannot write, the package keeps the Python kernel.
 import contextlib
 import os
 import zlib
+from functools import partial
 from importlib.machinery import (EXTENSION_SUFFIXES, ExtensionFileLoader,
                                  ModuleSpec)
 from types import ModuleType
@@ -126,3 +132,40 @@ def backend_name():
     """The kernels' implementation: "c" where the compiled
     synthetic_expand loaded, else "python"."""
     return "python" if compiled is None else "c"
+
+
+class KernelExpand:
+    """A domain's expand: the kernel named `name` on `kernels`, with the
+    problem's attribute `tables`, where one is named, bound as its first
+    argument.
+
+    Read through a problem, it is the kernel itself, or a partial of it
+    over the problem's tables, looked up at that read, so an expansion
+    calls the kernel with no Python frame between and no lookup.  It is
+    a non-data descriptor: a problem stores nothing, and reading it
+    writes nothing.  Read through the class, it is this object, which a
+    call (problem, node, threshold, push, prune) forwards to the kernel,
+    looked up on every call; perfbench/tracing.py wraps it there, so
+    while its wrapper is installed every expansion goes through it.
+    """
+
+    __slots__ = ("name", "tables")
+
+    def __init__(self, name, tables=None):
+        self.name = name
+        self.tables = tables
+
+    def __get__(self, problem, owner=None):
+        if problem is None:
+            return self
+        kernel = getattr(kernels, self.name)
+        if self.tables is None:
+            return kernel
+        return partial(kernel, getattr(problem, self.tables))
+
+    def __call__(self, problem, node, threshold, push, prune):
+        kernel = getattr(kernels, self.name)
+        if self.tables is None:
+            return kernel(node, threshold, push, prune)
+        return kernel(getattr(problem, self.tables), node, threshold, push,
+                      prune)

@@ -170,7 +170,7 @@ fail_state:
 }
 
 PyDoc_STRVAR(synthetic_expand_doc,
-"synthetic_expand(node, threshold, push, prune, tables)\n--\n\n"
+"synthetic_expand(tables, node, threshold, push, prune)\n--\n\n"
 "idastra._kernels_py.synthetic_expand, compiled: the same children,\n"
 "pushed and pruned in the same order, and the same result.  A node or\n"
 "tables tuple of the wrong shape or types raises TypeError.");
@@ -180,9 +180,9 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
 {
     (void)module;
     if (nargs != 5)
-        return malformed("takes (node, threshold, push, prune, tables)");
-    PyObject *node = args[0], *push = args[2], *prune = args[3];
-    PyObject *tables = args[4];
+        return malformed("takes (tables, node, threshold, push, prune)");
+    PyObject *tables = args[0], *node = args[1];
+    PyObject *push = args[3], *prune = args[4];
     if (!PyTuple_Check(node) || PyTuple_GET_SIZE(node) != 5)
         return malformed("node must be a tuple (state, g, h, op, parent)");
     PyObject *state = PyTuple_GET_ITEM(node, 0);
@@ -216,7 +216,7 @@ synthetic_expand(PyObject *module, PyObject *const *args, Py_ssize_t nargs)
     if (small_int(shared_obj, "shared", &shared) < 0
             || small_int(g_obj, "g", &g) < 0
             || small_int(d_obj, "d", &d) < 0
-            || threshold_bound(args[1], &threshold) < 0)
+            || threshold_bound(args[2], &threshold) < 0)
         return NULL;
     long long depth = PyBytes_GET_SIZE(path);
 

@@ -1,10 +1,11 @@
 """Pure-Python hot kernels.
 
-puzzle_expand and synthetic_expand are a domain's expand (see the
-protocol in idastra.core): each returns GOAL at a goal, and otherwise
-builds a child as a search node (state, g, h, op, parent) only where
-its f is within the threshold, passes every other child's f alone to
-prune, and walks its move or index table last operator first.
+puzzle_expand, and synthetic_expand with a problem's tables bound as
+its first argument, are a domain's expand (see the protocol in
+idastra.core): each returns GOAL at a goal, and otherwise builds a
+child as a search node (state, g, h, op, parent) only where its f is
+within the threshold, passes every other child's f alone to prune, and
+walks its move or index table last operator first.
 
 path_hash's results are frozen (the artificial space's goal and error
 draws depend on them bit for bit), so its arithmetic is done on 64-bit
@@ -155,23 +156,25 @@ def path_hash(seed, tag, path):
 _BYTE = tuple(bytes((c,)) for c in range(256))
 
 
-def synthetic_expand(node, threshold, push, prune, tables):
+def synthetic_expand(tables, node, threshold, push, prune):
     """Expand an artificial-tree search node.
 
-    node is ((path, shared, err, goal), g, h, op, parent); its state
-    holds the node's child-index bytes, its common-prefix length with the
-    goal path and its error- and goal-stream hashes.  tables is
-    ArtificialProblem's (on_path, off_path, goal_path, d,
+    tables is ArtificialProblem's (on_path, off_path, goal_path, d,
     density_threshold, emod): per parent depth on and off the goal path,
     the tuple of surviving child indices, last index first; the goal
     path; the spec's d; the bound a goal hash must fall below; and
-    herror + 1.  Each child costs 1, each of its hashes is one hash_step
-    of its parent's, and its h is as ArtificialProblem.heuristic computes
-    it.  A child i with f <= threshold is passed to push as the node
-    ((path + bytes((i,)), its shared, its err, its goal), g + 1, h, i,
-    node); any other child's f alone is passed to prune, and its path and
-    state are never built.  Children come last index first.  Returns the
-    index tuple walked, whose length is the number of children generated.
+    herror + 1.  It comes first so that a problem binds its own with
+    functools.partial, and the rest is expand's signature.  node is
+    ((path, shared, err, goal), g, h, op, parent); its state holds the
+    node's child-index bytes, its common-prefix length with the goal
+    path and its error- and goal-stream hashes.  Each child costs 1,
+    each of its hashes is one hash_step of its parent's, and its h is as
+    ArtificialProblem.heuristic computes it.  A child i with
+    f <= threshold is passed to push as the node ((path + bytes((i,)),
+    its shared, its err, its goal), g + 1, h, i, node); any other
+    child's f alone is passed to prune, and its path and state are never
+    built.  Children come last index first.  Returns the index tuple
+    walked, whose length is the number of children generated.
 
     A node at depth d is a leaf.  It is the goal where it ends the goal
     path or its goal hash falls below the density threshold, as

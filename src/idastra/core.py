@@ -10,6 +10,13 @@ A search problem is any object with:
     initial_h() -> int
     expand(node, threshold, push, prune) -> GOAL or the operators walked
 
+A search reads problem.expand once per pass (cost_bounded_dfs, and
+PassStats through it) or once per sim or threads run (_SimEngine), and
+calls what it got for every expansion of that pass or run.  So expand
+may be any callable read off the problem: each domain's is its kernel
+itself, with the problem's tables bound, looked up at that read (see
+idastra._backend.KernelExpand).
+
 expand first goal-tests node itself: at a goal it returns the sentinel
 GOAL, an empty tuple, and pushes and prunes nothing, at every
 threshold.  Otherwise it builds each child of node directly as a search

@@ -8,7 +8,7 @@ op is 3 - op.
 
 import random
 
-from idastra._backend import kernels
+from idastra._backend import KernelExpand, kernels
 from idastra._kernels_py import _MOVES, _SWAP, GOAL_TILES
 from idastra.errors import MalformedLine, UnsolvableInstance
 
@@ -70,7 +70,13 @@ def parse_korf_set(text):
 
 
 class PuzzleProblem:
-    """Search-problem adapter for one puzzle instance."""
+    """Search-problem adapter for one puzzle instance.
+
+    Its expand, read through an instance, is kernels.puzzle_expand
+    itself, looked up at that read (see idastra._backend.KernelExpand):
+    a search reads it once per pass or run, and each expansion calls the
+    kernel directly.
+    """
 
     def __init__(self, state):
         tiles, blank = state
@@ -89,5 +95,4 @@ class PuzzleProblem:
     def heuristic(self, state):
         return kernels.manhattan(state[0])
 
-    def expand(self, node, threshold, push, prune):
-        return kernels.puzzle_expand(node, threshold, push, prune)
+    expand = KernelExpand("puzzle_expand")

@@ -21,7 +21,7 @@ a rehash of the whole path.
 import math
 from dataclasses import dataclass, fields
 
-from idastra._backend import kernels
+from idastra._backend import KernelExpand, kernels
 from idastra.errors import DataError, MalformedLine, parse_file
 
 _TAG_ERROR = 1
@@ -129,8 +129,13 @@ class ArtificialProblem:
 
     A state carries path_hash(seed, tag, path) for the error and goal
     streams; expand's kernel steps each once for each of a node's
-    children and computes each child's h as heuristic does.  Once
-    built, a problem holds no state that a search writes.
+    children and computes each child's h as heuristic does.  Read
+    through an instance, expand is functools.partial of
+    kernels.synthetic_expand, looked up at that read, over the
+    problem's _tables (see idastra._backend.KernelExpand): a search
+    reads it once per pass or run, and each expansion calls the kernel
+    with the tables already bound.  Once built, a problem holds no
+    state that a search writes.
     """
 
     def __init__(self, spec):
@@ -201,6 +206,4 @@ class ArtificialProblem:
         # herror = 0 makes _emod 1 and the error 0
         return max(0, dist - err % self._emod)
 
-    def expand(self, node, threshold, push, prune):
-        return kernels.synthetic_expand(node, threshold, push, prune,
-                                        self._tables)
+    expand = KernelExpand("synthetic_expand", "_tables")

@@ -14,7 +14,10 @@ worker, counting a step that expands nothing as an idle poll in the
 worker's `idle_ticks`.  Nothing else touches engine state until every
 worker thread is joined; only then does the calling thread read the
 engine to build the report.  A search writes no problem state, so the
-problem itself needs no lock.  A step that exhausts the space raises
+problem itself needs no lock: the engine reads problem.expand once, in
+_SimEngine.__init__ before any thread starts, and that binding writes
+nothing either (the kernel, or a partial over the problem's tables,
+which every worker calls).  A step that exhausts the space raises
 SpaceExhausted in its worker thread, which stops the run and re-raises
 it in the caller.
 Messages are delivered at the recipient's next step (latency 0):

@@ -57,10 +57,13 @@ def synthetic_kernels(monkeypatch):
     """Every synthetic_expand a test holds to the same results: the Python
     kernel, and the compiled one where it loaded (tests/test_backend.py
     fails where a compiler is present and it did not).  Iterating installs
-    each in turn on idastra._backend.kernels, where ArtificialProblem.expand
-    looks it up, and yields it; the test's teardown puts back the one the
-    package loaded.  A Hypothesis test may take this fixture across its
-    examples, since each iteration installs its kernel afresh."""
+    each in turn on idastra._backend.kernels and yields it.  Every read of
+    problem.expand after that binds the installed kernel, and the class
+    attribute looks it up on each call, so a test reads problem.expand
+    afresh inside each iteration, never once before it.  The test's
+    teardown puts back the one the package loaded.  A Hypothesis test may
+    take this fixture across its examples, since each iteration installs
+    its kernel afresh."""
     loaded = [_kernels_py.synthetic_expand]
     if _backend.compiled is not None:
         loaded.append(_backend.compiled.synthetic_expand)

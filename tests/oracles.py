@@ -13,6 +13,7 @@ import heapq
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 
 from idastra import _kernels_py
 from idastra.core import GOAL
@@ -69,6 +70,20 @@ def expand_all(problem, node):
     problem.expand(node, sys.maxsize, children.append, None)
     children.reverse()
     return children
+
+
+def expansion(expand, node, threshold):
+    """What one call of expand does: its return, whether that is GOAL,
+    and the children pushed and the fs pruned, in call order."""
+    pushed, pruned = [], []
+    ops = expand(node, threshold, pushed.append, pruned.append)
+    return ops, ops is GOAL, pushed, pruned
+
+
+def class_expand(problem):
+    """problem's expand as perfbench/tracing.py wraps it: the attribute
+    in its class's __dict__, called with the problem first."""
+    return partial(type(problem).__dict__["expand"], problem)
 
 
 def astar_cost(problem, limit=2_000_000):

@@ -3,6 +3,7 @@ build is cached, that every way a build can fail leaves the Python
 kernel, and that malformed input raises instead of crashing."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -81,8 +82,9 @@ def test_a_cold_cache_builds_once_and_a_warm_one_never(source, builds):
     assert _cache(source) == [os.path.basename(_backend.build_path(source))]
     again = _backend.load_compiled(source)
     assert builds == [source]
-    assert again.synthetic_expand(((b"", 0, 0, 0), 0, 0, -1, None), 0, None,
-                                  None, ((), (), b"", 0, 0, 1)) is GOAL
+    assert again.synthetic_expand(((), (), b"", 0, 0, 1),
+                                  ((b"", 0, 0, 0), 0, 0, -1, None), 0, None,
+                                  None) is GOAL
     assert module.__doc__ == again.__doc__
 
 
@@ -185,48 +187,85 @@ def _problem(**kw):
 
 
 def _malformed_calls(problem):
-    """(node, tables) pairs each of which the compiled kernel must refuse
-    with TypeError."""
+    """The well-formed call (tables, root, 10, push, prune) of problem's
+    root, and (reason, args) pairs, each args differing from it in one
+    argument or in its argument count, that the compiled kernel must
+    refuse with a TypeError naming the reason."""
     root = make_root(problem)
     state, g, h, op, parent = root
     path, shared, err, goal = state
     tables = problem._tables
     on_path = tables[0]
     indices = on_path[0]
-    nodes = [None, [state, g, h, op, parent], root[:4], root + (None,),
-             (list(state), g, h, op, parent), (state[:2], g, h, op, parent),
-             (state[:3], g, h, op, parent), (state + (0,), g, h, op, parent),
-             ((bytearray(path), shared, err, goal), g, h, op, parent),
-             ((path, 0.0, err, goal), g, h, op, parent),
-             ((path, shared, str(err), goal), g, h, op, parent),
-             ((path, shared, err, float(goal)), g, h, op, parent),
-             (state, 1.0, h, op, parent)]
-    bad_indices = [None, list(indices), ("0",) + indices[1:],
-                   tuple(range(257)), indices + (256,), indices + (-1,)]
-    bad_tables = [None, list(tables), tables[:5], tables + (None,),
-                  (list(on_path),) + tables[1:],
-                  ((None,) * len(on_path),) + tables[1:],
-                  tables[:2] + (list(tables[2]),) + tables[3:],
-                  tables[:3] + (float(tables[3]),) + tables[4:],
-                  tables[:4] + (float(tables[4]),) + tables[5:],
-                  tables[:5] + (float(tables[5]),)] \
-        + [((bad,) + on_path[1:],) + tables[1:] for bad in bad_indices]
-    return [(node, tables) for node in nodes] \
-        + [(root, bad) for bad in bad_tables]
+    good = (tables, root, 10, [].append, [].append)
+    bad_nodes = {
+        "node must be a tuple": [None, list(root), root[:4], root + (None,)],
+        "state must be a tuple": [
+            (list(state), g, h, op, parent), (state[:2], g, h, op, parent),
+            (state[:3], g, h, op, parent), (state + (0,), g, h, op, parent)],
+        "path must be bytes": [
+            ((bytearray(path), shared, err, goal), g, h, op, parent),
+            ((path, 0.0, err, goal), g, h, op, parent),
+            ((path, shared, str(err), goal), g, h, op, parent),
+            ((path, shared, err, float(goal)), g, h, op, parent),
+            (state, 1.0, h, op, parent)],
+    }
+
+    def entry(bad):
+        # the root is on the goal path, so on_path[0] is the entry it reads
+        return ((bad,) + on_path[1:],) + tables[1:]
+
+    bad_tables = {
+        "tables must be a tuple": [None, list(tables), tables[:5],
+                                   tables + (None,)],
+        "on_path and off_path must be tuples": [
+            (list(on_path),) + tables[1:],
+            tables[:2] + (list(tables[2]),) + tables[3:],
+            tables[:3] + (float(tables[3]),) + tables[4:],
+            tables[:4] + (float(tables[4]),) + tables[5:],
+            tables[:5] + (float(tables[5]),)],
+        "a table entry must be a tuple": [
+            ((None,) * len(on_path),) + tables[1:], entry(None),
+            entry(list(indices))],
+        "an index tuple holds at most 256": [entry(tuple(range(257)))],
+        "a child index must be an int in [0, 255]": [
+            entry(("0",) + indices[1:]), entry(indices + (256,)),
+            entry(indices + (-1,))],
+    }
+    bad_thresholds = {"threshold must be an int": ["10", 10.0]}
+    calls = [(reason, good[:position] + (bad,) + good[position + 1:])
+             for position, cases in enumerate((bad_tables, bad_nodes,
+                                               bad_thresholds))
+             for reason, bads in cases.items() for bad in bads]
+    calls += [("takes (tables, node, threshold, push, prune)", args)
+              for args in [good[:count] for count in range(5)]
+              + [good + (1,)]]
+    return good, calls
+
+
+def _differ_in_one(args, good):
+    """Whether args is good with one argument replaced, or with its
+    argument count changed: cut short, or with one more at the end."""
+    if len(args) == len(good):
+        return sum(a is not b for a, b in zip(args, good)) == 1
+    return len(args) <= len(good) + 1 \
+        and all(a is b for a, b in zip(args, good))
 
 
 def test_malformed_input_raises_type_error(compiled):
     problem = _problem()
-    for node, tables in _malformed_calls(problem):
-        with pytest.raises(TypeError):
-            compiled(node, 10, [].append, [].append, tables)
-    root = make_root(problem)
-    for args in ((), (root,), (root, 10, None, None, problem._tables, 1)):
-        with pytest.raises(TypeError):
+    good, calls = _malformed_calls(problem)
+    # the positive control: the call each case departs from returns what
+    # the Python kernel returns, so a case fails for its own argument
+    assert compiled(*good) \
+        == _kernels_py.synthetic_expand(good[0], good[1], 10, [].append,
+                                        [].append) != ()
+    assert len(calls) == 37
+    for reason, args in calls:
+        assert _differ_in_one(args, good), reason
+        with pytest.raises(TypeError,
+                           match=re.escape(f"synthetic_expand: {reason}")):
             compiled(*args)
-    for threshold in ("10", 10.0):
-        with pytest.raises(TypeError):
-            compiled(root, threshold, [].append, [].append, problem._tables)
 
 
 def test_out_of_range_input_raises_as_the_python_kernel_does(compiled):
@@ -237,24 +276,24 @@ def test_out_of_range_input_raises_as_the_python_kernel_does(compiled):
     for kernel in (compiled, _kernels_py.synthetic_expand):
         # a path deeper than the tables
         with pytest.raises(IndexError):
-            kernel((deep, *rest), 10, [].append, [].append, tables)
+            kernel(tables, (deep, *rest), 10, [].append, [].append)
         # a push or prune that raises
         with pytest.raises(ZeroDivisionError):
-            kernel(make_root(problem), 10, lambda _c: 1 / 0, None, tables)
+            kernel(tables, make_root(problem), 10, lambda _c: 1 / 0, None)
         with pytest.raises(ZeroDivisionError):
-            kernel(make_root(problem), 0, None, lambda _f: 1 / 0, tables)
+            kernel(tables, make_root(problem), 0, None, lambda _f: 1 / 0)
     # a hash lane outside [0, 2^64)
     for lane in (-1, 1 << 64, 1 << 200):
         for lanes in ((lane, state[3]), (state[2], lane)):
             with pytest.raises(OverflowError):
-                compiled(((b"", 0, *lanes), *rest), 10, [].append,
-                         [].append, tables)
+                compiled(tables, ((b"", 0, *lanes), *rest), 10, [].append,
+                         [].append)
     with pytest.raises(OverflowError):
-        compiled((state, 1 << 62, *rest[1:]), 1 << 63, [].append,
-                 [].append, tables)
+        compiled(tables, (state, 1 << 62, *rest[1:]), 1 << 63, [].append,
+                 [].append)
     with pytest.raises(ValueError):
-        compiled(make_root(problem), 10, [].append, [].append,
-                 tables[:5] + (0,))
+        compiled(tables[:5] + (0,), make_root(problem), 10, [].append,
+                 [].append)
 
 
 def _all_nodes(problem):
@@ -263,8 +302,8 @@ def _all_nodes(problem):
     while stack:
         node = stack.pop()
         nodes.append(node)
-        _kernels_py.synthetic_expand(node, sys.maxsize, stack.append, None,
-                                     problem._tables)
+        _kernels_py.synthetic_expand(problem._tables, node, sys.maxsize,
+                                     stack.append, None)
     return nodes
 
 
@@ -285,8 +324,8 @@ def test_refcounts_hold_over_many_expansions(compiled):
     while expansions < 100_000:
         for node, tables in calls:
             for threshold in (0, 3, 5, sys.maxsize):
-                result = compiled(node, threshold, children.append,
-                                  pruned.append, tables)
+                result = compiled(tables, node, threshold, children.append,
+                                  pruned.append)
                 children.clear()
                 pruned.clear()
                 expansions += 1
@@ -310,11 +349,11 @@ def test_the_kernels_agree_at_extreme_thresholds_and_moduli(compiled):
             leaf = len(node[0][0]) == problem.spec.d
             for threshold in thresholds:
                 got, want = ([], []), ([], [])
-                result = compiled(node, threshold, got[0].append,
-                                  got[1].append, problem._tables)
+                result = compiled(problem._tables, node, threshold,
+                                  got[0].append, got[1].append)
                 expected = _kernels_py.synthetic_expand(
-                    node, threshold, want[0].append, want[1].append,
-                    problem._tables)
+                    problem._tables, node, threshold, want[0].append,
+                    want[1].append)
                 # GOAL is an empty tuple, so == alone does not tell it
                 assert result == expected
                 assert type(result) is type(expected)

@@ -17,8 +17,8 @@ from idastra.errors import (DataError, MalformedLine, UnsolvableInstance)
 from idastra.ordering import OrderPolicy
 from idastra import _kernels_py
 from oracles import (_TAG_ERROR, _TAG_GOAL, SpaceModel, astar_cost,
-                     child_indices, count_nodes, expand_all,
-                     goal_digits_reference, is_solvable,
+                     child_indices, class_expand, count_nodes, expand_all,
+                     expansion, goal_digits_reference, is_solvable,
                      manhattan_reference, uniform_tree_size)
 
 
@@ -340,7 +340,9 @@ def test_puzzle_fixed_order_changes_child_order_only():
 def _check_expand_contract(problem, node):
     """expand at thresholds around node's f against one call that keeps
     every child.  expand returns GOAL exactly where is_goal holds, and a
-    goal pushes and prunes nothing at every threshold."""
+    goal pushes and prunes nothing at every threshold.  At each
+    threshold the class attribute, the path the benchmark's tracer
+    wraps, pushes, prunes and returns what problem.expand does."""
     goal = problem.is_goal(node[0])
     every = []
     walked = problem.expand(node, sys.maxsize, every.append, None)
@@ -359,6 +361,8 @@ def _check_expand_contract(problem, node):
         assert pruned == [c[1] + c[2] for c in every
                           if c[1] + c[2] > threshold]
         assert len(walked) == len(pushed) + len(pruned)
+        assert expansion(class_expand(problem), node, threshold) \
+            == (walked, goal, pushed, pruned)
     return every
 
 

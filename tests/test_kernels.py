@@ -12,7 +12,8 @@ from idastra import _kernels_py
 from idastra.core import GOAL, make_root
 from idastra.domains.puzzle import GOAL_TILES, scramble
 from idastra.domains.synthetic import ArtificialProblem, ArtificialSpec
-from oracles import apply_op_reference, expand_all, manhattan_reference
+from oracles import (apply_op_reference, class_expand, expand_all,
+                     expansion, manhattan_reference)
 
 
 def _puzzle_children(tiles, blank, h, prev_op):
@@ -134,8 +135,8 @@ def test_each_child_key_is_one_hash_step_per_lane(err, goal,
         # the children of the root of a depth-1 tree
         tables = ((indices,), (indices,), bytes(indices[:1]), 1, 0, 1)
         children = []
-        kernel(((b"", 0, err, goal), 0, 0, -1, None), sys.maxsize,
-               children.append, None, tables)
+        kernel(tables, ((b"", 0, err, goal), 0, 0, -1, None), sys.maxsize,
+               children.append, None)
         assert tuple(op for _s, _g, _h, op, _p in children) == indices
         for (_path, _shared, c_err, c_goal), _g, _h, c, _p in children:
             assert c_err == _kernels_py.hash_step(err, c)
@@ -177,7 +178,10 @@ def test_synthetic_expand_matches_states_built_from_scratch(
 
 def test_synthetic_expand_on_every_node_of_small_trees(synthetic_kernels):
     # the exhaustive companion of the test above: every node of full
-    # small trees, leaves included, against states built from scratch
+    # small trees, leaves included, against states built from scratch.
+    # The class attribute, the path the benchmark's tracer wraps,
+    # expanding a node at its own f returns what problem.expand returns
+    # keeping every child, and pushes and prunes those children by f
     for _kernel in synthetic_kernels():
         for d, b, density, imbalance, herror in product(
                 range(1, 7), (2, 3, 4), (0.0, 1e-9, 0.05, 1.0), (0.0, 0.6),
@@ -190,7 +194,13 @@ def test_synthetic_expand_on_every_node_of_small_trees(synthetic_kernels):
             while stack:
                 node = stack.pop()
                 path = node[0][0]
-                children = expand_all(problem, node)
+                ops, goal, walked, _pruned = expansion(
+                    problem.expand, node, sys.maxsize)
+                f = node[1] + node[2]
+                assert expansion(class_expand(problem), node, f) == (
+                    ops, goal, [c for c in walked if c[1] + c[2] <= f],
+                    [c[1] + c[2] for c in walked if c[1] + c[2] > f])
+                children = walked[::-1]
                 if len(path) == d:
                     assert children == []
                 for child, g, h, i, _parent in children:
